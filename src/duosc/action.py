@@ -3,13 +3,20 @@
 The classical Lagrangian of the sum/difference variables is strictly
 bilinear in (X-path, xi-path) plus a term linear in xi (the drive), so the
 integrated action is an exact bilinear-plus-linear-plus-constant form over
-the eight endpoint variables.  Rather than transcribing the many named
-boundary coefficients from the literature, the form is extracted here by
+the eight endpoint variables.
+
+Production route (`endpoint_action_form`): pure endpoint algebra.  On a
+classical X path, integrating the kinetic term by parts leaves
+-1/2 xi.(damped equation of motion of X), which vanishes, plus the boundary
+term sum_k m_k/2 [dX_k xi_k]_0^t.  The bilinear block is therefore eight
+endpoint derivatives of the X basis paths, and the xi-linear drive terms
+are the closed-form force moments of `forcing.force_moments`.
+
+Cross-check route (`classical_action_form`): the form is extracted by
 polarization: evaluate the action integral on the sixteen unit-endpoint
 basis pairs (bilinear block), on single unit endpoints with the drive on
-(linear terms), and at all-zero endpoints (constant).  Up to quadrature
-error this is exact, and quadrature is over smooth trig-times-exponential
-integrands.
+(linear terms), and at all-zero endpoints (constant), with composite
+quadrature over smooth trig-times-exponential integrands.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .config import InternalConfig, InternalForce
 from .errors import ConfigError
-from .forcing import force_value
+from .forcing import force_moments, force_value
 from .modes import NormalModes, basis_paths, check_caustic
 from .particular import ParticularSolution
 
@@ -145,7 +152,11 @@ def quadrature_nodes(t: float, n_min: int = 2048, max_freq: float = 4.0,
 
 
 def force_breakpoints(*forces) -> tuple:
-    """Interior discontinuity locations of the drive profiles."""
+    """Locations where the drive profiles jump or kink.
+
+    An exponential step jumps at its onset; a sampled profile is piecewise
+    linear, so every sample time is a kink.
+    """
     pts = []
     for f in forces:
         if f is None or f.is_zero:
@@ -153,7 +164,7 @@ def force_breakpoints(*forces) -> tuple:
         if f.kind == "exponential_step":
             pts.append(f.t0)
         elif f.kind == "sampled":
-            pts.extend((float(f.times[0]), float(f.times[-1])))
+            pts.extend(float(x) for x in f.times)
     return tuple(pts)
 
 
@@ -168,10 +179,41 @@ def lagrangian_value(cfg: InternalConfig, X1, X2, dX1, dX2,
             + xi1 * f1val + xi2 * f2val)
 
 
+def endpoint_action_form(cfg: InternalConfig, modes: NormalModes,
+                         t: float) -> ActionForm:
+    """Endpoint structure of the action at time t, in closed form.
+
+    bilinear[a, f_k] = m_k/2 dX_k^a(t) and bilinear[a, i_k] = -m_k/2
+    dX_k^a(0), where X^a is the X basis path of endpoint slot a; the
+    xi-linear terms are (phi_f1, phi_f2, lambda1, lambda2) of the force
+    moments.  linear_X is zero by the same integration by parts, and the
+    constant is left at zero because the reduction fixes the normalization
+    itself.
+    """
+    if t <= 0.0:
+        raise ConfigError(f"endpoint_action_form needs t > 0, got {t}")
+    _, _, dX1, dX2 = basis_paths(modes, t, np.array([0.0, t]), sign=-1.0)
+    bilinear = np.empty((4, 4))
+    bilinear[:, 0] = 0.5 * cfg.m1 * dX1[:, 1]
+    bilinear[:, 1] = 0.5 * cfg.m2 * dX2[:, 1]
+    bilinear[:, 2] = -0.5 * cfg.m1 * dX1[:, 0]
+    bilinear[:, 3] = -0.5 * cfg.m2 * dX2[:, 0]
+    linear_xi = np.zeros(4)
+    if not (cfg.force1.is_zero and cfg.force2.is_zero):
+        fm = force_moments(modes, cfg.force1, cfg.force2, t)
+        linear_xi = np.array([fm.phi_f1, fm.phi_f2, fm.lambda1, fm.lambda2])
+    return ActionForm(t=t, bilinear=bilinear, linear_X=np.zeros(4),
+                      linear_xi=linear_xi, constant=0.0)
+
+
 def classical_action_form(cfg: InternalConfig, modes: NormalModes,
                           partic: Optional[ParticularSolution],
                           t: float, n_min: int = 2048) -> ActionForm:
-    """Extract the full endpoint structure of the action at time t."""
+    """Extract the full endpoint structure of the action at time t.
+
+    Quadrature and polarization; the independent cross-check of
+    `endpoint_action_form`.
+    """
     if t <= 0.0:
         raise ConfigError(f"classical_action_form needs t > 0, got {t}")
     check_caustic(modes, t)

@@ -19,13 +19,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import engine, observables, oracle
-from .action import classical_action_form
+from . import engine, observables
+from .action import endpoint_action_form
 from .config import (BathParams, ForceSpec, OscillatorParams, SystemConfig,
                      TimeGrid, load_config, to_internal, validate_config)
 from .errors import DuoscError
 from .forcing import default_amplitude
-from .particular import particular_solution
 
 SCENARIOS = ("fig2", "fig3", "fig4", "custom")
 
@@ -133,11 +132,7 @@ def _write_outputs(outdir: str, result, args) -> None:
     if args.dump_action:
         from .modes import solve_determinant
         modes = solve_determinant(ic)
-        t = float(result.times[-1])
-        driven = not (ic.force1.is_zero and ic.force2.is_zero)
-        partic = particular_solution(modes, ic.force1, ic.force2, t) \
-            if driven else None
-        form = classical_action_form(ic, modes, partic, t)
+        form = endpoint_action_form(ic, modes, result.states[-1].t)
         with open(os.path.join(outdir, "action_form.csv"), "w") as fh:
             fh.write("slot,value\n")
             for name, val in form.labeled_entries():
@@ -146,6 +141,8 @@ def _write_outputs(outdir: str, result, args) -> None:
 
 def _verify(outdir: str, result) -> int:
     """Oracle comparison and invariant suite; returns number of failures."""
+    from . import oracle   # scipy.integrate: load it only when verifying
+
     ic = result.config
     u = ic.units
     traj = oracle.mean_ode(ic, result.times)
@@ -241,7 +238,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)
-    result = engine.simulate(ic, threads=max(1, args.threads))
+    try:
+        result = engine.simulate(ic, threads=max(1, args.threads))
+    except DuoscError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _write_outputs(args.out, result, args)
     if args.verify:
         failures = _verify(args.out, result)

@@ -232,6 +232,11 @@ def validate_config(cfg: SystemConfig) -> ValidatedConfig:
             f"coupling_dimensionless = {lt} >= 1: the bilinear-coupling model "
             "breaks down (quartic constant term d would be non-positive)")
     o1, o2 = cfg.osc1, cfg.osc2
+    if not math.isclose(o1.damping_rate, o2.damping_rate, rel_tol=1e-12):
+        raise ConfigError(
+            "damping rates must be equal (got "
+            f"{o1.damping_rate} and {o2.damping_rate}); the closed-form "
+            "engine does not support unequal damping")
     lam = lt * o1.eigenfrequency * o2.eigenfrequency * math.sqrt(o1.mass * o2.mass)
     # d = w01^2 w02^2 - lam^2/(M1 M2) must stay positive
     d = (o1.eigenfrequency * o2.eigenfrequency) ** 2 - lam ** 2 / (o1.mass * o2.mass)

@@ -2,51 +2,56 @@
 
 Each requested time is independent (the construction is a boundary-value
 problem, not a time stepper), so the grid is embarrassingly parallel.  The
-drive's cross term inside the bath phase only produces anti-Hermitian
-residue that is measured separately (see influence.influence_form); the
-production pipeline therefore evaluates the bath phase on the boundary
-paths alone, which keeps the per-time cost at a few milliseconds.
+classical action is endpoint algebra (action.endpoint_action_form), so the
+driven particular path is never built.  The drive's cross term inside the
+bath phase only produces anti-Hermitian residue that is measured separately
+(see influence.influence_form); the production pipeline therefore evaluates
+the bath phase on the boundary paths alone.
 """
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .action import classical_action_form
+from .action import endpoint_action_form
 from .config import InternalConfig, ValidatedConfig, to_internal
 from .errors import CausticTime
 from .influence import influence_form
 from .modes import NormalModes, solve_determinant
-from .observables import CovarianceReport, report
-from .particular import ParticularSolution, particular_solution
+from .observables import report
 from .reduction import GaussianStateParams, initial_state, reduce_to_state
 
+log = logging.getLogger("duosc")
 
-def state_at(cfg: InternalConfig, modes: NormalModes, t: float,
-             include_drive_cross: bool = False) -> GaussianStateParams:
+
+def state_at(cfg: InternalConfig, modes: NormalModes,
+             t: float) -> GaussianStateParams:
     """Reduced Gaussian state at one time."""
     if t <= 0.0:
         return initial_state(cfg)
-    driven = not (cfg.force1.is_zero and cfg.force2.is_zero)
-    partic: Optional[ParticularSolution] = None
-    if driven:
-        partic = particular_solution(modes, cfg.force1, cfg.force2, t)
-    action = classical_action_form(cfg, modes, partic, t)
-    infl = influence_form(cfg, modes, partic if include_drive_cross else None, t)
+    action = endpoint_action_form(cfg, modes, t)
+    infl = influence_form(cfg, modes, None, t)
     return reduce_to_state(cfg, action, infl)
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """States and moment reports over the requested time grid."""
+    """States and moment reports over the requested time grid.
+
+    `nudged` lists the grid indices whose state was evaluated slightly past
+    the requested time because it fell in a caustic window; such a state
+    carries its own time in `states[i].t`.
+    """
     config: InternalConfig
     times: np.ndarray
     states: tuple
     reports: tuple
+    nudged: tuple = ()
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.reports])
@@ -76,9 +81,16 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
             states = tuple(ex.map(one, times))
     else:
         states = tuple(one(t) for t in times)
+    # a state evaluated at a positive time carries that time exactly
+    nudged = tuple(i for i, (t, s) in enumerate(zip(times, states))
+                   if t > 0.0 and s.t != t)
+    for i in nudged:
+        log.warning("t = %.17g (grid index %d) lies in a caustic window; "
+                    "evaluated at t = %.17g instead", times[i], i,
+                    states[i].t)
     reports = tuple(report(s, hbar=cfg.hbar) for s in states)
-    return SimulationResult(config=cfg, times=times,
-                            states=states, reports=reports)
+    return SimulationResult(config=cfg, times=times, states=states,
+                            reports=reports, nudged=nudged)
 
 
 def simulate_validated(vc: ValidatedConfig,

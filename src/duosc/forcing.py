@@ -90,22 +90,27 @@ def oscillatory_moment(f, Omega: float, delta: float, t: float
         alpha = complex(delta - f.decay, Omega)
         val = f.f0 * _expi_integral(alpha, f.t0, t)
         return val.imag, val.real
-    # sampled: panels bounded by sample points and a trig/envelope scale
+    # sampled: panels bounded by sample points and a trig/envelope scale;
+    # each interval between breaks splits into nsub equal sub-panels, and
+    # the nodes of all sub-panels are built as one array
     scale = max(abs(Omega), abs(delta), 1.0)
     h_max = 0.25 * math.pi / scale
-    breaks = [x for x in f.times if 0.0 < x < t]
+    knots = np.asarray(f.times, dtype=float)
+    breaks = knots[(knots > 0.0) & (knots < t)]
     edges = np.unique(np.concatenate(([0.0], breaks, [t])))
-    val = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        nsub = max(1, int(math.ceil((b - a) / h_max)))
-        sub = np.linspace(a, b, nsub + 1)
-        for sa, sb in zip(sub[:-1], sub[1:]):
-            mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
-            nodes = mid + half * _GL_NODES
-            fv = force_value(f, nodes)
-            val += half * np.sum(
-                _GL_WEIGHTS * fv * np.exp(complex(delta, Omega) * nodes))
-    return val.imag, val.real
+    a, length = edges[:-1], np.diff(edges)
+    nsub = np.maximum(1, np.ceil(length / h_max).astype(int))
+    panel = np.repeat(np.arange(a.size), nsub)
+    j = np.arange(panel.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    h = (length / nsub)[panel]
+    sa = a[panel] + j * h
+    sb = np.where(j + 1 == nsub[panel], edges[1:][panel], sa + h)
+    mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    fv = force_value(f, nodes.ravel()).reshape(nodes.shape)
+    val = np.sum(half[:, None] * _GL_WEIGHTS * fv
+                 * np.exp(complex(delta, Omega) * nodes))
+    return float(val.imag), float(val.real)
 
 
 @dataclass(frozen=True)

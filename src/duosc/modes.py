@@ -105,15 +105,15 @@ def _amplitude_ratio_mode2(cfg: InternalConfig, Omega: float, delta: float) -> c
 def solve_determinant(cfg: InternalConfig) -> NormalModes:
     """Solve the quartic determinant equation and label the two modes.
 
-    Restricted to gamma1 == gamma2 (the closed-form engine's root pairing
-    and real amplitude ratios rely on it); unequal dampings must go through
-    the oracle engine instead.
+    Restricted to gamma1 == gamma2: the root pairing and the real amplitude
+    ratios rely on it.  `config.validate_config` rejects unequal damping
+    up front; this check guards configs built by hand.
     """
     if not math.isclose(cfg.gamma1, cfg.gamma2, rel_tol=1e-12, abs_tol=1e-15):
         raise ConfigError(
-            "closed-form engine requires equal damping rates "
+            "the closed-form engine requires equal damping rates "
             f"(gamma1={cfg.gamma1}, gamma2={cfg.gamma2}); "
-            "use the oracle engine for unequal damping")
+            "unequal damping is not supported")
     q = QuarticCoefficients.from_config(cfg)
     roots = np.roots(q.poly())
     poly = q.poly()

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .config import InternalForce
 from .errors import CausticTime, ConfigError, QuadratureNonConvergence
@@ -95,8 +94,8 @@ class ParticularSolution:
     xi2_grid: np.ndarray
     boundary_residuals: Tuple[float, float, float, float]
     _eval: Callable = None
-    _spline1: CubicSpline = None
-    _spline2: CubicSpline = None
+    _spline1: Callable = None
+    _spline2: Callable = None
 
     def values(self, tau) -> Tuple[np.ndarray, np.ndarray]:
         xi1, xi2, _, _ = self._eval(np.asarray(tau, dtype=float))
@@ -122,6 +121,8 @@ def particular_solution(modes: NormalModes, f1: InternalForce,
                         n_grid: int = DEFAULT_GRID_POINTS
                         ) -> ParticularSolution:
     """Build the endpoint-vanishing particular solution on [0, t]."""
+    from scipy.interpolate import CubicSpline   # kept off `import duosc`
+
     if t <= 0.0:
         raise ConfigError(f"particular_solution needs t > 0, got {t}")
     check_caustic(modes, t)

@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from duosc.action import (ActionForm, EndpointVector, classical_action_form,
-                          force_breakpoints, lagrangian_value,
-                          quadrature_nodes)
+                          endpoint_action_form, force_breakpoints,
+                          lagrangian_value, quadrature_nodes)
 from duosc.config import InternalForce
 from duosc.errors import ConfigError
-from duosc.forcing import force_value
+from duosc.forcing import force_moments, force_value
 from duosc.modes import (homogeneous_X_paths, homogeneous_xi_paths,
                          solve_determinant)
 from duosc.particular import particular_solution
@@ -179,3 +180,56 @@ def test_endpoint_vector_value_roundtrip(ic_fig2, modes_fig2):
     e = EndpointVector(X_f1=0.3, xi_i2=-1.2, X_i1=0.5, xi_f1=0.1)
     assert math.isclose(af.value(e), af.x_value(e.x_vec, e.xi_vec),
                         rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+def test_endpoint_form_matches_quadrature(name, request):
+    """The closed-form bilinear block (endpoint derivatives of the X basis
+    paths) and drive terms (force moments) equal the polarization-quadrature
+    ones."""
+    ic = request.getfixturevalue(f"ic_{name}")
+    modes = solve_determinant(ic)
+    for t in (0.00111, 1.3, 7.7, 21.1, 29.5):
+        ep = endpoint_action_form(ic, modes, t)
+        quad = classical_action_form(ic, modes, None, t)
+        for got, want in ((ep.bilinear, quad.bilinear),
+                          (ep.linear_xi, quad.linear_xi)):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert np.all(ep.linear_X == 0.0) and ep.constant == 0.0
+
+
+def test_endpoint_form_undriven_has_no_linear_terms():
+    ic = make_ic()
+    ep = endpoint_action_form(ic, solve_determinant(ic), 6.0)
+    assert np.all(ep.linear_X == 0.0) and np.all(ep.linear_xi == 0.0)
+    assert ep.constant == 0.0
+
+
+def test_endpoint_form_rejects_nonpositive_time(ic_fig3, modes_fig3):
+    with pytest.raises(ConfigError):
+        endpoint_action_form(ic_fig3, modes_fig3, 0.0)
+
+
+def _sampled_drive(t_end, n=257):
+    # piecewise-linear profile with a kink at every sample time
+    times = np.linspace(0.0, t_end, n)
+    values = 0.05 * np.sin(math.pi * times / t_end) ** 2 * (
+        np.sin(0.8 * times) - 0.6 * np.cos(1.3 * times + 0.4))
+    return InternalForce(kind="sampled", times=times, values=values)
+
+
+def test_sampled_force_breakpoints_are_every_knot():
+    f = _sampled_drive(10.0, n=11)
+    assert force_breakpoints(f) == tuple(float(x) for x in f.times)
+
+
+def test_sampled_drive_quadrature_matches_force_moments(ic_fig3, modes_fig3):
+    """With every knot a panel edge, the quadrature cross-check integrates
+    a sampled drive as exactly as the closed-form force moments."""
+    ic = replace(ic_fig3, force1=_sampled_drive(ic_fig3.t_end), force2=ZERO)
+    for t in (5.3, 14.9, 29.1):
+        fm = force_moments(modes_fig3, ic.force1, ic.force2, t)
+        want = np.array([fm.phi_f1, fm.phi_f2, fm.lambda1, fm.lambda2])
+        got = classical_action_form(ic, modes_fig3, None, t).linear_xi
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -2,11 +2,15 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from duosc import engine
 from duosc.cli import build_parser, main, preset_config
+from duosc.errors import NotNormalizable
 
 
 def read_csv(path):
@@ -145,3 +149,38 @@ def test_normalized_means_scale(tmp_path):
     # the demonstration drive is tuned to displace by roughly one packet
     # width, so the normalized mean is O(1), not O(sigma) or O(1/sigma)
     assert 0.05 < peak < 50.0
+
+
+def test_unequal_damping_exit_code(tmp_path, capsys):
+    cfgd = {
+        "m1": 1e-23, "m2": 5e-23, "omega01": 1e13, "omega02": 3e13,
+        "gamma1": 1e11, "gamma2": 2e11, "lambda_tilde": 0.0,
+        "T1": 300.0, "T2": 300.0, "t_end": 5e-13, "n_points": 4,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfgd))
+    rc = run_cli(["run", "custom", str(tmp_path / "o"), "--config", str(p)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "damping" in err
+
+
+def test_engine_error_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NotNormalizable("beta determinant <= 0")
+    monkeypatch.setattr(engine, "simulate", fail)
+    rc = run_cli(["run", "fig2", str(tmp_path / "o"), "--grid", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: beta determinant")
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter that imports this same copy of the package
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, duosc, duosc.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

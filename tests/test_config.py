@@ -153,3 +153,10 @@ def test_load_config_bad_json(tmp_path):
 def test_config_from_dict_missing_key():
     with pytest.raises(KeyError):
         config_from_dict({"m1": 1e-23})
+
+
+def test_unequal_damping_rejected_at_validation():
+    cfg = make_cfg(osc2=OscillatorParams(mass=5e-23, eigenfrequency=3e13,
+                                         damping_rate=2e11))
+    with pytest.raises(ConfigError, match="damping"):
+        validate_config(cfg)

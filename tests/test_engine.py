@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -27,14 +28,26 @@ def test_threaded_equals_serial(ic_fig3):
         np.testing.assert_array_equal(a.column(name), b.column(name))
 
 
-def test_caustic_grid_point_is_nudged_not_dropped(ic_fig3, modes_fig3):
+def test_caustic_grid_point_is_nudged_not_dropped(ic_fig3, modes_fig3,
+                                                  caplog):
     t_caustic = math.pi / modes_fig3.Omega1
-    res = simulate(ic_fig3, times=np.array([t_caustic]))
-    assert len(res.states) == 1
-    s = res.states[0]
+    with caplog.at_level(logging.WARNING, logger="duosc"):
+        res = simulate(ic_fig3, times=np.array([1.0, t_caustic]))
+    assert len(res.states) == 2
+    s = res.states[1]
     assert np.isfinite(s.g1) and s.g1 > 0
     # nudge is ~1e-6 of a period, so the state is still "at" that time
     assert abs(s.t - t_caustic) < 1e-5
+    # the nudge is recorded and logged, not silent
+    assert res.nudged == (1,)
+    assert s.t != t_caustic and res.states[0].t == 1.0
+    assert [r.name for r in caplog.records] == ["duosc"]
+    assert "caustic" in caplog.records[0].getMessage()
+
+
+def test_regular_grid_has_no_nudges(ic_fig3):
+    res = simulate(ic_fig3, times=np.linspace(0.0, 6.0, 4))
+    assert res.nudged == ()
 
 
 def test_simulate_validated_roundtrip():

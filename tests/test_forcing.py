@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from duosc.action import classical_action_form
 from duosc.config import InternalForce
-from duosc.forcing import (default_amplitude_internal, force_moments,
+from duosc.forcing import (_GL_NODES, _GL_WEIGHTS,
+                           default_amplitude_internal, force_moments,
                            force_value, oscillatory_moment)
 from duosc.particular import particular_solution
 
@@ -111,3 +112,35 @@ def test_moments_additive_in_force():
     Mh, Nh = oscillatory_moment(f_half, 1.1, 0.02, t)
     assert math.isclose(M, 2.0 * Mh, rel_tol=1e-13)
     assert math.isclose(N, 2.0 * Nh, rel_tol=1e-13)
+
+
+def looped_sampled_moment(f, Omega, delta, t):
+    """Reference: the sampled-branch panel rule, one sub-panel at a time."""
+    h_max = 0.25 * math.pi / max(abs(Omega), abs(delta), 1.0)
+    breaks = [x for x in f.times if 0.0 < x < t]
+    edges = np.unique(np.concatenate(([0.0], breaks, [t])))
+    val = 0.0 + 0.0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        sub = np.linspace(a, b, max(1, int(math.ceil((b - a) / h_max))) + 1)
+        for sa, sb in zip(sub[:-1], sub[1:]):
+            mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
+            nodes = mid + half * _GL_NODES
+            val += half * np.sum(_GL_WEIGHTS * force_value(f, nodes)
+                                 * np.exp(complex(delta, Omega) * nodes))
+    return val.imag, val.real
+
+
+@pytest.mark.parametrize("Omega,delta,t", [
+    (0.9486305919587454, 0.01, 12.3),
+    (3.0166040509155327, 0.01, 29.1),
+    (40.0, 0.0, 7.7),          # sub-panels much shorter than the samples
+])
+def test_sampled_moment_matches_looped_reference(Omega, delta, t):
+    times = np.linspace(0.0, 30.0, 257)
+    f = InternalForce(kind="sampled", times=times,
+                      values=np.sin(0.7 * times) * np.exp(-0.05 * times))
+    M, N = oscillatory_moment(f, Omega, delta, t)
+    Mr, Nr = looped_sampled_moment(f, Omega, delta, t)
+    # same nodes and weights, summed in another order
+    scale = max(abs(Mr), abs(Nr))
+    assert abs(M - Mr) <= 1e-13 * scale and abs(N - Nr) <= 1e-13 * scale
