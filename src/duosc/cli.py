@@ -237,12 +237,12 @@ def main(argv=None) -> int:
     except (DuoscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     try:
         result = engine.simulate(ic, threads=max(1, args.threads))
     except DuoscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    os.makedirs(args.out, exist_ok=True)
     _write_outputs(args.out, result, args)
     if args.verify:
         failures = _verify(args.out, result)

@@ -11,9 +11,18 @@ triangle is half the symmetric square integral, it collapses to
 (1/2) * Re[F(w) * conj(F(w))] with F the finite-time Fourier transform of
 the path, which for the trig-times-exponential boundary paths is elementary.
 The endpoint quadratic form is extracted exactly from the four unit-endpoint
-basis paths; the driven particular solution adds a linear term and a
-constant, which are kept (their non-Hermitian residue is measured later, not
-assumed away).
+basis paths.
+
+Production route (`bath_spectra` + `grid_quadratic`): whole time grids at
+once.  Partial fractions move all t-dependence of the omega integral into
+eight transforms of t-independent spectral data, which Filon-Legendre
+quadrature on a fixed panel layout evaluates exactly in t (section at the
+end of this module); the cost per time no longer grows with t or the cutoff.
+
+Cross-check route (`influence_form`): one composite omega quadrature per
+time, resolving exp(-i w t) anew.  It also evaluates the drive's linear term
+and constant from the particular solution, whose non-Hermitian residue is
+measured by the tests, not assumed away.
 
 The time-domain kernel K(s) is also tabulated here; it is only used by the
 brute-force oracle comparisons, not by the fast path.
@@ -21,6 +30,7 @@ brute-force oracle comparisons, not by the fast path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -34,6 +44,9 @@ from .modes import (NormalModes, check_caustic, component_weights,
 from .particular import ParticularSolution
 
 _GL16 = np.polynomial.legendre.leggauss(16)
+#: panels are bisected until every singularity of the integrand lies
+#: outside the panel's Bernstein ellipse of this parameter
+BERNSTEIN_RHO = 4.0
 
 XI_LABELS = ("xif1", "xif2", "xii1", "xii2")
 
@@ -180,21 +193,66 @@ class InfluenceForm:
         return float(e @ self.quadratic @ e + self.linear @ e + self.constant)
 
 
-def _omega_panels(numax: float, t: float):
-    """Composite GL-16 nodes resolving the O(2 pi / t) oscillation in w."""
-    panels = max(64, 4 * int(math.ceil(numax * t / (2.0 * math.pi))))
+def _bernstein_rho(lo: np.ndarray, hi: np.ndarray,
+                   s: complex) -> np.ndarray:
+    """Bernstein-ellipse parameter of singularity s for panels [lo, hi].
+
+    A function analytic inside the ellipse with foci lo, hi through s has
+    Legendre coefficients on the panel decaying like rho^-k.
+    """
+    z = (s - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+    w = np.sqrt(z * z - 1.0)
+    return np.maximum(np.abs(z + w), np.abs(z - w))
+
+
+def _graded_edges(numax: float, panels: int, singular) -> np.ndarray:
+    """Edges of `panels` uniform panels on [0, numax], bisected until no
+    singularity in `singular` lies within a panel's Bernstein ellipse of
+    parameter BERNSTEIN_RHO.  The layout depends on its arguments only."""
     edges = np.linspace(0.0, numax, panels + 1)
+    for s in singular:
+        while True:
+            lo, hi = edges[:-1], edges[1:]
+            bad = _bernstein_rho(lo, hi, s) < BERNSTEIN_RHO
+            if not bad.any():
+                break
+            edges = np.sort(np.concatenate(
+                [edges, 0.5 * (lo[bad] + hi[bad])]))
+    return edges
+
+
+def _matsubara_pole(T: float) -> tuple:
+    """The singularity of w coth(w / 2T) nearest the real axis: 2 pi i T.
+
+    At T = 0 the weight is the polynomial w on [0, numax]."""
+    return (2j * math.pi * T,) if T > 0.0 else ()
+
+
+def _panel_nodes(edges: np.ndarray, rule) -> Tuple[np.ndarray, np.ndarray]:
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + halfs[:, None] * _GL16[0]).ravel()
-    wts = (halfs[:, None] * _GL16[1]).ravel()
+    nodes = (mids[:, None] + halfs[:, None] * rule[0]).ravel()
+    wts = (halfs[:, None] * rule[1]).ravel()
     return nodes, wts
+
+
+def _omega_panels(numax: float, t: float, T: float):
+    """Composite GL-16 nodes resolving the O(2 pi / t) oscillation in w,
+    graded towards w = 0 down to the thermal scale 2 pi T.
+
+    Cross-check route only (`influence_form`).
+    """
+    panels = max(64, 4 * int(math.ceil(numax * t / (2.0 * math.pi))))
+    return _panel_nodes(_graded_edges(numax, panels, _matsubara_pole(T)),
+                        _GL16)
 
 
 def _elementary_transforms(modes: NormalModes, t: float,
                            omega: np.ndarray) -> np.ndarray:
     """F_c(w) = int_0^t psi_c(tau) exp(-i w tau) dtau for the four
-    anti-damped elementary functions [sin1, cos1, sin2, cos2]; (4, n)."""
+    anti-damped elementary functions [sin1, cos1, sin2, cos2]; (4, n).
+
+    Cross-check route, and the small-t branch of `grid_quadratic`."""
     out = np.empty((4, omega.size), dtype=complex)
     for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
                                 (modes.Omega2, modes.delta2))):
@@ -202,11 +260,11 @@ def _elementary_transforms(modes: NormalModes, t: float,
         am = d - 1j * (O + omega)
 
         def E(alpha):
-            small = np.abs(alpha) < 1e-9
-            res = np.empty(alpha.shape, dtype=complex)
-            res[~small] = (np.exp(alpha[~small] * t) - 1.0) / alpha[~small]
-            a0 = alpha[small]
-            res[small] = t * (1.0 + a0 * t / 2.0 + (a0 * t) ** 2 / 6.0)
+            # expm1: exp(alpha t) - 1 cancels where |alpha t| << 1, which
+            # near w = Omega costs up to 1e-9 relative at t ~ 1e-5
+            zero = alpha == 0.0
+            res = np.expm1(alpha * t) / np.where(zero, 1.0, alpha)
+            res[zero] = t
             return res
 
         Ep, Em = E(ap), E(am)
@@ -218,7 +276,10 @@ def _elementary_transforms(modes: NormalModes, t: float,
 def influence_form(cfg: InternalConfig, modes: NormalModes,
                    partic: Optional[ParticularSolution], t: float,
                    n_tau_min: int = 1024) -> InfluenceForm:
-    """Evaluate the total bath phase structure at time t."""
+    """Evaluate the total bath phase structure at time t.
+
+    Cross-check route: the engine uses `grid_quadratic`.
+    """
     if t <= 0.0:
         raise ConfigError(f"influence_form needs t > 0, got {t}")
     check_caustic(modes, t)
@@ -243,7 +304,7 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
     for mass, gamma, T, numax, comp in baths:
         if gamma == 0.0:
             continue
-        omega, wts = _omega_panels(numax, t)
+        omega, wts = _omega_panels(numax, t, T)
         pref = 2.0 * mass * gamma / math.pi
         chunk = 65536
         for lo in range(0, omega.size, chunk):
@@ -261,3 +322,232 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
     quadratic = 0.5 * (quadratic + quadratic.T)
     return InfluenceForm(t=t, quadratic=quadratic, linear=linear,
                          constant=constant)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid evaluation: t-independent spectral data, Filon quadrature in w
+#
+# Per bath, Q(t) = 1/2 Re[A T Sigma(t) T^H A^T] with A the component-weighted
+# xi coefficient matrix and T the map from the mode exponentials
+# E_a(w) = i (exp(-i (w - p_a) t) - 1) / (w - p_a), poles p = +-Omega_k -
+# i delta_k, to the transforms [sin1, cos1, sin2, cos2].  Partial fractions
+# put the t-dependence of Sigma_ab = int g E_a conj(E_b) dw into the constants
+# C_r = int g / (w - r) and the transforms D_r(t) = int g exp(-i w t) / (w - r)
+# for r in {p, conj(p)}.  On a fixed panel layout D_r is exact in t:
+# with the Legendre coefficients c_k of g / (w - r) on a panel of centre m
+# and half-width h, int P_k(x) exp(-i z x) dx = 2 (-i)^k j_k(z) gives
+# D_r(t) = sum_panels h exp(-i m t) sum_k c_k 2 (-i)^k j_k(h t).  The terms
+# cancel as t -> 0, so below FILON_MIN_T Sigma is summed directly on the
+# same nodes, where E_a is smooth.
+
+FILON_ORDER = 24           # GL nodes per panel = Legendre orders kept
+FILON_BASE_PANELS = 64     # uniform panels on [0, numax] before grading
+FILON_MIN_T = 1.0          # below: direct sum on the Filon nodes
+_MILLER_START = 2 * FILON_ORDER + 32
+_MILLER_RESCALE = 1e100
+_FILON_BLOCK = 16          # times per block: bounds the (block, 8, J) temps
+
+
+@functools.lru_cache(maxsize=None)
+def _filon_rule():
+    """GL-K nodes and weights on [-1, 1], and the (K, K) matrix taking
+    node values to Legendre coefficients; built on first use, not import."""
+    x, w = np.polynomial.legendre.leggauss(FILON_ORDER)
+    vander = np.polynomial.legendre.legvander(x, FILON_ORDER - 1)
+    return x, w, (np.arange(FILON_ORDER) + 0.5)[:, None] * vander.T * w
+
+
+def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
+    """Spherical Bessel functions j_0..j_{n-1} at z > 0, n = FILON_ORDER;
+    shape (n, z.size).
+
+    Upward recurrence from the closed forms of j_0, j_1 where z > n (stable
+    for k < z); elsewhere Miller's downward recurrence from the fixed index
+    2n + 32, normalized by sum_k (2k+1) j_k^2 = 1 over every recurrence term
+    and signed by the closed-form j_0, j_1.  Each value is a function of its
+    own z only, whatever else is in the array.
+    """
+    n = FILON_ORDER
+    z = np.asarray(z, dtype=float).ravel()
+    out = np.empty((n, z.size))
+    up = z > n
+    zu = z[up]
+    if zu.size:
+        a = np.sin(zu) / zu
+        b = (a - np.cos(zu)) / zu
+        out[0, up] = a
+        out[1, up] = b
+        for k in range(1, n - 1):
+            a, b = b, (2 * k + 1) / zu * b - a
+            out[k + 1, up] = b
+    zm = z[~up]
+    if zm.size:
+        inv = 1.0 / zm
+        a = np.zeros_like(zm)                         # j_{k+1}
+        b = np.full_like(zm, 1.0 / _MILLER_RESCALE)   # j_k, k = start
+        acc = (2 * _MILLER_START + 1) * b * b
+        low = np.empty((n, zm.size))
+        for k in range(_MILLER_START, 0, -1):
+            a, b = b, (2 * k + 1) * inv * b - a       # b = j_{k-1}
+            acc += (2 * k - 1) * b * b
+            if k <= n:
+                low[k - 1] = b
+            big = np.abs(b) > _MILLER_RESCALE
+            if big.any():
+                s = np.where(big, 1.0 / _MILLER_RESCALE, 1.0)
+                a *= s
+                b *= s
+                acc *= s * s
+                low[k - 1:] *= s
+        j0 = np.sin(zm) * inv
+        j1 = (j0 - np.cos(zm)) * inv
+        sign = np.sign(low[0] * j0 + low[1] * j1)
+        out[:, ~up] = low * (sign / np.sqrt(acc))
+    return out
+
+
+def _mode_poles(modes: NormalModes) -> np.ndarray:
+    """p_a in the order [Omega1, -Omega1, Omega2, -Omega2] (minus i delta)."""
+    return np.array([s * O - 1j * d
+                     for O, d in ((modes.Omega1, modes.delta1),
+                                  (modes.Omega2, modes.delta2))
+                     for s in (1.0, -1.0)])
+
+
+# E_a -> [sin1, cos1, sin2, cos2]: sin = (E+ - E-) / 2i, cos = (E+ + E-) / 2
+_E_TO_TRIG = np.array([[-0.5j, 0.5j, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                       [0.0, 0.0, -0.5j, 0.5j], [0.0, 0.0, 0.5, 0.5]])
+
+
+@dataclass(frozen=True)
+class BathSpectrum:
+    """t-independent spectral data of one bath on its fixed Filon panels.
+
+    Only the Legendre coefficients c_k of g / (w - p) for the four poles p
+    are stored, as 2 h (-1)^floor(k/2) c_k split by the parity of k into
+    real arrays with rows (Re, Im) x 4 poles: g / (w - conj p) is
+    conj(g / (w - p)), which gives the other four.
+    """
+    comp: np.ndarray       # (4,) component weights of the bath's oscillator
+    nodes: np.ndarray      # (J*K,) GL nodes of all panels
+    weights: np.ndarray    # (J*K,) node weights times g(w)
+    mids: np.ndarray       # (J,) panel centres
+    widths: np.ndarray     # (U,) distinct panel half-widths
+    width_of: np.ndarray   # (J,) index into `widths` for each panel
+    even: np.ndarray       # (K/2, 8, J) scaled c_k, even k
+    odd: np.ndarray        # (K/2, 8, J) scaled c_k, odd k
+    C: np.ndarray          # (8,) int g / (w - r), r = (p, conj p)
+
+    def transforms(self, times: np.ndarray) -> np.ndarray:
+        """D_r(t) = int g exp(-i w t) / (w - r) dw for t > 0, shape (n, 8).
+
+        With v_k = 2 h (-1)^floor(k/2) j_k(h t), sum_k c_k 2 h (-i)^k j_k
+        is E - i O for E = sum_even c_k v_k, O = sum_odd c_k v_k, and
+        conj(E) - i conj(O) for the conjugate pole.
+        """
+        out = np.empty((times.size, 8), dtype=complex)
+        for lo in range(0, times.size, _FILON_BLOCK):
+            t = times[lo:lo + _FILON_BLOCK]
+            jk = spherical_jn_orders(np.outer(t, self.widths))
+            jk = jk.reshape(FILON_ORDER, t.size, -1)[:, :, self.width_of]
+            sums = []
+            term = np.empty((t.size, 8, self.mids.size))
+            for coef, k0 in ((self.even, 0), (self.odd, 1)):
+                acc = np.zeros_like(term)
+                for i, c in enumerate(coef):
+                    np.multiply(c, jk[k0 + 2 * i][:, None, :], out=term)
+                    acc += term
+                sums.append(acc[:, :4] + 1j * acc[:, 4:])
+            E, O = sums
+            phase = np.exp(-1j * np.outer(t, self.mids))[:, None, :]
+            out[lo:lo + t.size, :4] = (phase * (E - 1j * O)).sum(axis=-1)
+            out[lo:lo + t.size, 4:] = (phase * (E.conj() - 1j * O.conj())
+                                       ).sum(axis=-1)
+        return out
+
+
+def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
+    """Spectral data of every bath with nonzero damping.
+
+    Panels: FILON_BASE_PANELS uniform ones on [0, numax], bisected until the
+    poles +-Omega_k -+ i delta_k of g / (w - r) and the Matsubara pole
+    2 pi i T of g lie outside each panel's Bernstein ellipse BERNSTEIN_RHO.
+    """
+    gl_x, gl_w, to_legendre = _filon_rule()
+    poles = _mode_poles(modes)
+    r = np.concatenate([poles, poles.conj()])
+    c1, c2 = component_weights(modes)
+    k = np.arange(FILON_ORDER)
+    sign = np.where((k // 2) % 2, -1.0, 1.0)[:, None, None]    # (-1)^(k//2)
+    out = []
+    for mass, gamma, T, numax, comp in (
+            (cfg.m1, cfg.gamma1, cfg.T1, cfg.numax1, c1),
+            (cfg.m2, cfg.gamma2, cfg.T2, cfg.numax2, c2)):
+        if gamma == 0.0:
+            continue
+        edges = _graded_edges(numax, FILON_BASE_PANELS,
+                              tuple(poles) + _matsubara_pole(T))
+        nodes, wts = _panel_nodes(edges, (gl_x, gl_w))
+        halfs = 0.5 * np.diff(edges)
+        g = (2.0 * mass * gamma / math.pi) * thermal_weight(nodes, T)
+        f = g / (nodes[None, :] - r[:, None])                  # (8, J*K)
+        # Legendre coefficients of g / (w - p), (K, 4, J), scaled to v_k
+        coef = np.moveaxis(f[:4].reshape(4, halfs.size, FILON_ORDER)
+                           @ to_legendre.T, 2, 0) * (2.0 * halfs) * sign
+        coef = np.concatenate([coef.real, coef.imag], axis=1)  # (K, 8, J)
+        widths, width_of = np.unique(halfs, return_inverse=True)
+        out.append(BathSpectrum(
+            comp=comp, nodes=nodes, weights=wts * g,
+            mids=0.5 * (edges[:-1] + edges[1:]), widths=widths,
+            width_of=width_of, even=coef[0::2].copy(), odd=coef[1::2].copy(),
+            C=f @ wts))
+    return tuple(out)
+
+
+def _sigma(poles: np.ndarray, C: np.ndarray, D: np.ndarray,
+           t: np.ndarray) -> np.ndarray:
+    """Sigma_ab(t) = int g E_a conj(E_b) dw from C and D, shape (n, 4, 4)."""
+    p, pc = poles[:, None], poles.conj()[None, :]          # p_a, conj p_b
+    den = p - pc
+    dC = C[:4, None] - C[None, 4:]
+    D_p, D_pc = D[:, :4], D[:, 4:]
+    dD = D_p[:, :, None] - D_pc[:, None, :]
+    # int g exp(+i w t) / (w - r) = conj(D(conj r))
+    dDc = (D_pc[:, :, None] - D_p[:, None, :]).conj()
+    tt = t[:, None, None]
+    return ((np.exp(1j * den * tt) + 1.0) * dC
+            - np.exp(1j * p * tt) * dD
+            - np.exp(-1j * pc * tt) * dDc) / den
+
+
+def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
+                   spectra: Optional[tuple] = None) -> np.ndarray:
+    """Quadratic block of the total bath phase at each time, (n, 4, 4).
+
+    Production route.  `spectra` (from `bath_spectra`) may be passed to
+    reuse them across calls.  Every time must be positive and off the
+    caustics (CausticTime otherwise).  Each block is a function of
+    (cfg, t) only, bit for bit, however the times are batched.
+    """
+    times = np.asarray(times, dtype=float).ravel()
+    if not np.all(np.isfinite(times) & (times > 0.0)):
+        raise ConfigError("grid_quadratic needs finite t > 0")
+    out = np.zeros((times.size, 4, 4))
+    if times.size == 0:
+        return out
+    if spectra is None:
+        spectra = bath_spectra(cfg, modes)
+    V = np.array([xi_coefficient_matrix(modes, t) for t in times])
+    filon = times >= FILON_MIN_T
+    poles = _mode_poles(modes)
+    for sp in spectra:
+        A = np.swapaxes(V * sp.comp[:, None], 1, 2)        # (n, 4, 4)
+        for i in np.flatnonzero(~filon):
+            Fb = A[i] @ _elementary_transforms(modes, times[i], sp.nodes)
+            out[i] += 0.5 * np.real((Fb * sp.weights) @ Fb.conj().T)
+        if filon.any():
+            tf = times[filon]
+            S = _sigma(poles, sp.C, sp.transforms(tf), tf)
+            AT = A[filon] @ _E_TO_TRIG
+            out[filon] += 0.5 * np.real(AT @ S @ np.swapaxes(AT.conj(), 1, 2))
+    return 0.5 * (out + np.swapaxes(out, 1, 2))

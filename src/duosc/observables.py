@@ -29,7 +29,7 @@ from .reduction import GaussianStateParams
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(48)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CovarianceReport:
     """First and second moments at one time, in internal units."""
     t: float

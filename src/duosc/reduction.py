@@ -68,7 +68,7 @@ def propagator_exponent(cfg: InternalConfig, action: ActionForm,
     return QuadraticExponent(matrix=M, linear=L, constant=c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianStateParams:
     """Hermitian parametrization of the reduced state at time t.
 

@@ -172,14 +172,21 @@ def test_engine_error_exit_code(tmp_path, capsys, monkeypatch):
     rc = run_cli(["run", "fig2", str(tmp_path / "o"), "--grid", "4"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: beta determinant")
+    assert not (tmp_path / "o").exists()
 
 
 def test_import_does_not_load_scipy():
-    # a fresh interpreter that imports this same copy of the package
+    # a fresh interpreter that imports this same copy of the package and
+    # runs a small simulation: scipy stays off the production path
     src = os.path.dirname(os.path.dirname(engine.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, duosc, duosc.cli; "
+    code = ("import sys, numpy, duosc, duosc.cli\n"
+            "from duosc.config import to_internal, validate_config\n"
+            "cfg = validate_config(duosc.cli.preset_config('fig3'))\n"
+            "ic = to_internal(cfg)\n"
+            "times = numpy.linspace(0.0, ic.t_end, 4)\n"
+            "assert len(duosc.engine.simulate(ic, times).states) == 4\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout

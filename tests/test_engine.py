@@ -1,11 +1,16 @@
 import logging
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from duosc import engine
+from duosc.config import InternalForce
 from duosc.engine import simulate, simulate_validated, state_at
 from duosc.errors import ConfigError
+from duosc.modes import solve_determinant
+from duosc.reduction import GaussianStateParams
 
 from test_modes import make_ic
 
@@ -64,3 +69,44 @@ def test_simulate_validated_roundtrip():
 def test_state_at_negative_time_returns_initial(ic_fig3, modes_fig3):
     s = state_at(ic_fig3, modes_fig3, -1.0)
     assert s.t == 0.0 and s.mx1 == 0.0
+
+
+def _wideband(ic_fig4):
+    """fig4 baths, no forces, cutoff 200 omega01 (internal numax 200)."""
+    zero = InternalForce(kind="zero")
+    return replace(ic_fig4, numax1=200.0, numax2=200.0, force1=zero,
+                   force2=zero)
+
+
+@pytest.mark.parametrize("which", ["fig3", "wideband"])
+def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
+    """All 19 state fields are bit-identical however a time is batched:
+    alone, in a 3-point grid, in the full grid, with a thread pool, and in
+    a grid longer than one chunk."""
+    ic = ic_fig3 if which == "fig3" else _wideband(ic_fig4)
+    modes = solve_determinant(ic)
+    full = np.linspace(0.0, ic.t_end, 2000)
+    probe = [1, 40, 77, 1300, 1999]     # t < 1 (direct branch) and Filon
+    names = [f.name for f in fields(GaussianStateParams)]
+    assert len(names) == 19
+
+    def values(state):
+        return [getattr(state, n) for n in names]
+
+    want = [values(state_at(ic, modes, full[i])) for i in probe]
+    runs = [simulate(ic, times=full[[i, 5, 1000]]).states[0] for i in probe]
+    serial = simulate(ic, times=full)
+    pooled = simulate(ic, times=full, threads=4)
+    # a grid longer than one chunk
+    longer = full[np.r_[probe, 2:2 + engine.CHUNK]]
+    longer_states = simulate(ic, times=longer).states
+    for k, i in enumerate(probe):
+        assert values(runs[k]) == want[k]
+        assert values(serial.states[i]) == want[k]
+        assert values(pooled.states[i]) == want[k]
+        assert values(longer_states[k]) == want[k]
+
+
+def test_nonfinite_times_are_rejected(ic_fig3):
+    with pytest.raises(ConfigError):
+        simulate(ic_fig3, times=np.array([1.0, float("nan")]))

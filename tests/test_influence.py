@@ -1,14 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import spherical_jn
 
-from duosc.config import InternalForce
+from duosc.cli import preset_config
+from duosc.config import InternalForce, to_internal, validate_config
 from duosc.errors import ConfigError
-from duosc.influence import (clenshaw_curtis, coth_factor, influence_form,
-                             noise_kernel, thermal_weight)
-from duosc.modes import basis_paths, solve_determinant
+from duosc.influence import (FILON_MIN_T, bath_spectra, clenshaw_curtis,
+                             coth_factor, grid_quadratic, influence_form,
+                             noise_kernel, spherical_jn_orders,
+                             thermal_weight)
+from duosc.modes import (basis_paths, check_caustic, component_weights,
+                         solve_determinant, xi_coefficient_matrix)
 from duosc.oracle import brute_double_integral, brute_square_form
 from duosc.particular import particular_solution
 
@@ -211,3 +217,177 @@ def test_drive_linear_term_against_time_domain(ic_fig3, modes_fig3):
                                         kern, t, n=n)
     scale = max(np.max(np.abs(inf.linear)), 1e-300)
     assert np.max(np.abs(lin - inf.linear)) < 1e-5 * scale
+
+
+# ---------------------------------------------------------------------------
+# whole-grid (Filon) route against the per-t route and dense references
+
+_GL32 = np.polynomial.legendre.leggauss(32)
+
+
+def physical_ic(name="fig3", cutoff=None, kelvin=None):
+    """A preset with an optional cutoff (x omega01) and bath temperature."""
+    cfg = preset_config(name)
+    b1, b2 = cfg.bath1, cfg.bath2
+    if cutoff is not None:
+        w = cfg.osc1.eigenfrequency
+        b1, b2 = replace(b1, cutoff=cutoff * w), replace(b2, cutoff=cutoff * w)
+    if kelvin is not None:
+        b1 = replace(b1, temperature=kelvin)
+        b2 = replace(b2, temperature=kelvin)
+    ic = to_internal(validate_config(replace(cfg, bath1=b1, bath2=b2)))
+    return ic, solve_determinant(ic)
+
+
+def _path_transforms(modes, t, omega):
+    """int_0^t {sin, cos}(O s) exp(d s - i w s) ds, rows [s1, c1, s2, c2],
+    with expm1 so that nothing cancels at small |(d + i(O - w)) t|."""
+    rows = []
+    for O, d in ((modes.Omega1, modes.delta1), (modes.Omega2, modes.delta2)):
+        up, dn = d + 1j * (O - omega), d - 1j * (O + omega)
+        e_up, e_dn = np.expm1(up * t) / up, np.expm1(dn * t) / dn
+        rows += [(e_up - e_dn) / 2j, (e_up + e_dn) / 2.0]
+    return np.array(rows)
+
+
+def dense_quadratic(ic, modes, t, per_period=8, levels=60):
+    """Reference bath-phase block: composite GL-32 with `per_period`
+    panels per 2 pi / t (at least 256) and `levels` halvings of the first
+    panel towards w = 0, below the thermal scale 2 pi T of any bath here."""
+    V = xi_coefficient_matrix(modes, t)
+    Q = np.zeros((4, 4))
+    for m, g, T, numax, c in zip((ic.m1, ic.m2), (ic.gamma1, ic.gamma2),
+                                 (ic.T1, ic.T2), (ic.numax1, ic.numax2),
+                                 component_weights(modes)):
+        n = max(256, per_period * math.ceil(numax * t / (2.0 * math.pi)))
+        edges = np.linspace(0.0, numax, n + 1)
+        graded = edges[1] * 0.5 ** np.arange(levels, 0, -1)
+        edges = np.concatenate([[0.0], graded, edges[1:]])
+        mids, halfs = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        om = (mids[:, None] + halfs[:, None] * _GL32[0]).ravel()
+        wt = ((halfs[:, None] * _GL32[1]).ravel() * thermal_weight(om, T)
+              * 2.0 * m * g / math.pi)
+        for lo in range(0, om.size, 1 << 16):
+            Fb = (V * c[:, None]).T @ _path_transforms(modes, t,
+                                                       om[lo:lo + (1 << 16)])
+            Q += 0.5 * np.real((Fb * wt[lo:lo + (1 << 16)]) @ Fb.conj().T)
+    return 0.5 * (Q + Q.T)
+
+
+def block_rel(Q, ref):
+    """max |Q - ref|_ij / sqrt(ref_ii ref_jj): scale-free per entry, so a
+    long-time block whose entries span e^(2 delta t) is judged fairly."""
+    d = np.sqrt(np.abs(np.diagonal(ref, axis1=-2, axis2=-1)))
+    return float(np.max(np.abs(Q - ref) / (d[..., :, None] * d[..., None, :])))
+
+
+def off_caustic(modes, t):
+    try:
+        check_caustic(modes, t)
+    except Exception:
+        return t + 1e-6 * 2.0 * math.pi / max(modes.Omega1, modes.Omega2)
+    return t
+
+
+def test_spherical_jn_orders_against_scipy():
+    z = np.concatenate([np.geomspace(1e-12, 1.0, 200),
+                        np.linspace(1.0, 150.0, 20001),
+                        np.pi * np.arange(1, 48),           # j_0 = 0 here
+                        23.999999 + np.arange(3) * 1e-6])   # branch switch
+    ref = np.array([spherical_jn(k, z) for k in range(24)])
+    # scipy's own error reaches 1.4e-15 here (mpmath test below)
+    assert np.max(np.abs(spherical_jn_orders(z) - ref)) < 3e-15
+
+
+def test_spherical_jn_orders_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    z = np.concatenate([[1e-6, 0.3, 9.921500933856667, 23.9, 24.1],
+                        np.linspace(0.05, 150.0, 61)])
+    got = spherical_jn_orders(z)
+    for i, zi in enumerate(z):
+        x = mpmath.mpf(zi)
+        for k in range(24):
+            want = (mpmath.sqrt(mpmath.pi / (2 * x))
+                    * mpmath.besselj(k + 0.5, x))
+            assert abs(got[k, i] - float(want)) < 3e-16, (zi, k)
+
+
+def test_per_t_route_resolves_thermal_scale():
+    # at 0.3 K, w coth(w / 2T) bends on 2 pi T = 0.025 internal units; the
+    # per-t panels used to start with one 0.78 wide (5.7e-8 off at t = 1)
+    ic, modes = physical_ic(kelvin=0.3)
+    for t in (1.0, 2.7):
+        ref = dense_quadratic(ic, modes, t)
+        Q = influence_form(ic, modes, None, t).quadratic
+        assert np.max(np.abs(Q - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name, cutoff", [
+    ("fig2", None), ("fig3", None), ("fig4", None), ("fig4", 200.0)])
+def test_grid_route_matches_per_t_route_on_preset_grids(name, cutoff):
+    """Every 25th point of the 2000-point grid, plus probes at small t,
+    at caustics (nudged as the engine does) and at 50 / gamma."""
+    ic, modes = physical_ic(name, cutoff)
+    grid = np.linspace(0.0, ic.t_end, 2000)[1::25]
+    probes = [1e-4, 0.005, 0.02, 0.999, FILON_MIN_T, math.pi / modes.Omega1,
+              2.0 * math.pi / modes.Omega2]
+    times = np.array([off_caustic(modes, t) for t in [*grid, *probes]])
+    if cutoff is None:
+        times = np.append(times, 50.0 / ic.gamma1)
+    G = grid_quadratic(ic, modes, times)
+    worst = max(block_rel(g, influence_form(ic, modes, None, t).quadratic)
+                for t, g in zip(times, G))
+    assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("kelvin", [0.0, 0.3])
+def test_grid_route_matches_per_t_route_at_low_temperature(kelvin):
+    ic, modes = physical_ic(kelvin=kelvin)
+    times = np.array([1e-4, 0.005, 0.02, 0.999, 1.0, 1.3, 2.7, 7.7, 14.9,
+                      29.9])
+    G = grid_quadratic(ic, modes, times)
+    for t, g in zip(times, G):
+        assert block_rel(g, influence_form(ic, modes, None, t).quadratic) \
+            <= 1e-11
+        assert block_rel(g, dense_quadratic(ic, modes, t)) <= 1e-11
+
+
+def test_small_t_routes_against_dense_reference():
+    """Both routes used to differ by 3e-11 to 3e-9 at t <= 0.005.  The
+    error sat in neither quadrature but in exp(a t) - 1 of the shared
+    closed-form transforms (cancellation near w = Omega); with expm1 both
+    match a 2x denser, deeper-graded reference."""
+    for name, cutoff in (("fig3", None), ("fig4", 200.0)):
+        ic, modes = physical_ic(name, cutoff)
+        times = np.array([1e-5, 1e-4, 1e-3, 0.005])
+        G = grid_quadratic(ic, modes, times)
+        for t, g in zip(times, G):
+            ref = dense_quadratic(ic, modes, t, per_period=16, levels=80)
+            assert block_rel(g, ref) <= 1e-11
+            assert block_rel(influence_form(ic, modes, None, t).quadratic,
+                             ref) <= 1e-11
+
+
+def test_grid_route_matches_square_rule_oracle(ic_fig3, modes_fig3):
+    times = np.array([0.7, 2.0, 5.0])
+    for t, Q in zip(times, grid_quadratic(ic_fig3, modes_fig3, times)):
+        ref = brute_quadratic(ic_fig3, modes_fig3, t, n=512)
+        scale = np.max(np.abs(Q))
+        rel = np.abs(ref - Q) / np.maximum(np.abs(Q), 1e-9 * scale)
+        assert np.max(rel) < 1e-5
+
+
+def test_grid_route_is_batch_independent(ic_fig3, modes_fig3):
+    times = np.array([0.3, 1.0, 2.2, 17.5, 29.9])
+    whole = grid_quadratic(ic_fig3, modes_fig3, times)
+    spectra = bath_spectra(ic_fig3, modes_fig3)
+    for i, t in enumerate(times):
+        alone = grid_quadratic(ic_fig3, modes_fig3, [t], spectra)[0]
+        assert np.array_equal(alone, whole[i])
+
+
+def test_grid_route_rejects_nonpositive_times(ic_fig3, modes_fig3):
+    with pytest.raises(ConfigError):
+        grid_quadratic(ic_fig3, modes_fig3, [1.0, 0.0])
+    assert grid_quadratic(ic_fig3, modes_fig3, []).shape == (0, 4, 4)
