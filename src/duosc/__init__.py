@@ -11,7 +11,7 @@ kernel integrals) cross-validates every stage.
 from .config import (BathParams, ForceSpec, InternalConfig, OscillatorParams,
                      SystemConfig, TimeGrid, config_from_dict, load_config,
                      to_internal, validate_config)
-from .engine import SimulationResult, simulate, simulate_validated, state_at
+from .engine import SimulationResult, simulate, state_at
 from .errors import (CausticTime, ConfigError, CouplingTooStrong,
                      DegenerateModes, DuoscError, NonHermitianLarge,
                      NonRealRatio, NotNormalizable, QuadratureNonConvergence,
@@ -29,6 +29,6 @@ __all__ = [
     "NonRealRatio", "NormalModes", "NotNormalizable", "OscillatorParams",
     "QuadratureNonConvergence", "SimulationResult", "StepFailure",
     "SystemConfig", "TimeGrid", "config_from_dict", "initial_state",
-    "load_config", "report", "simulate", "simulate_validated",
-    "solve_determinant", "state_at", "to_internal", "validate_config",
+    "load_config", "report", "simulate", "solve_determinant", "state_at",
+    "to_internal", "validate_config",
 ]

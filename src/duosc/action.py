@@ -2,8 +2,9 @@
 
 The classical Lagrangian of the sum/difference variables is strictly
 bilinear in (X-path, xi-path) plus a term linear in xi (the drive), so the
-integrated action is an exact bilinear-plus-linear-plus-constant form over
-the eight endpoint variables.
+integrated action is an exact bilinear-plus-xi-linear form over the eight
+endpoint variables, up to a constant that the reduction's trace-1
+normalization absorbs.
 
 Production route (`endpoint_action_form`): pure endpoint algebra.  On a
 classical X path, integrating the kinetic term by parts leaves
@@ -14,24 +15,27 @@ are the closed-form force moments of `forcing.force_moments`.
 
 Cross-check route (`classical_action_form`): the form is extracted by
 polarization: evaluate the action integral on the sixteen unit-endpoint
-basis pairs (bilinear block), on single unit endpoints with the drive on
-(linear terms), and at all-zero endpoints (constant), with composite
-quadrature over smooth trig-times-exponential integrands.
+basis pairs (bilinear block) and on single unit endpoints with the drive on
+(xi-linear terms), with composite quadrature over smooth
+trig-times-exponential integrands.  Given the particular solution, it also
+measures the X-linear drive block that integration by parts makes vanish.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .config import InternalConfig, InternalForce
+from .config import InternalConfig
 from .errors import ConfigError
 from .forcing import force_moments, force_value
 from .modes import NormalModes, basis_paths, check_caustic
-from .particular import ParticularSolution
+
+if TYPE_CHECKING:       # the cross-check's input; kept off the engine path
+    from .particular import ParticularSolution
 
 X_LABELS = ("Xf1", "Xf2", "Xi1", "Xi2")
 XI_LABELS = ("xif1", "xif2", "xii1", "xii2")
@@ -40,56 +44,25 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
-class EndpointVector:
-    """Free endpoint coordinates of the boundary-value problem."""
-    X_f1: float = 0.0
-    X_f2: float = 0.0
-    X_i1: float = 0.0
-    X_i2: float = 0.0
-    xi_f1: float = 0.0
-    xi_f2: float = 0.0
-    xi_i1: float = 0.0
-    xi_i2: float = 0.0
-
-    @property
-    def x_vec(self) -> np.ndarray:
-        return np.array([self.X_f1, self.X_f2, self.X_i1, self.X_i2])
-
-    @property
-    def xi_vec(self) -> np.ndarray:
-        return np.array([self.xi_f1, self.xi_f2, self.xi_i1, self.xi_i2])
-
-
-@dataclass(frozen=True)
 class ActionForm:
     """Endpoint structure of the integrated classical action at time t.
 
-    action(e) = x^T B xi + linear_X . x + linear_xi . xi + constant, with
+    action(e) = x^T B xi + linear_xi . xi + const, with
     x = (X_f1, X_f2, X_i1, X_i2) and xi = (xi_f1, xi_f2, xi_i1, xi_i2).
     There are provably no X-X or xi-xi couplings.  The drive enters only
-    through linear_X (interior-drive cross terms, initial-X slots), via
-    linear_xi (the lambda1/lambda2 slots on initial xi and the phi
-    coefficients on final xi), and the constant.
+    via linear_xi (the lambda1/lambda2 slots on initial xi and the phi
+    coefficients on final xi) and the constant, which is not kept: the
+    reduced state's normalization is imposed, not inherited.
     """
     t: float
     bilinear: np.ndarray       # (4, 4): X rows, xi columns
-    linear_X: np.ndarray       # (4,)
     linear_xi: np.ndarray      # (4,)
-    constant: float
-    #: measured magnitude of the X-linear drive block before it is zeroed;
-    #: an integration-by-parts identity makes it vanish exactly (the driven
+    #: measured magnitude of the X-linear drive block; an
+    #: integration-by-parts identity makes it vanish exactly (the driven
     #: particular path is orthogonal to every homogeneous sum-variable path
     #: under the action's bilinear form), so its computed value is a pure
-    #: quadrature-error diagnostic
+    #: quadrature-error diagnostic and the block itself is not kept
     linear_X_residual: float = 0.0
-
-    @property
-    def U1(self) -> float:
-        return float(self.linear_X[2])
-
-    @property
-    def U2(self) -> float:
-        return float(self.linear_X[3])
 
     @property
     def lambda1(self) -> float:
@@ -107,12 +80,8 @@ class ActionForm:
     def phi_f2(self) -> float:
         return float(self.linear_xi[1])
 
-    def value(self, e: EndpointVector) -> float:
-        return float(self.x_value(e.x_vec, e.xi_vec))
-
     def x_value(self, x: np.ndarray, xi: np.ndarray) -> float:
-        return (x @ self.bilinear @ xi + self.linear_X @ x
-                + self.linear_xi @ xi + self.constant)
+        return x @ self.bilinear @ xi + self.linear_xi @ xi
 
     def labeled_entries(self):
         """(name, value) pairs for the diagnostic dump."""
@@ -120,11 +89,8 @@ class ActionForm:
         for i, xl in enumerate(X_LABELS):
             for j, xil in enumerate(XI_LABELS):
                 out.append((f"bilinear[{xl},{xil}]", self.bilinear[i, j]))
-        for i, xl in enumerate(X_LABELS):
-            out.append((f"linear[{xl}]", self.linear_X[i]))
         for j, xil in enumerate(XI_LABELS):
             out.append((f"linear[{xil}]", self.linear_xi[j]))
-        out.append(("constant", self.constant))
         return out
 
 
@@ -168,17 +134,6 @@ def force_breakpoints(*forces) -> tuple:
     return tuple(pts)
 
 
-def lagrangian_value(cfg: InternalConfig, X1, X2, dX1, dX2,
-                     xi1, xi2, dxi1, dxi2, f1val=0.0, f2val=0.0):
-    """Pointwise Lagrangian of the sum/difference variables."""
-    return (cfg.m1 * dX1 * dxi1 / 2.0 - cfg.m1 * cfg.w01 ** 2 * X1 * xi1 / 2.0
-            - cfg.m1 * cfg.gamma1 * dX1 * xi1
-            + cfg.m2 * dX2 * dxi2 / 2.0 - cfg.m2 * cfg.w02 ** 2 * X2 * xi2 / 2.0
-            - cfg.m2 * cfg.gamma2 * dX2 * xi2
-            + (cfg.lam / 2.0) * (X1 * xi2 + X2 * xi1)
-            + xi1 * f1val + xi2 * f2val)
-
-
 def endpoint_action_form(cfg: InternalConfig, modes: NormalModes,
                          t: float) -> ActionForm:
     """Endpoint structure of the action at time t, in closed form.
@@ -186,9 +141,8 @@ def endpoint_action_form(cfg: InternalConfig, modes: NormalModes,
     bilinear[a, f_k] = m_k/2 dX_k^a(t) and bilinear[a, i_k] = -m_k/2
     dX_k^a(0), where X^a is the X basis path of endpoint slot a; the
     xi-linear terms are (phi_f1, phi_f2, lambda1, lambda2) of the force
-    moments.  linear_X is zero by the same integration by parts, and the
-    constant is left at zero because the reduction fixes the normalization
-    itself.
+    moments.  The X-linear block vanishes by the same integration by
+    parts.
     """
     if t <= 0.0:
         raise ConfigError(f"endpoint_action_form needs t > 0, got {t}")
@@ -202,8 +156,7 @@ def endpoint_action_form(cfg: InternalConfig, modes: NormalModes,
     if not (cfg.force1.is_zero and cfg.force2.is_zero):
         fm = force_moments(modes, cfg.force1, cfg.force2, t)
         linear_xi = np.array([fm.phi_f1, fm.phi_f2, fm.lambda1, fm.lambda2])
-    return ActionForm(t=t, bilinear=bilinear, linear_X=np.zeros(4),
-                      linear_xi=linear_xi, constant=0.0)
+    return ActionForm(t=t, bilinear=bilinear, linear_xi=linear_xi)
 
 
 def classical_action_form(cfg: InternalConfig, modes: NormalModes,
@@ -247,8 +200,6 @@ def classical_action_form(cfg: InternalConfig, modes: NormalModes,
     driven = not (cfg.force1.is_zero and cfg.force2.is_zero)
 
     linear_xi = np.zeros(4)
-    linear_X = np.zeros(4)
-    constant = 0.0
     lin_X_res = 0.0
     if driven:
         # drive-linear pieces use panels split at the force onsets, where
@@ -271,7 +222,5 @@ def classical_action_form(cfg: InternalConfig, modes: NormalModes,
                 w, Xb1, Xb2, dXb1, dXb2,
                 p1[None, :], p2[None, :], dp1[None, :], dp2[None, :])
             lin_X_res = float(np.max(np.abs(col[:, 0])))
-            constant = float(np.sum(w * (p1 * f1v + p2 * f2v)))
-    return ActionForm(t=t, bilinear=bilinear, linear_X=linear_X,
-                      linear_xi=linear_xi, constant=constant,
+    return ActionForm(t=t, bilinear=bilinear, linear_xi=linear_xi,
                       linear_X_residual=lin_X_res)

@@ -25,6 +25,17 @@ KB = 1.380649e-16       # erg / K
 DEFAULT_CUTOFF_MULTIPLE = 50.0
 
 
+def _require_finite(**fields) -> None:
+    """ConfigError unless every given value that is not None is finite;
+    a sequence must be finite in every entry."""
+    for name, value in fields.items():
+        if value is None or np.all(np.isfinite(value)):
+            continue
+        if np.ndim(value):
+            raise ConfigError(f"every entry of {name} must be finite")
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """One oscillator: mass (g), eigenfrequency (rad/s), damping rate (rad/s),
@@ -35,6 +46,9 @@ class OscillatorParams:
     initial_variance: Optional[float] = None
 
     def __post_init__(self):
+        _require_finite(mass=self.mass, eigenfrequency=self.eigenfrequency,
+                        damping_rate=self.damping_rate,
+                        initial_variance=self.initial_variance)
         if not (self.mass > 0):
             raise ConfigError(f"mass must be positive, got {self.mass}")
         if not (self.eigenfrequency > 0):
@@ -69,6 +83,7 @@ class BathParams:
     cutoff: Optional[float] = None
 
     def __post_init__(self):
+        _require_finite(temperature=self.temperature, cutoff=self.cutoff)
         if self.temperature < 0:
             raise ConfigError(
                 f"temperature must be non-negative, got {self.temperature}")
@@ -98,6 +113,9 @@ class ForceSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "exponential_step", "sampled"):
             raise ConfigError(f"unknown force kind {self.kind!r}")
+        _require_finite(amplitude=self.amplitude, onset=self.onset,
+                        decay=self.decay, times=self.times,
+                        values=self.values)
         if self.onset < 0:
             raise ConfigError(f"onset must be non-negative, got {self.onset}")
         if self.decay < 0:
@@ -117,6 +135,7 @@ class TimeGrid:
     n_points: int = 2000
 
     def __post_init__(self):
+        _require_finite(t_end=self.t_end, n_points=self.n_points)
         if not (self.t_end > 0):
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.n_points < 2:
@@ -225,6 +244,7 @@ class InternalConfig:
 def validate_config(cfg: SystemConfig) -> ValidatedConfig:
     """Check all invariants and compute the physical coupling constant."""
     lt = cfg.coupling_dimensionless
+    _require_finite(coupling_dimensionless=lt)
     if not (0.0 <= lt):
         raise ConfigError(f"coupling_dimensionless must be >= 0, got {lt}")
     if lt >= 1.0:
@@ -311,50 +331,6 @@ def to_internal(v: ValidatedConfig) -> InternalConfig:
         f2 = replace(f2, f0=default_amplitude_internal(
             ic.m2, ic.w02, math.sqrt(ic.sigma02_sq), f2))
     return replace(ic, force1=f1, force2=f2)
-
-
-def from_internal(ic: InternalConfig) -> SystemConfig:
-    """Inverse of to_internal, for round-trip checking."""
-    u = ic.units
-
-    def force_back(f: InternalForce) -> ForceSpec:
-        if f.kind == "zero":
-            return ForceSpec(kind="zero")
-        if f.kind == "exponential_step":
-            return ForceSpec(
-                kind="exponential_step",
-                amplitude=f.f0 * u.force_unit,
-                onset=f.t0 * u.time_unit,
-                decay=f.decay / u.time_unit,
-            )
-        return ForceSpec(
-            kind="sampled",
-            times=tuple(f.times * u.time_unit),
-            values=tuple(f.values * u.force_unit),
-        )
-
-    return SystemConfig(
-        osc1=OscillatorParams(
-            mass=ic.m1 * u.mass_unit,
-            eigenfrequency=ic.w01 * u.frequency_unit,
-            damping_rate=ic.gamma1 * u.frequency_unit,
-            initial_variance=ic.sigma01_sq * u.length_unit ** 2,
-        ),
-        osc2=OscillatorParams(
-            mass=ic.m2 * u.mass_unit,
-            eigenfrequency=ic.w02 * u.frequency_unit,
-            damping_rate=ic.gamma2 * u.frequency_unit,
-            initial_variance=ic.sigma02_sq * u.length_unit ** 2,
-        ),
-        bath1=BathParams(temperature=ic.T1 * u.temperature_unit,
-                         cutoff=ic.numax1 * u.frequency_unit),
-        bath2=BathParams(temperature=ic.T2 * u.temperature_unit,
-                         cutoff=ic.numax2 * u.frequency_unit),
-        coupling_dimensionless=ic.lam_tilde,
-        force1=force_back(ic.force1),
-        force2=force_back(ic.force2),
-        time_grid=TimeGrid(t_end=ic.t_end * u.time_unit, n_points=ic.n_points),
-    )
 
 
 # ---------------------------------------------------------------------------

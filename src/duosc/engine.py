@@ -7,8 +7,8 @@ one whole-chunk bath phase (`influence.grid_quadratic`, a Filon quadrature
 in omega on t-independent spectral data built once per run), then per time
 the closed-form classical action (`action.endpoint_action_form`), the
 Gaussian reduction and the moment report.  The drive never enters the bath
-phase: its cross term there only produces anti-Hermitian residue, which the
-per-t cross-check `influence.influence_form` measures separately.
+phase (Feynman & Vernon 1963): the phase is a quadratic form in the xi
+endpoints alone.
 
 A state is a function of (cfg, t) alone, bit for bit: the chunking and the
 thread pool (which maps the same chunks) do not change any value.
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .action import endpoint_action_form
-from .config import InternalConfig, ValidatedConfig, to_internal
+from .config import InternalConfig
 from .errors import CausticTime, ConfigError
 from .influence import InfluenceForm, bath_spectra, grid_quadratic
 from .modes import NormalModes, check_caustic, solve_determinant
@@ -40,10 +40,8 @@ def _chunk_states(cfg: InternalConfig, modes: NormalModes, spectra: tuple,
                   times: np.ndarray) -> list:
     """States at positive times off the caustics, one bath-phase call."""
     quadratic = grid_quadratic(cfg, modes, times, spectra)
-    zero = np.zeros(4)
     return [reduce_to_state(cfg, endpoint_action_form(cfg, modes, t),
-                            InfluenceForm(t=t, quadratic=q, linear=zero,
-                                          constant=0.0))
+                            InfluenceForm(t=t, quadratic=q))
             for t, q in zip(times, quadratic)]
 
 
@@ -129,8 +127,3 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
                             reports=tuple(r for _, r in pairs),
                             nudged=nudged)
 
-
-def simulate_validated(vc: ValidatedConfig,
-                       threads: int = 1) -> SimulationResult:
-    """Convenience wrapper accepting a validated physical configuration."""
-    return simulate(to_internal(vc), threads=threads)

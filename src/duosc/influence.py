@@ -20,12 +20,11 @@ quadrature on a fixed panel layout evaluates exactly in t (section at the
 end of this module); the cost per time no longer grows with t or the cutoff.
 
 Cross-check route (`influence_form`): one composite omega quadrature per
-time, resolving exp(-i w t) anew.  It also evaluates the drive's linear term
-and constant from the particular solution, whose non-Hermitian residue is
-measured by the tests, not assumed away.
+time, resolving exp(-i w t) anew.
 
-The time-domain kernel K(s) is also tabulated here; it is only used by the
-brute-force oracle comparisons, not by the fast path.
+Both routes form only the quadratic block over the final and initial xi
+endpoints: the drive never enters the bath phase (Feynman & Vernon 1963),
+so the phase has no linear or constant part.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -41,27 +40,11 @@ from .config import InternalConfig
 from .errors import ConfigError
 from .modes import (NormalModes, check_caustic, component_weights,
                     xi_coefficient_matrix)
-from .particular import ParticularSolution
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 #: panels are bisected until every singularity of the integrand lies
 #: outside the panel's Bernstein ellipse of this parameter
 BERNSTEIN_RHO = 4.0
-
-XI_LABELS = ("xif1", "xif2", "xii1", "xii2")
-
-
-def coth_factor(theta) -> np.ndarray:
-    """coth(theta), with the small-argument series 1/theta + theta/3 below
-    1e-4 to avoid 0/0; theta = inf (zero temperature) maps to 1."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty_like(theta)
-    small = np.abs(theta) < 1e-4
-    with np.errstate(divide="ignore"):
-        ts = theta[small]
-        out[small] = 1.0 / ts + ts / 3.0
-    out[~small] = 1.0 / np.tanh(theta[~small])
-    return out
 
 
 def thermal_weight(omega: np.ndarray, T: float) -> np.ndarray:
@@ -82,89 +65,17 @@ def thermal_weight(omega: np.ndarray, T: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# time-domain kernel tabulation (oracle-facing)
-
-def clenshaw_curtis(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Clenshaw-Curtis nodes and weights on [-1, 1] (n+1 points)."""
-    if n < 2:
-        raise ConfigError("clenshaw_curtis needs n >= 2")
-    theta = math.pi * np.arange(n + 1) / n
-    x = np.cos(theta)
-    w = np.zeros(n + 1)
-    ii = np.arange(1, n)
-    v = np.ones(n - 1)
-    if n % 2 == 0:
-        w[0] = w[n] = 1.0 / (n * n - 1)
-        for k in range(1, n // 2):
-            v -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k * k - 1)
-        v -= np.cos(n * theta[ii]) / (n * n - 1)
-    else:
-        w[0] = w[n] = 1.0 / (n * n)
-        for k in range(1, (n - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k * k - 1)
-    w[ii] = 2.0 * v / n
-    return x, w
-
-
-@dataclass(frozen=True)
-class NoiseKernel:
-    """Tabulated thermal noise kernel K(s) of one bath on [0, t].
-
-    K(s) = (2 m gamma / (hbar pi)) * int_0^numax dw w coth(w/2T) cos(w s);
-    even in s, finite for finite cutoff.
-    """
-    s_grid: np.ndarray
-    values: np.ndarray
-    prefactor: float
-    temperature: float
-    cutoff: float
-
-    def __call__(self, s) -> np.ndarray:
-        return np.interp(np.abs(np.asarray(s, dtype=float)),
-                         self.s_grid, self.values)
-
-
-def noise_kernel(T: float, mass: float, gamma: float, numax: float,
-                 t: float, n_omega: Optional[int] = None) -> NoiseKernel:
-    """Tabulate the noise kernel on a uniform s grid over [0, t]."""
-    if numax <= 0:
-        raise ConfigError("cutoff must be positive")
-    spacing = math.pi / (8.0 * numax)
-    n_s = max(2, int(math.ceil(t / spacing)) + 1)
-    s = np.linspace(0.0, t, n_s)
-    if n_omega is None:
-        # enough Clenshaw-Curtis points to resolve cos(w*s) at the largest s
-        n_omega = max(256, 4 * int(math.ceil(numax * t / math.pi)))
-    x, w = clenshaw_curtis(n_omega)
-    omega = 0.5 * numax * (x + 1.0)
-    w = 0.5 * numax * w
-    weight = w * thermal_weight(omega, T)
-    pref = 2.0 * mass * gamma / math.pi
-    vals = np.empty(n_s)
-    chunk = max(1, int(4e6 // max(omega.size, 1)))
-    for lo in range(0, n_s, chunk):
-        hi = min(lo + chunk, n_s)
-        vals[lo:hi] = pref * (np.cos(np.outer(s[lo:hi], omega)) @ weight)
-    return NoiseKernel(s_grid=s, values=vals, prefactor=pref,
-                       temperature=T, cutoff=numax)
-
-
-# ---------------------------------------------------------------------------
 # frequency-domain evaluation of the endpoint form
 
 @dataclass(frozen=True)
 class InfluenceForm:
     """Endpoint structure of the total bath phase at time t.
 
-    phi(e) = e^T quadratic e + linear . e + constant over
-    e = (xi_f1, xi_f2, xi_i1, xi_i2).  The quadratic block is
-    drive-independent and positive semidefinite; linear and constant exist
-    only with drive (they come from the particular solution).
+    phi(e) = e^T quadratic e over e = (xi_f1, xi_f2, xi_i1, xi_i2); the
+    block is drive-independent and positive semidefinite.
     """
     t: float
     quadratic: np.ndarray   # (4, 4) symmetric
-    linear: np.ndarray      # (4,)
-    constant: float
 
     # named slots of the conventional expansion
     @property
@@ -188,10 +99,6 @@ class InfluenceForm:
     @property
     def E4(self): return float(2.0 * self.quadratic[0, 1])
 
-    def value(self, e: np.ndarray) -> float:
-        e = np.asarray(e, dtype=float)
-        return float(e @ self.quadratic @ e + self.linear @ e + self.constant)
-
 
 def _bernstein_rho(lo: np.ndarray, hi: np.ndarray,
                    s: complex) -> np.ndarray:
@@ -205,10 +112,15 @@ def _bernstein_rho(lo: np.ndarray, hi: np.ndarray,
     return np.maximum(np.abs(z + w), np.abs(z - w))
 
 
-def _graded_edges(numax: float, panels: int, singular) -> np.ndarray:
-    """Edges of `panels` uniform panels on [0, numax], bisected until no
-    singularity in `singular` lies within a panel's Bernstein ellipse of
-    parameter BERNSTEIN_RHO.  The layout depends on its arguments only."""
+def _graded_panels(numax: float, panels: int, singular) -> tuple:
+    """Centres and half-widths of `panels` uniform panels on [0, numax],
+    bisected until no singularity in `singular` lies within a panel's
+    Bernstein ellipse of parameter BERNSTEIN_RHO.
+
+    A panel bisected d times gets the half-width h0 / 2^d exactly, with h0
+    that of a uniform panel, so panels of one depth share one float however
+    their edges round.  The layout depends on its arguments only.
+    """
     edges = np.linspace(0.0, numax, panels + 1)
     for s in singular:
         while True:
@@ -218,7 +130,9 @@ def _graded_edges(numax: float, panels: int, singular) -> np.ndarray:
                 break
             edges = np.sort(np.concatenate(
                 [edges, 0.5 * (lo[bad] + hi[bad])]))
-    return edges
+    h0 = 0.5 * numax / panels
+    depth = np.rint(np.log2(h0 / (0.5 * np.diff(edges)))).astype(int)
+    return 0.5 * (edges[:-1] + edges[1:]), np.ldexp(h0, -depth)
 
 
 def _matsubara_pole(T: float) -> tuple:
@@ -228,9 +142,7 @@ def _matsubara_pole(T: float) -> tuple:
     return (2j * math.pi * T,) if T > 0.0 else ()
 
 
-def _panel_nodes(edges: np.ndarray, rule) -> Tuple[np.ndarray, np.ndarray]:
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
+def _panel_nodes(mids: np.ndarray, halfs: np.ndarray, rule) -> tuple:
     nodes = (mids[:, None] + halfs[:, None] * rule[0]).ravel()
     wts = (halfs[:, None] * rule[1]).ravel()
     return nodes, wts
@@ -243,7 +155,7 @@ def _omega_panels(numax: float, t: float, T: float):
     Cross-check route only (`influence_form`).
     """
     panels = max(64, 4 * int(math.ceil(numax * t / (2.0 * math.pi))))
-    return _panel_nodes(_graded_edges(numax, panels, _matsubara_pole(T)),
+    return _panel_nodes(*_graded_panels(numax, panels, _matsubara_pole(T)),
                         _GL16)
 
 
@@ -274,8 +186,7 @@ def _elementary_transforms(modes: NormalModes, t: float,
 
 
 def influence_form(cfg: InternalConfig, modes: NormalModes,
-                   partic: Optional[ParticularSolution], t: float,
-                   n_tau_min: int = 1024) -> InfluenceForm:
+                   t: float) -> InfluenceForm:
     """Evaluate the total bath phase structure at time t.
 
     Cross-check route: the engine uses `grid_quadratic`.
@@ -289,18 +200,7 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
         (cfg.m1, cfg.gamma1, cfg.T1, cfg.numax1, c1),
         (cfg.m2, cfg.gamma2, cfg.T2, cfg.numax2, c2),
     )
-    driven = partic is not None and not np.allclose(
-        [np.max(np.abs(partic.xi1_grid)), np.max(np.abs(partic.xi2_grid))], 0.0)
-    if driven:
-        from .action import quadrature_nodes
-        max_freq = max(modes.Omega2 + modes.delta2, 1.0)
-        tau, tau_w = quadrature_nodes(t, n_min=n_tau_min, max_freq=max_freq)
-        p1, p2 = partic.values(tau)
-        p_comp = (tau_w * p1, tau_w * p2)
-
     quadratic = np.zeros((4, 4))
-    linear = np.zeros(4)
-    constant = 0.0
     for mass, gamma, T, numax, comp in baths:
         if gamma == 0.0:
             continue
@@ -314,14 +214,8 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
             Fb = (V * comp[:, None]).T @ psi          # (4, n) basis transforms
             Sq = np.real((Fb * wt) @ Fb.conj().T)     # symmetric square form
             quadratic += 0.5 * Sq
-            if driven:
-                pw = p_comp[0] if comp is c1 else p_comp[1]
-                Fp = np.exp(-1j * np.outer(om, tau)) @ pw
-                linear += np.real((Fb * wt) @ Fp.conj())
-                constant += 0.5 * float(np.real(np.sum(wt * Fp * Fp.conj())))
     quadratic = 0.5 * (quadratic + quadratic.T)
-    return InfluenceForm(t=t, quadratic=quadratic, linear=linear,
-                         constant=constant)
+    return InfluenceForm(t=t, quadratic=quadratic)
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +379,9 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
             (cfg.m2, cfg.gamma2, cfg.T2, cfg.numax2, c2)):
         if gamma == 0.0:
             continue
-        edges = _graded_edges(numax, FILON_BASE_PANELS,
-                              tuple(poles) + _matsubara_pole(T))
-        nodes, wts = _panel_nodes(edges, (gl_x, gl_w))
-        halfs = 0.5 * np.diff(edges)
+        mids, halfs = _graded_panels(numax, FILON_BASE_PANELS,
+                                     tuple(poles) + _matsubara_pole(T))
+        nodes, wts = _panel_nodes(mids, halfs, (gl_x, gl_w))
         g = (2.0 * mass * gamma / math.pi) * thermal_weight(nodes, T)
         f = g / (nodes[None, :] - r[:, None])                  # (8, J*K)
         # Legendre coefficients of g / (w - p), (K, 4, J), scaled to v_k
@@ -498,7 +391,7 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
         widths, width_of = np.unique(halfs, return_inverse=True)
         out.append(BathSpectrum(
             comp=comp, nodes=nodes, weights=wts * g,
-            mids=0.5 * (edges[:-1] + edges[1:]), widths=widths,
+            mids=mids, widths=widths,
             width_of=width_of, even=coef[0::2].copy(), odd=coef[1::2].copy(),
             C=f @ wts))
     return tuple(out)

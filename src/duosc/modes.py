@@ -284,19 +284,6 @@ def basis_paths(modes: NormalModes, t: float, tau: np.ndarray, sign: float
 # ---------------------------------------------------------------------------
 # user-facing path evaluation
 
-def homogeneous_X_paths(modes: NormalModes,
-                        endpoints: Tuple[float, float, float, float],
-                        t: float, tau) -> Tuple[np.ndarray, np.ndarray]:
-    """Damped-sector boundary path through the given endpoints.
-
-    endpoints = (X_i1, X_i2, X_f1, X_f2); returns (X1(tau), X2(tau)).
-    """
-    X_i1, X_i2, X_f1, X_f2 = endpoints
-    e = np.array([X_f1, X_f2, X_i1, X_i2])
-    P1, P2, _, _ = basis_paths(modes, t, np.asarray(tau, dtype=float), sign=-1.0)
-    return e @ P1, e @ P2
-
-
 def homogeneous_xi_paths(modes: NormalModes,
                          endpoints: Tuple[float, float, float, float],
                          partials: Optional[Tuple[Callable, Callable]],

@@ -4,8 +4,8 @@ Everything here is computed by routes that share no code with the engine:
 mean trajectories from direct ODE integration of the damped classical
 equations (exact for the means of a driven bilinear open system), stationary
 spreads from the fluctuation-dissipation integral over the exact
-susceptibility matrix, and a brute-force triangle double integral for the
-bath phase functionals.  This module must stay importable on its own; it
+susceptibility matrix, and brute-force double integrals (with Clenshaw-Curtis
+nodes for tabulating their kernel) for the bath phase functionals.  This module must stay importable on its own; it
 deliberately does not import the mode/action/bath machinery.
 """
 
@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .config import InternalConfig
+from .errors import ConfigError
 
 
 def _force_callable(f) -> Callable[[float], float]:
@@ -141,6 +142,28 @@ def fdt_stationary_variance(cfg: InternalConfig) -> dict:
         out[f"var_p{name[1]}"] = tuple(vp) if len(vp) > 1 else vp[0]
     out["equal_temperatures"] = len(temps) == 1
     return out
+
+
+def clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clenshaw-Curtis nodes and weights on [-1, 1] (n+1 points)."""
+    if n < 2:
+        raise ConfigError("clenshaw_curtis needs n >= 2")
+    theta = math.pi * np.arange(n + 1) / n
+    x = np.cos(theta)
+    w = np.zeros(n + 1)
+    ii = np.arange(1, n)
+    v = np.ones(n - 1)
+    if n % 2 == 0:
+        w[0] = w[n] = 1.0 / (n * n - 1)
+        for k in range(1, n // 2):
+            v -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k * k - 1)
+        v -= np.cos(n * theta[ii]) / (n * n - 1)
+    else:
+        w[0] = w[n] = 1.0 / (n * n)
+        for k in range(1, (n - 1) // 2 + 1):
+            v -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k * k - 1)
+    w[ii] = 2.0 * v / n
+    return x, w
 
 
 def brute_square_form(a: Callable, b: Callable, kernel: Callable,

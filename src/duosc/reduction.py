@@ -1,9 +1,11 @@
 """Contraction of the propagator exponent with the initial Gaussian state.
 
 The full exponent of (propagator) x (initial density matrix) is an exact
-complex quadratic form over eight endpoint variables.  Integrating out the
-four initial ones is a Schur complement; what remains is the final-time
-Gaussian state, parametrized by real coefficients of its Hermitian part.
+complex quadratic-plus-linear form over eight endpoint variables, up to an
+additive constant that no output needs: the reduced state is normalized to
+unit trace here.  Integrating out the four initial variables is a Schur
+complement; what remains is the final-time Gaussian state, parametrized by
+real coefficients of its Hermitian part.
 Anti-Hermitian residue (which would vanish in exact arithmetic for a valid
 open-system evolution) is measured and reported, never silently projected
 away without record.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,21 +26,27 @@ from .config import InternalConfig
 from .errors import NonHermitianLarge, NotNormalizable
 from .influence import InfluenceForm
 
-_X_SLOTS = (0, 1, 4, 5)    # Xf1, Xf2, Xi1, Xi2 in the 8-vector
-_XI_SLOTS = (2, 3, 6, 7)   # xif1, xif2, xii1, xii2
+_X_SLOTS = [0, 1, 4, 5]    # Xf1, Xf2, Xi1, Xi2 in the 8-vector
+_XI_SLOTS = [2, 3, 6, 7]   # xif1, xif2, xii1, xii2
+_INITIAL = [4, 5, 6, 7]    # Xi1, Xi2, xii1, xii2
+_X_XI = np.ix_(_X_SLOTS, _XI_SLOTS)
+_XI_X = np.ix_(_XI_SLOTS, _X_SLOTS)
+_XI_XI = np.ix_(_XI_SLOTS, _XI_SLOTS)
+
+#: largest anti-Hermitian residue, relative to the state's own coefficients,
+#: that `reduce_to_state` accepts (NonHermitianLarge beyond it)
+NONHERM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class QuadraticExponent:
-    """exponent(e) = -1/2 e^T M e + L . e + c over the eight endpoints."""
+    """exponent(e) = -1/2 e^T M e + L . e + const over the eight endpoints."""
     matrix: np.ndarray      # (8, 8) complex symmetric
     linear: np.ndarray      # (8,) complex
-    constant: complex
 
     def value(self, e: np.ndarray) -> complex:
         e = np.asarray(e, dtype=float)
-        return complex(-0.5 * e @ self.matrix @ e
-                       + self.linear @ e + self.constant)
+        return complex(-0.5 * e @ self.matrix @ e + self.linear @ e)
 
 
 def propagator_exponent(cfg: InternalConfig, action: ActionForm,
@@ -47,25 +54,16 @@ def propagator_exponent(cfg: InternalConfig, action: ActionForm,
     """Exponent of propagator times initial state, before reduction."""
     M = np.zeros((8, 8), dtype=complex)
     L = np.zeros(8, dtype=complex)
-    # i * (classical action): strictly X-xi bilinear plus linear terms
-    for a, xa in enumerate(_X_SLOTS):
-        for b, xb in enumerate(_XI_SLOTS):
-            M[xa, xb] += -1j * action.bilinear[a, b]
-            M[xb, xa] += -1j * action.bilinear[a, b]
-        L[xa] += 1j * action.linear_X[a]
-    for b, xb in enumerate(_XI_SLOTS):
-        L[xb] += 1j * action.linear_xi[b]
-    # -(bath phase): real quadratic-plus-linear in xi
-    for a, xa in enumerate(_XI_SLOTS):
-        for b, xb in enumerate(_XI_SLOTS):
-            M[xa, xb] += 2.0 * infl.quadratic[a, b]
-        L[xa] += -infl.linear[a]
+    # i * (classical action): strictly X-xi bilinear plus xi-linear terms
+    M[_X_XI] = -1j * action.bilinear
+    M[_XI_X] = -1j * action.bilinear.T
+    L[_XI_SLOTS] = 1j * action.linear_xi
+    # -(bath phase): real quadratic in xi
+    M[_XI_XI] = 2.0 * infl.quadratic
     # initial Gaussian wave packets: -(X_i^2 + xi_i^2) / (8 sigma0^2)
-    for slot, var in ((4, cfg.sigma01_sq), (5, cfg.sigma02_sq),
-                      (6, cfg.sigma01_sq), (7, cfg.sigma02_sq)):
-        M[slot, slot] += 1.0 / (4.0 * var)
-    c = 1j * action.constant - infl.constant
-    return QuadraticExponent(matrix=M, linear=L, constant=c)
+    M[_INITIAL, _INITIAL] += 1.0 / (4.0 * np.array(
+        [cfg.sigma01_sq, cfg.sigma02_sq, cfg.sigma01_sq, cfg.sigma02_sq]))
+    return QuadraticExponent(matrix=M, linear=L)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,8 +153,8 @@ def initial_state(cfg: InternalConfig) -> GaussianStateParams:
 def _schur_reduce(exponent: QuadraticExponent):
     """Integrate out the four initial endpoints.
 
-    Returns (Qp, Lp, cp) with the reduced exponent
-    -1/2 f^T Qp f + Lp . f + cp over f = (X_f1, X_f2, xi_f1, xi_f2).
+    Returns (Qp, Lp) with the reduced exponent
+    -1/2 f^T Qp f + Lp . f + const over f = (X_f1, X_f2, xi_f1, xi_f2).
     The initial block spans many orders of magnitude at long times (the
     anti-damped paths grow like exp(delta t)), so it is symmetrically
     equilibrated before solving.
@@ -175,16 +173,13 @@ def _schur_reduce(exponent: QuadraticExponent):
     Qp = Mff - Mfi @ inv_Mfi_T
     Qp = 0.5 * (Qp + Qp.T)
     Lp = Lf - Mfi @ inv_Li
-    cp = exponent.constant + 0.5 * Li @ inv_Li
-    return Qp, Lp, cp
+    return Qp, Lp
 
 
 def reduce_to_state(cfg: InternalConfig, action: ActionForm,
-                    infl: InfluenceForm,
-                    nonherm_tol: float = 1e-6) -> GaussianStateParams:
+                    infl: InfluenceForm) -> GaussianStateParams:
     """Full contraction: exponent -> Schur complement -> state parameters."""
-    exponent = propagator_exponent(cfg, action, infl)
-    Qp, Lp, cp = _schur_reduce(exponent)
+    Qp, Lp = _schur_reduce(propagator_exponent(cfg, action, infl))
 
     g1 = 0.5 * float(np.real(Qp[0, 0]))
     g2 = 0.5 * float(np.real(Qp[1, 1]))
@@ -210,14 +205,14 @@ def reduce_to_state(cfg: InternalConfig, action: ActionForm,
     nh_lxi = float(np.max(np.abs(np.real(Lp[2:]))))
     quad_scale = max(abs(g1), abs(g2), abs(gp1), abs(gp2), 1e-300)
     lin_scale = max(abs(mx1), abs(mx2), abs(mp1), abs(mp2))
-    if nh_quad > nonherm_tol * quad_scale:
+    if nh_quad > NONHERM_TOL * quad_scale:
         raise NonHermitianLarge(
             f"anti-Hermitian quadratic residue {nh_quad:.3e} exceeds "
-            f"{nonherm_tol:.1e} of scale {quad_scale:.3e} at t={action.t}")
-    if lin_scale > 0 and max(nh_lx, nh_lxi) > nonherm_tol * lin_scale:
+            f"{NONHERM_TOL:.1e} of scale {quad_scale:.3e} at t={action.t}")
+    if lin_scale > 0 and max(nh_lx, nh_lxi) > NONHERM_TOL * lin_scale:
         raise NonHermitianLarge(
             f"anti-Hermitian linear residue {max(nh_lx, nh_lxi):.3e} "
-            f"exceeds {nonherm_tol:.1e} of scale {lin_scale:.3e} "
+            f"exceeds {NONHERM_TOL:.1e} of scale {lin_scale:.3e} "
             f"at t={action.t}")
 
     beta11, beta22, beta12 = 8.0 * g1, 8.0 * g2, 4.0 * g12
@@ -227,9 +222,9 @@ def reduce_to_state(cfg: InternalConfig, action: ActionForm,
             f"position quadratic form not positive definite at t={action.t}: "
             f"g1={g1:.3e} g2={g2:.3e} det={delta:.3e}")
     # trace = 1 on the diagonal x = y, with X = 2x there (Jacobian 1/4).
-    # The raw constant cp is deliberately NOT used: the path-integral
-    # prefactor of the propagator is never tracked, so the normalization
-    # must be imposed here rather than inherited.
+    # The exponent's constant is never formed: the path-integral prefactor
+    # of the propagator is not tracked either, so the normalization is
+    # imposed here rather than inherited.
     a_lin, b_lin = -mx1, -mx2
     log_norm = (0.5 * math.log(delta) - math.log(2.0 * math.pi)
                 - 2.0 * (a_lin * a_lin * beta22 - 2.0 * a_lin * b_lin * beta12

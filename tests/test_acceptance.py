@@ -308,7 +308,7 @@ def test_criterion_10_long_time_fdt(ic_fig3, ic_fig4):
 def test_criterion_11_influence_vs_brute_force(ic_fig3, modes_fig3):
     worst = 0.0
     for t in (1.0, 2.0, 3.1, 4.2, 5.0):
-        inf = influence_form(ic_fig3, modes_fig3, None, t)
+        inf = influence_form(ic_fig3, modes_fig3, t)
         Q = brute_quadratic(ic_fig3, modes_fig3, t, n=512)
         scale = np.max(np.abs(inf.quadratic))
         rel = np.abs(Q - inf.quadratic) / np.maximum(

@@ -165,6 +165,23 @@ def test_unequal_damping_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and "damping" in err
 
 
+def test_nonfinite_config_exit_code(tmp_path, capsys):
+    # json reads NaN and Infinity; validation must stop them
+    cfgd = {
+        "m1": 1e-23, "m2": 5e-23, "omega01": 1e13, "omega02": 3e13,
+        "gamma1": 1e11, "gamma2": 1e11, "lambda_tilde": 0.2,
+        "T1": 300.0, "T2": 300.0, "t_end": 5e-13, "n_points": 6,
+        "f1_kind": "exponential_step", "f1_amplitude": float("nan"),
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfgd))
+    assert "NaN" in p.read_text()
+    rc = run_cli(["run", "custom", str(tmp_path / "o"), "--config", str(p)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: amplitude")
+    assert not (tmp_path / "o").exists()
+
+
 def test_engine_error_exit_code(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise NotNormalizable("beta determinant <= 0")
@@ -177,7 +194,8 @@ def test_engine_error_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_import_does_not_load_scipy():
     # a fresh interpreter that imports this same copy of the package and
-    # runs a small simulation: scipy stays off the production path
+    # runs a small simulation: scipy and the cross-check modules stay off
+    # the production path
     src = os.path.dirname(os.path.dirname(engine.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -187,6 +205,8 @@ def test_import_does_not_load_scipy():
             "ic = to_internal(cfg)\n"
             "times = numpy.linspace(0.0, ic.t_end, 4)\n"
             "assert len(duosc.engine.simulate(ic, times).states) == 4\n"
+            "assert 'duosc.particular' not in sys.modules\n"
+            "assert 'duosc.oracle' not in sys.modules\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout

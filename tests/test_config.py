@@ -1,16 +1,61 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duosc.config import (HBAR, KB, BathParams, ForceSpec, OscillatorParams,
-                          SystemConfig, TimeGrid, config_from_dict,
-                          from_internal, load_config, to_internal,
-                          validate_config)
+from duosc.config import (HBAR, KB, BathParams, ForceSpec, InternalConfig,
+                          InternalForce, OscillatorParams, SystemConfig,
+                          TimeGrid, config_from_dict, load_config,
+                          to_internal, validate_config)
 from duosc.errors import ConfigError, CouplingTooStrong
+
+
+def from_internal(ic: InternalConfig) -> SystemConfig:
+    """Inverse of to_internal, for round-trip checking."""
+    u = ic.units
+
+    def force_back(f: InternalForce) -> ForceSpec:
+        if f.kind == "zero":
+            return ForceSpec(kind="zero")
+        if f.kind == "exponential_step":
+            return ForceSpec(
+                kind="exponential_step",
+                amplitude=f.f0 * u.force_unit,
+                onset=f.t0 * u.time_unit,
+                decay=f.decay / u.time_unit,
+            )
+        return ForceSpec(
+            kind="sampled",
+            times=tuple(f.times * u.time_unit),
+            values=tuple(f.values * u.force_unit),
+        )
+
+    return SystemConfig(
+        osc1=OscillatorParams(
+            mass=ic.m1 * u.mass_unit,
+            eigenfrequency=ic.w01 * u.frequency_unit,
+            damping_rate=ic.gamma1 * u.frequency_unit,
+            initial_variance=ic.sigma01_sq * u.length_unit ** 2,
+        ),
+        osc2=OscillatorParams(
+            mass=ic.m2 * u.mass_unit,
+            eigenfrequency=ic.w02 * u.frequency_unit,
+            damping_rate=ic.gamma2 * u.frequency_unit,
+            initial_variance=ic.sigma02_sq * u.length_unit ** 2,
+        ),
+        bath1=BathParams(temperature=ic.T1 * u.temperature_unit,
+                         cutoff=ic.numax1 * u.frequency_unit),
+        bath2=BathParams(temperature=ic.T2 * u.temperature_unit,
+                         cutoff=ic.numax2 * u.frequency_unit),
+        coupling_dimensionless=ic.lam_tilde,
+        force1=force_back(ic.force1),
+        force2=force_back(ic.force2),
+        time_grid=TimeGrid(t_end=ic.t_end * u.time_unit, n_points=ic.n_points),
+    )
 
 
 def make_cfg(**kw):
@@ -117,6 +162,40 @@ def test_round_trip_property(m2, w2, lt, T):
     assert math.isclose(back.bath2.temperature, T, rel_tol=1e-10,
                         abs_tol=1e-12)
     assert math.isclose(ic.lam_tilde, lt, rel_tol=1e-12, abs_tol=0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+_STEP = ForceSpec(kind="exponential_step", amplitude=1e-10, onset=1e-13,
+                  decay=1e12)
+_SAMPLED = ForceSpec(kind="sampled", times=(0.0, 1e-12, 4e-12),
+                     values=(0.0, 1e-10, 0.0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_cfg(force1=replace(_STEP, amplitude=NAN)),
+    lambda: make_cfg(force1=replace(_STEP, amplitude=INF)),
+    lambda: make_cfg(force1=replace(_STEP, onset=INF)),
+    lambda: make_cfg(force1=replace(_STEP, decay=NAN)),
+    lambda: make_cfg(force1=replace(_STEP, decay=INF)),
+    lambda: make_cfg(force1=replace(_SAMPLED, times=(0.0, NAN, 4e-12))),
+    lambda: make_cfg(force1=replace(_SAMPLED, values=(0.0, INF, 0.0))),
+    lambda: make_cfg(bath1=BathParams(temperature=NAN)),
+    lambda: make_cfg(bath2=BathParams(temperature=INF)),
+    lambda: make_cfg(bath1=BathParams(temperature=300.0, cutoff=INF)),
+    lambda: make_cfg(osc1=OscillatorParams(
+        mass=1e-23, eigenfrequency=1e13, damping_rate=1e11,
+        initial_variance=INF)),
+    lambda: make_cfg(osc2=OscillatorParams(
+        mass=5e-23, eigenfrequency=3e13, damping_rate=NAN)),
+    lambda: make_cfg(time_grid=TimeGrid(t_end=INF)),
+    lambda: make_cfg(coupling_dimensionless=NAN),
+], ids=["amplitude-nan", "amplitude-inf", "onset-inf", "decay-nan",
+        "decay-inf", "times-nan", "values-inf", "T-nan", "T-inf",
+        "cutoff-inf", "initial_variance-inf", "damping-nan", "t_end-inf",
+        "coupling-nan"])
+def test_nonfinite_fields_are_rejected(build):
+    with pytest.raises(ConfigError, match="finite"):
+        validate_config(build())
 
 
 def test_sampled_force_must_cover_grid():

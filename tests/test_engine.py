@@ -7,7 +7,7 @@ import pytest
 
 from duosc import engine
 from duosc.config import InternalForce
-from duosc.engine import simulate, simulate_validated, state_at
+from duosc.engine import simulate, state_at
 from duosc.errors import ConfigError
 from duosc.modes import solve_determinant
 from duosc.reduction import GaussianStateParams
@@ -57,11 +57,11 @@ def test_regular_grid_has_no_nudges(ic_fig3):
 
 def test_simulate_validated_roundtrip():
     from duosc.cli import preset_config
-    from duosc.config import TimeGrid, validate_config
+    from duosc.config import TimeGrid, to_internal, validate_config
     from dataclasses import replace
     cfg = preset_config("fig2")
     cfg = replace(cfg, time_grid=TimeGrid(t_end=3e-13, n_points=5))
-    res = simulate_validated(validate_config(cfg))
+    res = simulate(to_internal(validate_config(cfg)))
     assert len(res.states) == 5
     assert res.times[0] == 0.0
 

@@ -3,20 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 from duosc.cli import preset_config
 from duosc.config import InternalForce, to_internal, validate_config
 from duosc.errors import ConfigError
-from duosc.influence import (FILON_MIN_T, bath_spectra, clenshaw_curtis,
-                             coth_factor, grid_quadratic, influence_form,
-                             noise_kernel, spherical_jn_orders,
+from duosc.influence import (FILON_MIN_T, bath_spectra, grid_quadratic,
+                             influence_form, spherical_jn_orders,
                              thermal_weight)
 from duosc.modes import (basis_paths, check_caustic, component_weights,
                          solve_determinant, xi_coefficient_matrix)
-from duosc.oracle import brute_double_integral, brute_square_form
-from duosc.particular import particular_solution
+from duosc.oracle import (brute_double_integral, brute_square_form,
+                          clenshaw_curtis)
 
 from test_modes import make_ic
 
@@ -55,17 +53,6 @@ def brute_quadratic(ic, modes, t, n=512):
     return Q
 
 
-def test_coth_factor_series_continuity():
-    # series branch and tanh branch agree where they hand over
-    theta = 1.000001e-4
-    series = 1.0 / theta + theta / 3.0
-    assert math.isclose(float(coth_factor(np.array([theta]))[0]),
-                        series, rel_tol=1e-12)
-    assert math.isclose(series, 1.0 / math.tanh(theta), rel_tol=1e-12)
-    assert math.isclose(float(coth_factor(np.array([2.0]))[0]),
-                        1.0 / math.tanh(2.0), rel_tol=1e-14)
-
-
 def test_thermal_weight_limits():
     w = np.array([0.0, 1e-9, 1.0, 40.0])
     T = 3.9
@@ -87,45 +74,9 @@ def test_clenshaw_curtis_integrates_polynomials():
         clenshaw_curtis(1)
 
 
-def test_noise_kernel_even_and_finite(ic_fig3):
-    nk = noise_kernel(ic_fig3.T1, ic_fig3.m1, ic_fig3.gamma1,
-                      ic_fig3.numax1, 3.0)
-    assert np.all(np.isfinite(nk.values))
-    s = np.linspace(0.0, 3.0, 37)
-    np.testing.assert_allclose(nk(s), nk(-s))
-
-
-def test_noise_kernel_value_against_adaptive_quad(ic_fig3):
-    T, m, g, numax = ic_fig3.T1, ic_fig3.m1, ic_fig3.gamma1, ic_fig3.numax1
-    nk = noise_kernel(T, m, g, numax, 2.0)
-    pref = 2.0 * m * g / math.pi
-    for s in (0.0, 0.5, 1.7):
-        ref = pref * quad(
-            lambda w: float(thermal_weight(np.array([w]), T)[0])
-            * math.cos(w * s), 0.0, numax, limit=400)[0]
-        # tabulated grid spacing pi/(8 numax); interpolation-level agreement
-        assert math.isclose(nk(s), ref, rel_tol=5e-3, abs_tol=5e-3)
-    # exactly on a grid node the quadrature itself should be tight
-    s_node = nk.s_grid[40]
-    ref = pref * quad(
-        lambda w: float(thermal_weight(np.array([w]), T)[0])
-        * math.cos(w * s_node), 0.0, numax, limit=400)[0]
-    assert math.isclose(float(nk.values[40]), ref, rel_tol=1e-8, abs_tol=1e-10)
-
-
-def test_classical_limit_kernel_shape():
-    # T >> numax: coth -> 2T/w and K(s) -> pref * 2T * sin(numax s)/s
-    T, m, g, numax = 5e4, 1.0, 0.01, 50.0
-    nk = noise_kernel(T, m, g, numax, 2.0)
-    pref = 2.0 * m * g / math.pi
-    s = nk.s_grid[1:300]
-    ref = pref * 2.0 * T * np.sin(numax * s) / s
-    assert np.max(np.abs(nk.values[1:300] - ref)) < 1e-3 * 2.0 * T * pref * numax
-
-
 def test_quadratic_form_positive_semidefinite(ic_fig3, modes_fig3):
     for t in (1.3, 6.2, 12.3):
-        inf = influence_form(ic_fig3, modes_fig3, None, t)
+        inf = influence_form(ic_fig3, modes_fig3, t)
         eig = np.linalg.eigvalsh(inf.quadratic)
         assert eig.min() > -1e-12 * max(eig.max(), 1.0)
 
@@ -133,25 +84,27 @@ def test_quadratic_form_positive_semidefinite(ic_fig3, modes_fig3):
 def test_decoupled_cross_slots_vanish():
     ic = make_ic(lam_tilde=0.0)
     modes = solve_determinant(ic)
-    inf = influence_form(ic, modes, None, 4.4)
+    inf = influence_form(ic, modes, 4.4)
     scale = np.max(np.abs(inf.quadratic))
     for e in (inf.E1, inf.E2, inf.E3, inf.E4):
         assert abs(e) < 1e-12 * scale
 
 
 def test_quadratic_block_is_drive_independent(ic_fig3, modes_fig3):
+    # the drive never enters the bath phase, on either route
     t = 8.1
-    partic = particular_solution(modes_fig3, ic_fig3.force1,
-                                 ic_fig3.force2, t)
-    a = influence_form(ic_fig3, modes_fig3, None, t)
-    b = influence_form(ic_fig3, modes_fig3, partic, t)
+    zero = InternalForce(kind="zero")
+    ic0 = replace(ic_fig3, force1=zero, force2=zero)
+    a = influence_form(ic_fig3, modes_fig3, t)
+    b = influence_form(ic0, modes_fig3, t)
     np.testing.assert_array_equal(a.quadratic, b.quadratic)
-    assert np.all(a.linear == 0.0) and a.constant == 0.0
-    assert np.any(b.linear != 0.0) and b.constant > 0.0
+    times = np.array([0.5, t])
+    np.testing.assert_array_equal(grid_quadratic(ic_fig3, modes_fig3, times),
+                                  grid_quadratic(ic0, modes_fig3, times))
 
 
 def test_named_slots_match_matrix(ic_fig3, modes_fig3):
-    inf = influence_form(ic_fig3, modes_fig3, None, 3.3)
+    inf = influence_form(ic_fig3, modes_fig3, 3.3)
     q = inf.quadratic
     assert inf.A1 == q[0, 0] and inf.C1 == q[2, 2]
     assert inf.B1 == 2 * q[0, 2] and inf.E4 == 2 * q[0, 1]
@@ -167,7 +120,7 @@ def test_named_slots_match_matrix(ic_fig3, modes_fig3):
 
 def test_fast_route_matches_square_rule_oracle(ic_fig3, modes_fig3):
     for t in (2.0, 5.0):
-        inf = influence_form(ic_fig3, modes_fig3, None, t)
+        inf = influence_form(ic_fig3, modes_fig3, t)
         Q = brute_quadratic(ic_fig3, modes_fig3, t, n=512)
         scale = np.max(np.abs(inf.quadratic))
         rel = np.abs(Q - inf.quadratic) / np.maximum(
@@ -179,7 +132,7 @@ def test_triangle_trapezoid_agrees_at_its_own_order(ic_fig3, modes_fig3):
     # the first-order triangle oracle converges to the same numbers, just
     # with O(h^2) error; check one diagonal slot at two resolutions
     t = 2.0
-    inf = influence_form(ic_fig3, modes_fig3, None, t)
+    inf = influence_form(ic_fig3, modes_fig3, t)
     errs = []
     for n in (512, 1024):
         tau = np.linspace(0.0, t, n + 1)
@@ -194,29 +147,6 @@ def test_triangle_trapezoid_agrees_at_its_own_order(ic_fig3, modes_fig3):
         errs.append(abs(tot - inf.quadratic[2, 2]))
     assert errs[0] < 1e-3 * abs(inf.quadratic[2, 2])
     assert errs[1] < 0.35 * errs[0]  # second-order shrink
-
-
-def test_drive_linear_term_against_time_domain(ic_fig3, modes_fig3):
-    """The drive-linear slot equals the mixed basis-path x particular-path
-    triangle functional computed by the square-rule oracle."""
-    t = 3.7
-    partic = particular_solution(modes_fig3, ic_fig3.force1,
-                                 ic_fig3.force2, t)
-    inf = influence_form(ic_fig3, modes_fig3, partic, t)
-    n = 1024
-    tau = np.linspace(0.0, t, n + 1)
-    P1, P2, _, _ = basis_paths(modes_fig3, t, tau, sign=+1.0)
-    p1, p2 = partic.values(tau)
-    lin = np.zeros(4)
-    for T, m, g, nm, P, p in (
-            (ic_fig3.T1, ic_fig3.m1, ic_fig3.gamma1, ic_fig3.numax1, P1, p1),
-            (ic_fig3.T2, ic_fig3.m2, ic_fig3.gamma2, ic_fig3.numax2, P2, p2)):
-        kern = grid_kernel_table(T, m, g, nm, t, n)
-        for i in range(4):
-            lin[i] += brute_square_form(lambda s, i=i: P[i], lambda s: p,
-                                        kern, t, n=n)
-    scale = max(np.max(np.abs(inf.linear)), 1e-300)
-    assert np.max(np.abs(lin - inf.linear)) < 1e-5 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +249,13 @@ def test_per_t_route_resolves_thermal_scale():
     ic, modes = physical_ic(kelvin=0.3)
     for t in (1.0, 2.7):
         ref = dense_quadratic(ic, modes, t)
-        Q = influence_form(ic, modes, None, t).quadratic
+        Q = influence_form(ic, modes, t).quadratic
         assert np.max(np.abs(Q - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("name, cutoff", [
-    ("fig2", None), ("fig3", None), ("fig4", None), ("fig4", 200.0)])
+    ("fig2", None), ("fig3", None), ("fig4", None), ("fig4", 200.0),
+    ("fig3", 123.4)])
 def test_grid_route_matches_per_t_route_on_preset_grids(name, cutoff):
     """Every 25th point of the 2000-point grid, plus probes at small t,
     at caustics (nudged as the engine does) and at 50 / gamma."""
@@ -336,7 +267,7 @@ def test_grid_route_matches_per_t_route_on_preset_grids(name, cutoff):
     if cutoff is None:
         times = np.append(times, 50.0 / ic.gamma1)
     G = grid_quadratic(ic, modes, times)
-    worst = max(block_rel(g, influence_form(ic, modes, None, t).quadratic)
+    worst = max(block_rel(g, influence_form(ic, modes, t).quadratic)
                 for t, g in zip(times, G))
     assert worst <= 1e-11
 
@@ -348,7 +279,7 @@ def test_grid_route_matches_per_t_route_at_low_temperature(kelvin):
                       29.9])
     G = grid_quadratic(ic, modes, times)
     for t, g in zip(times, G):
-        assert block_rel(g, influence_form(ic, modes, None, t).quadratic) \
+        assert block_rel(g, influence_form(ic, modes, t).quadratic) \
             <= 1e-11
         assert block_rel(g, dense_quadratic(ic, modes, t)) <= 1e-11
 
@@ -365,8 +296,20 @@ def test_small_t_routes_against_dense_reference():
         for t, g in zip(times, G):
             ref = dense_quadratic(ic, modes, t, per_period=16, levels=80)
             assert block_rel(g, ref) <= 1e-11
-            assert block_rel(influence_form(ic, modes, None, t).quadratic,
+            assert block_rel(influence_form(ic, modes, t).quadratic,
                              ref) <= 1e-11
+
+
+def test_panel_half_widths_come_from_bisection_depth():
+    """Panels of one bisection depth share one half-width, so a cutoff that
+    is not a binary fraction needs no more distinct widths (spherical
+    Bessel evaluations in `transforms`) than cutoff 200."""
+    def distinct_widths(cutoff):
+        ic, modes = physical_ic("fig3", cutoff)
+        return sum(sp.widths.size for sp in bath_spectra(ic, modes))
+
+    assert distinct_widths(123.4) <= distinct_widths(200.0)
+    assert distinct_widths(37.7) <= distinct_widths(200.0)
 
 
 def test_grid_route_matches_square_rule_oracle(ic_fig3, modes_fig3):

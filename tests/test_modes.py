@@ -8,12 +8,23 @@ from hypothesis import strategies as st
 from duosc.config import InternalConfig, InternalForce
 from duosc.errors import CausticTime, ConfigError
 from duosc.modes import (QuarticCoefficients, basis_paths, check_caustic,
-                         decoupled_reference, homogeneous_X_paths,
-                         homogeneous_xi_paths, mode_functions,
-                         solve_determinant, x_coefficient_matrix,
-                         xi_coefficient_matrix)
+                         decoupled_reference, homogeneous_xi_paths,
+                         mode_functions, solve_determinant,
+                         x_coefficient_matrix, xi_coefficient_matrix)
 
 ZERO = InternalForce(kind="zero")
+
+
+def homogeneous_X_paths(modes, endpoints, t, tau):
+    """Damped-sector boundary path through the given endpoints.
+
+    endpoints = (X_i1, X_i2, X_f1, X_f2); returns (X1(tau), X2(tau)).
+    """
+    X_i1, X_i2, X_f1, X_f2 = endpoints
+    e = np.array([X_f1, X_f2, X_i1, X_i2])
+    P1, P2, _, _ = basis_paths(modes, t, np.asarray(tau, dtype=float),
+                               sign=-1.0)
+    return e @ P1, e @ P2
 
 
 def make_ic(lam_tilde=0.3, gamma=0.01, m2=5.0, w02=3.0, **kw):

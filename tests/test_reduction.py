@@ -24,7 +24,7 @@ def build_state(ic, modes, t, with_force=True):
     if not (ic.force1.is_zero and ic.force2.is_zero):
         partic = particular_solution(modes, ic.force1, ic.force2, t)
     action = classical_action_form(ic, modes, partic, t)
-    infl = influence_form(ic, modes, None, t)
+    infl = influence_form(ic, modes, t)
     return reduce_to_state(ic, action, infl)
 
 
@@ -45,7 +45,7 @@ def test_exponent_value_definition(ic_fig3, modes_fig3):
     partic = particular_solution(modes_fig3, ic_fig3.force1,
                                  ic_fig3.force2, t)
     action = classical_action_form(ic_fig3, modes_fig3, partic, t)
-    infl = influence_form(ic_fig3, modes_fig3, None, t)
+    infl = influence_form(ic_fig3, modes_fig3, t)
     exp8 = propagator_exponent(ic_fig3, action, infl)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -53,8 +53,7 @@ def test_exponent_value_definition(ic_fig3, modes_fig3):
         x = e[[0, 1, 4, 5]]
         xi = e[[2, 3, 6, 7]]
         expected = (1j * action.x_value(x, xi)
-                    - (xi @ infl.quadratic @ xi + infl.linear @ xi
-                       + infl.constant)
+                    - xi @ infl.quadratic @ xi
                     - (e[4] ** 2 + e[6] ** 2) / (8.0 * ic_fig3.sigma01_sq)
                     - (e[5] ** 2 + e[7] ** 2) / (8.0 * ic_fig3.sigma02_sq))
         got = exp8.value(e)
@@ -77,11 +76,16 @@ def test_scalar_gaussian_reduction_identity():
 
 def test_nonherm_residues_are_exactly_zero(ic_fig3, modes_fig3):
     # the checkerboard reality pattern of the 8-variable exponent survives
-    # the Schur complement, so the residues are structural zeros
-    s = build_state(ic_fig3, modes_fig3, 12.3)
-    assert s.nonherm_quadratic == 0.0
-    assert s.nonherm_linear_X == 0.0
-    assert s.nonherm_linear_xi == 0.0
+    # the Schur complement, so the residues are structural zeros: on the
+    # cross-check route, and on the production route in both branches of
+    # its bath phase (t = 0.5: direct sum; t = 12.3: Filon)
+    states = [build_state(ic_fig3, modes_fig3, 12.3),
+              state_at(ic_fig3, modes_fig3, 0.5),
+              state_at(ic_fig3, modes_fig3, 12.3)]
+    for s in states:
+        assert s.nonherm_quadratic == 0.0
+        assert s.nonherm_linear_X == 0.0
+        assert s.nonherm_linear_xi == 0.0
 
 
 def test_decoupled_states_factorize():

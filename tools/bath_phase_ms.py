@@ -62,7 +62,7 @@ def main(argv=None) -> None:
         sample = times[::args.stride]
         start = time.perf_counter()
         for t in sample:
-            influence_form(ic, modes, None, t)
+            influence_form(ic, modes, t)
         per_t = (time.perf_counter() - start) / sample.size
 
         start = time.perf_counter()
