@@ -11,7 +11,7 @@ classical X path, integrating the kinetic term by parts leaves
 -1/2 xi.(damped equation of motion of X), which vanishes, plus the boundary
 term sum_k m_k/2 [dX_k xi_k]_0^t.  The bilinear block is therefore eight
 endpoint derivatives of the X basis paths, and the xi-linear drive terms
-are the closed-form force moments of `forcing.force_moments`.
+are the closed-form force moments of `forcing.force_moment_table`.
 
 Cross-check route (`classical_action_form`): the form is extracted by
 polarization: evaluate the action integral on the sixteen unit-endpoint
@@ -31,8 +31,9 @@ import numpy as np
 
 from .config import InternalConfig
 from .errors import ConfigError
-from .forcing import force_moments, force_value
-from .modes import NormalModes, basis_paths, check_caustic
+from .forcing import force_moment_table, force_value
+from .modes import (NormalModes, basis_paths, check_caustic,
+                    coefficient_matrices, component_weights)
 
 if TYPE_CHECKING:       # the cross-check's input; kept off the engine path
     from .particular import ParticularSolution
@@ -79,9 +80,6 @@ class ActionForm:
     @property
     def phi_f2(self) -> float:
         return float(self.linear_xi[1])
-
-    def x_value(self, x: np.ndarray, xi: np.ndarray) -> float:
-        return x @ self.bilinear @ xi + self.linear_xi @ xi
 
     def labeled_entries(self):
         """(name, value) pairs for the diagnostic dump."""
@@ -134,9 +132,10 @@ def force_breakpoints(*forces) -> tuple:
     return tuple(pts)
 
 
-def endpoint_action_form(cfg: InternalConfig, modes: NormalModes,
-                         t: float) -> ActionForm:
-    """Endpoint structure of the action at time t, in closed form.
+def endpoint_action_arrays(cfg: InternalConfig, modes: NormalModes,
+                           times: np.ndarray) -> tuple:
+    """Endpoint structure of the action at each time, in closed form:
+    (bilinear (n, 4, 4), linear_xi (n, 4)).
 
     bilinear[a, f_k] = m_k/2 dX_k^a(t) and bilinear[a, i_k] = -m_k/2
     dX_k^a(0), where X^a is the X basis path of endpoint slot a; the
@@ -144,19 +143,44 @@ def endpoint_action_form(cfg: InternalConfig, modes: NormalModes,
     moments.  The X-linear block vanishes by the same integration by
     parts.
     """
+    times = np.ascontiguousarray(times, dtype=float)
+    if not np.all(times > 0.0):
+        raise ConfigError("endpoint_action_form needs t > 0")
+    W = coefficient_matrices(modes, times, sign=-1.0)
+    # derivatives of the damped [sin1, cos1, sin2, cos2] at tau = 0 and t
+    dphi = np.empty((times.size, 4, 2))
+    for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
+                                (modes.Omega2, modes.delta2))):
+        env = np.exp(-d * times)
+        s, c = np.sin(O * times), np.cos(O * times)
+        dphi[:, 2 * k, 0] = O
+        dphi[:, 2 * k + 1, 0] = -d
+        dphi[:, 2 * k, 1] = (O * c - d * s) * env
+        dphi[:, 2 * k + 1, 1] = (-O * s - d * c) * env
+    c1, c2 = component_weights(modes)
+    # endpoint derivatives of the X basis paths, (n, slot, tau)
+    dX1 = np.swapaxes(W * c1[:, None], 1, 2) @ dphi
+    dX2 = np.swapaxes(W * c2[:, None], 1, 2) @ dphi
+    bilinear = np.empty((times.size, 4, 4))
+    bilinear[:, :, 0] = 0.5 * cfg.m1 * dX1[:, :, 1]
+    bilinear[:, :, 1] = 0.5 * cfg.m2 * dX2[:, :, 1]
+    bilinear[:, :, 2] = -0.5 * cfg.m1 * dX1[:, :, 0]
+    bilinear[:, :, 3] = -0.5 * cfg.m2 * dX2[:, :, 0]
+    linear_xi = np.zeros((times.size, 4))
+    if not (cfg.force1.is_zero and cfg.force2.is_zero):
+        table = force_moment_table(modes, cfg.force1, cfg.force2, times)
+        linear_xi = table[:, [10, 11, 8, 9]]
+    return bilinear, linear_xi
+
+
+def endpoint_action_form(cfg: InternalConfig, modes: NormalModes,
+                         t: float) -> ActionForm:
+    """Endpoint structure of the action at time t, in closed form: one row
+    of `endpoint_action_arrays`."""
     if t <= 0.0:
         raise ConfigError(f"endpoint_action_form needs t > 0, got {t}")
-    _, _, dX1, dX2 = basis_paths(modes, t, np.array([0.0, t]), sign=-1.0)
-    bilinear = np.empty((4, 4))
-    bilinear[:, 0] = 0.5 * cfg.m1 * dX1[:, 1]
-    bilinear[:, 1] = 0.5 * cfg.m2 * dX2[:, 1]
-    bilinear[:, 2] = -0.5 * cfg.m1 * dX1[:, 0]
-    bilinear[:, 3] = -0.5 * cfg.m2 * dX2[:, 0]
-    linear_xi = np.zeros(4)
-    if not (cfg.force1.is_zero and cfg.force2.is_zero):
-        fm = force_moments(modes, cfg.force1, cfg.force2, t)
-        linear_xi = np.array([fm.phi_f1, fm.phi_f2, fm.lambda1, fm.lambda2])
-    return ActionForm(t=t, bilinear=bilinear, linear_xi=linear_xi)
+    bilinear, linear_xi = endpoint_action_arrays(cfg, modes, np.array([t]))
+    return ActionForm(t=t, bilinear=bilinear[0], linear_xi=linear_xi[0])
 
 
 def classical_action_form(cfg: InternalConfig, modes: NormalModes,

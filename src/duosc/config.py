@@ -135,11 +135,15 @@ class TimeGrid:
     n_points: int = 2000
 
     def __post_init__(self):
-        _require_finite(t_end=self.t_end, n_points=self.n_points)
+        # bool is an int subclass; numpy integers are not
+        if (isinstance(self.n_points, bool)
+                or not isinstance(self.n_points, (int, np.integer))
+                or self.n_points < 2):
+            raise ConfigError(
+                f"n_points must be an integer >= 2, got {self.n_points!r}")
+        _require_finite(t_end=self.t_end)
         if not (self.t_end > 0):
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.n_points < 2:
-            raise ConfigError(f"n_points must be >= 2, got {self.n_points}")
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 Each requested time is an independent boundary-value computation, not a
 step of a time stepper.  `simulate` first moves grid times that fall in a
-caustic window slightly later, then evaluates fixed-size chunks of times:
-one whole-chunk bath phase (`influence.grid_quadratic`, a Filon quadrature
-in omega on t-independent spectral data built once per run), then per time
-the closed-form classical action (`action.endpoint_action_form`), the
-Gaussian reduction and the moment report.  The drive never enters the bath
-phase (Feynman & Vernon 1963): the phase is a quadratic form in the xi
-endpoints alone.
+caustic window slightly later, then evaluates fixed-size chunks of times,
+each as arrays from start to finish: the bath phase
+(`influence.grid_quadratic`, a Filon quadrature in omega on t-independent
+spectral data built once per run), the closed-form classical action
+(`action.endpoint_action_arrays`), the stacked Gaussian reduction
+(`reduction.reduce_to_states`) and the moment table
+(`observables.report_table`).  The drive never enters the bath phase
+(Feynman & Vernon 1963): the phase is a quadratic form in the xi endpoints
+alone.
 
 A state is a function of (cfg, t) alone, bit for bit: the chunking and the
 thread pool (which maps the same chunks) do not change any value.
@@ -17,32 +19,33 @@ thread pool (which maps the same chunks) do not change any value.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence as SequenceABC
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .action import endpoint_action_form
+from .action import endpoint_action_arrays
 from .config import InternalConfig
-from .errors import CausticTime, ConfigError
-from .influence import InfluenceForm, bath_spectra, grid_quadratic
-from .modes import NormalModes, check_caustic, solve_determinant
-from .observables import report
-from .reduction import GaussianStateParams, initial_state, reduce_to_state
+from .errors import ConfigError
+from .influence import bath_spectra, grid_quadratic
+from .modes import NormalModes, caustic_mask, solve_determinant
+from .observables import REPORT_FIELDS, CovarianceReport, report_table
+from .reduction import (GaussianStateParams, initial_state, reduce_to_states,
+                        state_row)
 
 log = logging.getLogger("duosc")
 
-CHUNK = 64      # times per grid_quadratic call and per thread-pool task
+CHUNK = 64      # times per chunk: one array pass and one thread-pool task
 
 
 def _chunk_states(cfg: InternalConfig, modes: NormalModes, spectra: tuple,
-                  times: np.ndarray) -> list:
-    """States at positive times off the caustics, one bath-phase call."""
-    quadratic = grid_quadratic(cfg, modes, times, spectra)
-    return [reduce_to_state(cfg, endpoint_action_form(cfg, modes, t),
-                            InfluenceForm(t=t, quadratic=q))
-            for t, q in zip(times, quadratic)]
+                  times: np.ndarray) -> np.ndarray:
+    """State table (n, 19) at positive times off the caustics."""
+    bilinear, linear_xi = endpoint_action_arrays(cfg, modes, times)
+    return reduce_to_states(cfg, times, bilinear, linear_xi,
+                            grid_quadratic(cfg, modes, times, spectra))
 
 
 def state_at(cfg: InternalConfig, modes: NormalModes,
@@ -50,13 +53,37 @@ def state_at(cfg: InternalConfig, modes: NormalModes,
     """Reduced Gaussian state at one time (CausticTime on a caustic)."""
     if t <= 0.0:
         return initial_state(cfg)
-    return _chunk_states(cfg, modes, bath_spectra(cfg, modes),
-                         np.array([t], dtype=float))[0]
+    row = _chunk_states(cfg, modes, bath_spectra(cfg, modes),
+                        np.array([t], dtype=float))[0]
+    return GaussianStateParams(*row.tolist())
+
+
+class _Rows(SequenceABC):
+    """Read-only sequence over a table's rows; reading an index builds the
+    row's dataclass."""
+    __slots__ = ("_table", "_cls")
+
+    def __init__(self, table: np.ndarray, cls):
+        self._table = table
+        self._cls = cls
+
+    def __len__(self) -> int:
+        return self._table.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return self._cls(*self._table[i].tolist())
 
 
 @dataclass(frozen=True)
 class SimulationResult:
     """States and moment reports over the requested time grid.
+
+    Held as read-only tables, one row per grid time: `state_array` with the
+    GaussianStateParams fields as columns, `report_array` with the
+    CovarianceReport fields.  `states` and `reports` read them as
+    sequences of those dataclasses.
 
     `nudged` lists the grid indices whose state was evaluated slightly past
     the requested time because it fell in a caustic window; such a state
@@ -64,26 +91,33 @@ class SimulationResult:
     """
     config: InternalConfig
     times: np.ndarray
-    states: tuple
-    reports: tuple
+    state_array: np.ndarray      # (n, 19)
+    report_array: np.ndarray     # (n, 16)
     nudged: tuple = ()
 
+    @property
+    def states(self) -> Sequence[GaussianStateParams]:
+        return _Rows(self.state_array, GaussianStateParams)
+
+    @property
+    def reports(self) -> Sequence[CovarianceReport]:
+        return _Rows(self.report_array, CovarianceReport)
+
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.reports])
+        """One CovarianceReport field over the grid (a read-only view)."""
+        return self.report_array[:, REPORT_FIELDS.index(name)]
 
 
-def _nudge(t: float, modes: NormalModes) -> float:
+def _nudge(t: np.ndarray, modes: NormalModes) -> np.ndarray:
     # step past a caustic window; the window width is ~1e-8 of a period
     return t + 1e-6 * 2.0 * np.pi / max(modes.Omega1, modes.Omega2)
 
 
-def _off_caustic(t: float, modes: NormalModes) -> float:
-    """t itself, or the nudged time if t lies in a caustic window."""
-    try:
-        check_caustic(modes, t)
-    except CausticTime:
-        return _nudge(t, modes)
-    return t
+def off_caustic(times: np.ndarray, modes: NormalModes) -> np.ndarray:
+    """The times, each positive one in a caustic window nudged past it."""
+    times = np.asarray(times, dtype=float)
+    hit = (times > 0.0) & caustic_mask(modes, times)
+    return np.where(hit, _nudge(times, modes), times)
 
 
 def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
@@ -97,16 +131,15 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     modes = solve_determinant(cfg)
     spectra = bath_spectra(cfg, modes)
 
-    evals = np.array([_off_caustic(t, modes) if t > 0.0 else t
-                      for t in times])
+    evals = off_caustic(times, modes)
     nudged = tuple(int(i) for i in np.flatnonzero(evals != times))
     for i in nudged:
         log.warning("t = %.17g (grid index %d) lies in a caustic window; "
                     "evaluated at t = %.17g instead", times[i], i, evals[i])
 
-    def run(idx: np.ndarray) -> list:
+    def run(idx: np.ndarray) -> tuple:
         states = _chunk_states(cfg, modes, spectra, evals[idx])
-        return [(s, report(s, hbar=cfg.hbar)) for s in states]
+        return states, report_table(states, hbar=cfg.hbar)
 
     positive = np.flatnonzero(evals > 0.0)
     chunks = [positive[lo:lo + CHUNK]
@@ -117,13 +150,14 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     else:
         done = [run(idx) for idx in chunks]
 
-    start = initial_state(cfg)
-    pairs = [(start, report(start, hbar=cfg.hbar))] * times.size
-    for idx, results in zip(chunks, done):
-        for i, pair in zip(idx, results):
-            pairs[i] = pair
-    return SimulationResult(config=cfg, times=times,
-                            states=tuple(s for s, _ in pairs),
-                            reports=tuple(r for _, r in pairs),
-                            nudged=nudged)
-
+    start = state_row(initial_state(cfg))[None]
+    states = np.repeat(start, times.size, axis=0)
+    reports = np.repeat(report_table(start, hbar=cfg.hbar), times.size,
+                        axis=0)
+    for idx, (s, r) in zip(chunks, done):
+        states[idx] = s
+        reports[idx] = r
+    states.flags.writeable = False
+    reports.flags.writeable = False
+    return SimulationResult(config=cfg, times=times, state_array=states,
+                            report_array=reports, nudged=nudged)

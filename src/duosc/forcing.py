@@ -69,30 +69,42 @@ def default_amplitude(osc: OscillatorParams, force: ForceSpec) -> float:
             * osc.mass * osc.eigenfrequency * sigma0)
 
 
-def _expi_integral(alpha: complex, a: float, b: float) -> complex:
-    """int_a^b exp(alpha*tau) dtau for complex alpha, series-safe near 0."""
-    h = b - a
-    z = alpha * h
-    if abs(z) < 1e-8:
-        # exp(alpha*a) * h * (1 + z/2 + z^2/6 + ...)
-        return np.exp(alpha * a) * h * (1.0 + z / 2.0 + z * z / 6.0)
-    return (np.exp(alpha * b) - np.exp(alpha * a)) / alpha
+def oscillatory_moments(f, Omega: float, delta: float, times: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(M, N) = int_0^t f(tau) (sin, cos)(Omega tau) exp(delta tau) dtau at
+    each of `times`: closed form for an exponential step, panel quadrature
+    per time for a sampled profile."""
+    times = np.ascontiguousarray(times, dtype=float)
+    if f.is_zero:
+        return np.zeros(times.size), np.zeros(times.size)
+    if f.kind == "exponential_step":
+        # f0 int_t0^t exp(alpha tau) dtau, series-safe for small alpha h
+        alpha = complex(delta - f.decay, Omega)
+        h = times - f.t0
+        z = alpha * h
+        start = np.exp(alpha * f.t0)
+        series = np.abs(z) < 1e-8
+        val = np.where(series, start * h * (1.0 + z / 2.0 + z * z / 6.0),
+                       (np.exp(alpha * times) - start) / alpha)
+        val = np.where(times > max(f.t0, 0.0), f.f0 * val, 0.0)
+    else:
+        val = np.array([_sampled_moment(f, Omega, delta, t) if t > 0.0
+                        else 0.0 for t in times], dtype=complex)
+    return val.imag, val.real
 
 
 def oscillatory_moment(f, Omega: float, delta: float, t: float
                        ) -> tuple[float, float]:
     """(M, N) = int_0^t f(tau) (sin, cos)(Omega tau) exp(delta tau) dtau."""
-    if f.is_zero or t <= 0.0:
-        return 0.0, 0.0
-    if f.kind == "exponential_step":
-        if t <= f.t0:
-            return 0.0, 0.0
-        alpha = complex(delta - f.decay, Omega)
-        val = f.f0 * _expi_integral(alpha, f.t0, t)
-        return val.imag, val.real
-    # sampled: panels bounded by sample points and a trig/envelope scale;
-    # each interval between breaks splits into nsub equal sub-panels, and
-    # the nodes of all sub-panels are built as one array
+    M, N = oscillatory_moments(f, Omega, delta, np.array([t]))
+    return float(M[0]), float(N[0])
+
+
+def _sampled_moment(f, Omega: float, delta: float, t: float) -> complex:
+    """f(tau) exp((delta + i Omega) tau) integrated over [0, t] for a
+    sampled profile: panels bounded by sample points and a trig/envelope
+    scale; each interval between breaks splits into nsub equal sub-panels,
+    and the nodes of all sub-panels are built as one array."""
     scale = max(abs(Omega), abs(delta), 1.0)
     h_max = 0.25 * math.pi / scale
     knots = np.asarray(f.times, dtype=float)
@@ -108,9 +120,8 @@ def oscillatory_moment(f, Omega: float, delta: float, t: float
     mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
     nodes = mid[:, None] + half[:, None] * _GL_NODES
     fv = force_value(f, nodes.ravel()).reshape(nodes.shape)
-    val = np.sum(half[:, None] * _GL_WEIGHTS * fv
-                 * np.exp(complex(delta, Omega) * nodes))
-    return float(val.imag), float(val.real)
+    return complex(np.sum(half[:, None] * _GL_WEIGHTS * fv
+                          * np.exp(complex(delta, Omega) * nodes)))
 
 
 @dataclass(frozen=True)
@@ -137,33 +148,42 @@ class ForceMoments:
     phi_f2: float
 
 
-def force_moments(modes: NormalModes, f1, f2, t: float) -> ForceMoments:
-    """Assemble all force moments and their endpoint coefficients at time t."""
-    if t <= 0.0:
-        raise ConfigError(f"force_moments needs t > 0, got {t}")
-    check_caustic(modes, t)
+def force_moment_table(modes: NormalModes, f1, f2,
+                       times: np.ndarray) -> np.ndarray:
+    """The ForceMoments fields after t at each time, as (n, 12) columns
+    (M1, N1, M2, N2, M1p, N1p, M2p, N2p, lambda1, lambda2, phi_f1, phi_f2).
+    """
+    times = np.ascontiguousarray(times, dtype=float)
+    if not np.all(times > 0.0):
+        raise ConfigError("force moments need t > 0")
+    check_caustic(modes, times)
     O1, O2 = modes.Omega1, modes.Omega2
     d1, d2 = modes.delta1, modes.delta2
-    M1, N1 = oscillatory_moment(f1, O1, d1, t)
-    M2, N2 = oscillatory_moment(f1, O2, d2, t)
-    M1p, N1p = oscillatory_moment(f2, O1, d1, t)
-    M2p, N2p = oscillatory_moment(f2, O2, d2, t)
+    M1, N1 = oscillatory_moments(f1, O1, d1, times)
+    M2, N2 = oscillatory_moments(f1, O2, d2, times)
+    M1p, N1p = oscillatory_moments(f2, O1, d1, times)
+    M2p, N2p = oscillatory_moments(f2, O2, d2, times)
     r1, r2 = modes.r1, modes.r2
     q = modes.one_minus_r1r2
-    cot1 = math.cos(O1 * t) / math.sin(O1 * t)
-    cot2 = math.cos(O2 * t) / math.sin(O2 * t)
+    S1, S2 = np.sin(O1 * times), np.sin(O2 * times)
+    cot1 = np.cos(O1 * times) / S1
+    cot2 = np.cos(O2 * times) / S2
     lambda1 = ((-cot1 * M1 + N1 + r1 * r2 * cot2 * M2 - r1 * r2 * N2)
                + (-r1 * cot1 * M1p + r1 * N1p + r1 * cot2 * M2p - r1 * N2p)) / q
     lambda2 = ((r2 * cot1 * M1 - r2 * N1 - r2 * cot2 * M2 + r2 * N2)
                + (r1 * r2 * cot1 * M1p - r1 * r2 * N1p - cot2 * M2p + N2p)) / q
     # final-endpoint coefficients of the driven linear action term
-    g1 = (M1 + r1 * M1p) * math.exp(-d1 * t) / (q * math.sin(O1 * t))
-    g2 = (M2p + r2 * M2) * math.exp(-d2 * t) / (q * math.sin(O2 * t))
+    g1 = (M1 + r1 * M1p) * np.exp(-d1 * times) / (q * S1)
+    g2 = (M2p + r2 * M2) * np.exp(-d2 * times) / (q * S2)
     phi_f1 = g1 - r1 * g2
     phi_f2 = g2 - r2 * g1
-    return ForceMoments(
-        t=t, M1=M1, N1=N1, M2=M2, N2=N2,
-        M1p=M1p, N1p=N1p, M2p=M2p, N2p=N2p,
-        lambda1=lambda1, lambda2=lambda2,
-        phi_f1=phi_f1, phi_f2=phi_f2,
-    )
+    return np.stack([M1, N1, M2, N2, M1p, N1p, M2p, N2p,
+                     lambda1, lambda2, phi_f1, phi_f2], axis=1)
+
+
+def force_moments(modes: NormalModes, f1, f2, t: float) -> ForceMoments:
+    """Assemble all force moments and their endpoint coefficients at time t."""
+    if t <= 0.0:
+        raise ConfigError(f"force_moments needs t > 0, got {t}")
+    row = force_moment_table(modes, f1, f2, np.array([t]))[0]
+    return ForceMoments(t, *row.tolist())

@@ -38,8 +38,8 @@ import numpy as np
 
 from .config import InternalConfig
 from .errors import ConfigError
-from .modes import (NormalModes, check_caustic, component_weights,
-                    xi_coefficient_matrix)
+from .modes import (NormalModes, check_caustic, coefficient_matrices,
+                    component_weights, xi_coefficient_matrix)
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 #: panels are bisected until every singularity of the integrand lies
@@ -77,28 +77,6 @@ class InfluenceForm:
     t: float
     quadratic: np.ndarray   # (4, 4) symmetric
 
-    # named slots of the conventional expansion
-    @property
-    def A1(self): return float(self.quadratic[0, 0])
-    @property
-    def B1(self): return float(2.0 * self.quadratic[0, 2])
-    @property
-    def C1(self): return float(self.quadratic[2, 2])
-    @property
-    def A2(self): return float(self.quadratic[1, 1])
-    @property
-    def B2(self): return float(2.0 * self.quadratic[1, 3])
-    @property
-    def C2(self): return float(self.quadratic[3, 3])
-    @property
-    def E1(self): return float(2.0 * self.quadratic[2, 3])
-    @property
-    def E2(self): return float(2.0 * self.quadratic[1, 2])
-    @property
-    def E3(self): return float(2.0 * self.quadratic[0, 3])
-    @property
-    def E4(self): return float(2.0 * self.quadratic[0, 1])
-
 
 def _bernstein_rho(lo: np.ndarray, hi: np.ndarray,
                    s: complex) -> np.ndarray:
@@ -122,14 +100,20 @@ def _graded_panels(numax: float, panels: int, singular) -> tuple:
     their edges round.  The layout depends on its arguments only.
     """
     edges = np.linspace(0.0, numax, panels + 1)
-    for s in singular:
-        while True:
-            lo, hi = edges[:-1], edges[1:]
-            bad = _bernstein_rho(lo, hi, s) < BERNSTEIN_RHO
-            if not bad.any():
-                break
-            edges = np.sort(np.concatenate(
-                [edges, 0.5 * (lo[bad] + hi[bad])]))
+    singular = np.asarray(singular, dtype=complex)[:, None]
+    # a panel that passes for every singularity keeps its halves passing
+    # (the ellipse of a sub-panel lies inside its parent's), so each round
+    # tests only the halves made in the round before
+    lo, hi = edges[:-1], edges[1:]
+    new = [edges]
+    while lo.size:
+        bad = np.any(_bernstein_rho(lo, hi, singular) < BERNSTEIN_RHO,
+                     axis=0)
+        lo, hi = lo[bad], hi[bad]
+        mid = 0.5 * (lo + hi)
+        new.append(mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    edges = np.sort(np.concatenate(new))
     h0 = 0.5 * numax / panels
     depth = np.rint(np.log2(h0 / (0.5 * np.diff(edges)))).astype(int)
     return 0.5 * (edges[:-1] + edges[1:]), np.ldexp(h0, -depth)
@@ -340,10 +324,12 @@ class BathSpectrum:
         conj(E) - i conj(O) for the conjugate pole.
         """
         out = np.empty((times.size, 8), dtype=complex)
+        # (K, n, U): one Bessel table for every time and distinct width
+        bessel = spherical_jn_orders(np.outer(times, self.widths)).reshape(
+            FILON_ORDER, times.size, -1)
         for lo in range(0, times.size, _FILON_BLOCK):
             t = times[lo:lo + _FILON_BLOCK]
-            jk = spherical_jn_orders(np.outer(t, self.widths))
-            jk = jk.reshape(FILON_ORDER, t.size, -1)[:, :, self.width_of]
+            jk = bessel[:, lo:lo + _FILON_BLOCK, self.width_of]
             sums = []
             term = np.empty((t.size, 8, self.mids.size))
             for coef, k0 in ((self.even, 0), (self.odd, 1)):
@@ -430,7 +416,7 @@ def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
         return out
     if spectra is None:
         spectra = bath_spectra(cfg, modes)
-    V = np.array([xi_coefficient_matrix(modes, t) for t in times])
+    V = coefficient_matrices(modes, times, sign=+1.0)
     filon = times >= FILON_MIN_T
     poles = _mode_poles(modes)
     for sp in spectra:

@@ -178,12 +178,31 @@ def solve_determinant(cfg: InternalConfig) -> NormalModes:
     )
 
 
-def check_caustic(modes: NormalModes, t: float, tol: float = CAUSTIC_TOL) -> None:
-    for O in (modes.Omega1, modes.Omega2):
-        if abs(math.sin(O * t)) < tol:
-            raise CausticTime(
-                f"sin(Omega*t) = {math.sin(O * t):.3e} at Omega={O}, t={t}; "
-                "boundary-value representation is singular here")
+def _caustic_sines(modes: NormalModes, times: np.ndarray) -> np.ndarray:
+    """sin(Omega_k t) for k = 1, 2 at each time, (2, n); 0 on a caustic."""
+    return np.sin(np.outer((modes.Omega1, modes.Omega2), times))
+
+
+def caustic_mask(modes: NormalModes, times, tol: float = CAUSTIC_TOL
+                 ) -> np.ndarray:
+    """True at each time where either sin(Omega_k t) is within tol of 0."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return np.any(np.abs(_caustic_sines(modes, times)) < tol, axis=0)
+
+
+def check_caustic(modes: NormalModes, times, tol: float = CAUSTIC_TOL) -> None:
+    """CausticTime naming the first of `times` (one or many) on a caustic."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    sines = _caustic_sines(modes, times)
+    bad = np.abs(sines) < tol
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        k = int(np.flatnonzero(bad[:, i])[0])
+        O = (modes.Omega1, modes.Omega2)[k]
+        raise CausticTime(
+            f"sin(Omega*t) = {sines[k, i]:.3e} at Omega={O}, "
+            f"t={float(times[i])}; boundary-value representation is "
+            "singular here")
 
 
 # ---------------------------------------------------------------------------
@@ -211,47 +230,50 @@ def mode_functions(modes: NormalModes, tau: np.ndarray, sign: float
     return out, dout
 
 
-def _coefficient_matrix(modes: NormalModes, t: float, sign: float) -> np.ndarray:
-    """4x4 matrix mapping endpoints -> elementary-function coefficients.
+def coefficient_matrices(modes: NormalModes, times: np.ndarray,
+                         sign: float) -> np.ndarray:
+    """(n, 4, 4) matrices mapping endpoints -> elementary-function
+    coefficients, one per time (CausticTime if any time is on a caustic).
 
     Endpoint order is (final_1, final_2, initial_1, initial_2).  sign=-1 is
     the damped sector (envelope exp(-delta*tau)), sign=+1 the anti-damped one;
     the final-value rows carry the compensating exp(+-delta*t) factors.
     """
-    check_caustic(modes, t)
+    times = np.ascontiguousarray(times, dtype=float)
+    check_caustic(modes, times)
     r1, r2 = modes.r1, modes.r2
     q = modes.one_minus_r1r2
-    W = np.zeros((4, 4))
-    S1, C1 = math.sin(modes.Omega1 * t), math.cos(modes.Omega1 * t)
-    S2, C2 = math.sin(modes.Omega2 * t), math.cos(modes.Omega2 * t)
-    E1 = math.exp(-sign * modes.delta1 * t)
-    E2 = math.exp(-sign * modes.delta2 * t)
+    W = np.zeros((times.size, 4, 4))
+    S1, C1 = np.sin(modes.Omega1 * times), np.cos(modes.Omega1 * times)
+    S2, C2 = np.sin(modes.Omega2 * times), np.cos(modes.Omega2 * times)
+    E1 = np.exp(-sign * modes.delta1 * times)
+    E2 = np.exp(-sign * modes.delta2 * times)
     # coefficient of sin(Omega1 tau): from finals and the cot correction
-    W[0, 0] = E1 / (q * S1)
-    W[0, 1] = -r2 * E1 / (q * S1)
-    W[0, 2] = -(C1 / S1) / q
-    W[0, 3] = r2 * (C1 / S1) / q
+    W[:, 0, 0] = E1 / (q * S1)
+    W[:, 0, 1] = -r2 * E1 / (q * S1)
+    W[:, 0, 2] = -(C1 / S1) / q
+    W[:, 0, 3] = r2 * (C1 / S1) / q
     # coefficient of cos(Omega1 tau): initial values only
-    W[1, 2] = 1.0 / q
-    W[1, 3] = -r2 / q
+    W[:, 1, 2] = 1.0 / q
+    W[:, 1, 3] = -r2 / q
     # mode 2
-    W[2, 1] = E2 / (q * S2)
-    W[2, 0] = -r1 * E2 / (q * S2)
-    W[2, 3] = -(C2 / S2) / q
-    W[2, 2] = r1 * (C2 / S2) / q
-    W[3, 3] = 1.0 / q
-    W[3, 2] = -r1 / q
+    W[:, 2, 1] = E2 / (q * S2)
+    W[:, 2, 0] = -r1 * E2 / (q * S2)
+    W[:, 2, 3] = -(C2 / S2) / q
+    W[:, 2, 2] = r1 * (C2 / S2) / q
+    W[:, 3, 3] = 1.0 / q
+    W[:, 3, 2] = -r1 / q
     return W
 
 
 def x_coefficient_matrix(modes: NormalModes, t: float) -> np.ndarray:
     """Endpoint (X_f1, X_f2, X_i1, X_i2) -> damped-sector coefficients."""
-    return _coefficient_matrix(modes, t, sign=-1.0)
+    return coefficient_matrices(modes, np.array([t]), sign=-1.0)[0]
 
 
 def xi_coefficient_matrix(modes: NormalModes, t: float) -> np.ndarray:
     """Endpoint (xi_f1, xi_f2, xi_i1, xi_i2) -> anti-damped coefficients."""
-    return _coefficient_matrix(modes, t, sign=+1.0)
+    return coefficient_matrices(modes, np.array([t]), sign=+1.0)[0]
 
 
 # row weights turning elementary-function coefficients into the two
@@ -271,7 +293,7 @@ def basis_paths(modes: NormalModes, t: float, tau: np.ndarray, sign: float
     oscillator-1 (resp. 2) component of the classical path whose endpoint
     vector is the j-th unit vector in (f1, f2, i1, i2) order.
     """
-    W = _coefficient_matrix(modes, t, sign)
+    W = coefficient_matrices(modes, np.array([t]), sign)[0]
     phi, dphi = mode_functions(modes, tau, sign)
     c1, c2 = component_weights(modes)
     P1 = (W * c1[:, None]).T @ phi

@@ -13,18 +13,20 @@ Gp the xi-xi quadratic block,
 
 Derivatives with respect to the difference variables hit the density matrix
 on its diagonal; total-X derivatives integrate away, which is what makes the
-closed forms this short.  A slow finite-difference verifier recomputes the
+closed forms this short.  `report_table` evaluates them for a chunk of
+states at once, as stacked 2x2 algebra and one stacked eigvalsh; `report`
+is its one-row call.  A slow finite-difference verifier recomputes the
 same moments straight from rho(x, y) for cross-checking.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .reduction import GaussianStateParams
+from .reduction import STATE_FIELDS, GaussianStateParams, state_row
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(48)
 
@@ -52,12 +54,20 @@ class CovarianceReport:
     @property
     def covariance_matrix(self) -> np.ndarray:
         """Symmetrized covariance matrix over (x1, p1, x2, p2)."""
-        return np.array([
-            [self.var_x1, self.cov_x1p1, self.cov_x1x2, self.cov_x1p2],
-            [self.cov_x1p1, self.var_p1, self.cov_x2p1, self.cov_p1p2],
-            [self.cov_x1x2, self.cov_x2p1, self.var_x2, self.cov_x2p2],
-            [self.cov_x1p2, self.cov_p1p2, self.cov_x2p2, self.var_p2],
-        ])
+        return np.array([[getattr(self, name) for name in row]
+                         for row in _COV_LAYOUT])
+
+
+# the covariance matrix over (x1, p1, x2, p2) by CovarianceReport field
+_COV_LAYOUT = (("var_x1", "cov_x1p1", "cov_x1x2", "cov_x1p2"),
+               ("cov_x1p1", "var_p1", "cov_x2p1", "cov_p1p2"),
+               ("cov_x1x2", "cov_x2p1", "var_x2", "cov_x2p2"),
+               ("cov_x1p2", "cov_p1p2", "cov_x2p2", "var_p2"))
+
+#: the `CovarianceReport` fields, in order: the columns of a report table
+REPORT_FIELDS = tuple(f.name for f in fields(CovarianceReport))
+_COV_INDEX = np.array([[REPORT_FIELDS.index(name) for name in row]
+                       for row in _COV_LAYOUT])
 
 
 def _blocks(state: GaussianStateParams):
@@ -72,42 +82,59 @@ def _blocks(state: GaussianStateParams):
     return G, Gp, Gamma, h, mp
 
 
+_J = np.array([[0.0, 1.0, 0.0, 0.0],
+               [-1.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0],
+               [0.0, 0.0, -1.0, 0.0]])
+
+
+def _rs_min_eigs(cov: np.ndarray, hbar: float) -> np.ndarray:
+    """Smallest eigenvalue of each cov + (i hbar / 2) J, (n, 4, 4) -> (n,)."""
+    return np.min(np.linalg.eigvalsh(cov + 0.5j * hbar * _J), axis=-1)
+
+
 def robertson_schrodinger_min_eig(cov: np.ndarray, hbar: float = 1.0) -> float:
     """Smallest eigenvalue of cov + (i hbar / 2) J; >= 0 for a valid state."""
-    J = np.array([[0.0, 1.0, 0.0, 0.0],
-                  [-1.0, 0.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, 1.0],
-                  [0.0, 0.0, -1.0, 0.0]])
-    H = cov.astype(complex) + 0.5j * hbar * J
-    return float(np.min(np.linalg.eigvalsh(H)))
+    return float(_rs_min_eigs(np.asarray(cov, dtype=float)[None], hbar)[0])
+
+
+def _mat2(a, b, c, d) -> np.ndarray:
+    """Stacked 2x2 matrices [[a, b], [c, d]] from four (n,) columns."""
+    return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
+
+
+def report_table(states: np.ndarray, hbar: float = 1.0) -> np.ndarray:
+    """All first and second moments of each row of a state table,
+    (n, 19) -> (n, 16), columns REPORT_FIELDS."""
+    s = dict(zip(STATE_FIELDS, states.T))
+    G = _mat2(2.0 * s["g1"], s["g12"], s["g12"], 2.0 * s["g2"])
+    Gp = _mat2(2.0 * s["gp1"], s["gp12"], s["gp12"], 2.0 * s["gp2"])
+    Gamma = _mat2(s["gpp11"], s["gpp12"], s["gpp21"], s["gpp22"])
+    GammaT = np.swapaxes(Gamma, 1, 2)
+    h = np.stack([s["mx1"], s["mx2"]], axis=-1)[:, :, None]
+    mp = np.stack([s["mp1"], s["mp2"]], axis=-1)
+    Ginv = np.linalg.inv(G)
+    Xbar = Ginv @ h
+    pbar = hbar * ((GammaT @ Xbar)[:, :, 0] + mp)
+    Xbar = Xbar[:, :, 0]
+    Cxx = 0.25 * Ginv
+    Cxp = 0.5 * hbar * Ginv @ Gamma
+    Cpp = hbar * hbar * (Gp + GammaT @ Ginv @ Gamma)
+    out = np.stack([
+        s["t"], 0.5 * Xbar[:, 0], 0.5 * Xbar[:, 1], pbar[:, 0], pbar[:, 1],
+        Cxx[:, 0, 0], Cxx[:, 1, 1], Cpp[:, 0, 0], Cpp[:, 1, 1],
+        Cxx[:, 0, 1], Cpp[:, 0, 1],
+        Cxp[:, 0, 0], Cxp[:, 1, 1], Cxp[:, 0, 1], Cxp[:, 1, 0],
+        np.zeros(states.shape[0])], axis=1)
+    out[:, -1] = _rs_min_eigs(out[:, _COV_INDEX], hbar)      # rs_min_eig
+    return out
 
 
 def report(state: GaussianStateParams, hbar: float = 1.0) -> CovarianceReport:
-    """Assemble all first and second moments of the state."""
-    G, Gp, Gamma, h, mp = _blocks(state)
-    Ginv = np.linalg.inv(G)
-    Xbar = Ginv @ h
-    xbar = 0.5 * Xbar
-    pbar = hbar * (Gamma.T @ Xbar + mp)
-    Cxx = 0.25 * Ginv
-    Cxp = 0.5 * hbar * Ginv @ Gamma
-    Cpp = hbar * hbar * (Gp + Gamma.T @ Ginv @ Gamma)
-    cov = np.array([
-        [Cxx[0, 0], Cxp[0, 0], Cxx[0, 1], Cxp[0, 1]],
-        [Cxp[0, 0], Cpp[0, 0], Cxp[1, 0], Cpp[0, 1]],
-        [Cxx[0, 1], Cxp[1, 0], Cxx[1, 1], Cxp[1, 1]],
-        [Cxp[0, 1], Cpp[0, 1], Cxp[1, 1], Cpp[1, 1]],
-    ])
+    """Assemble all first and second moments of the state: one row of
+    `report_table`."""
     return CovarianceReport(
-        t=state.t,
-        mean_x1=float(xbar[0]), mean_x2=float(xbar[1]),
-        mean_p1=float(pbar[0]), mean_p2=float(pbar[1]),
-        var_x1=float(Cxx[0, 0]), var_x2=float(Cxx[1, 1]),
-        var_p1=float(Cpp[0, 0]), var_p2=float(Cpp[1, 1]),
-        cov_x1x2=float(Cxx[0, 1]), cov_p1p2=float(Cpp[0, 1]),
-        cov_x1p1=float(Cxp[0, 0]), cov_x2p2=float(Cxp[1, 1]),
-        cov_x1p2=float(Cxp[0, 1]), cov_x2p1=float(Cxp[1, 0]),
-        rs_min_eig=robertson_schrodinger_min_eig(cov, hbar=hbar))
+        *report_table(state_row(state)[None], hbar)[0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Contraction of the propagator exponent with the initial Gaussian state.
 
+Works on a chunk of times at once: the exponents of all times are stacked
+as (n, 8, 8) arrays, reduced with one stacked solve, and returned as an
+(n, 19) table whose columns are the `GaussianStateParams` fields.  The
+per-time functions are one-row calls of the stacked ones.
+
 The full exponent of (propagator) x (initial density matrix) is an exact
 complex quadratic-plus-linear form over eight endpoint variables, up to an
 additive constant that no output needs: the reduced state is normalized to
@@ -17,7 +22,7 @@ X_i1, X_i2, xi_i1, xi_i2), where X = x + y and xi = x - y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,26 +49,32 @@ class QuadraticExponent:
     matrix: np.ndarray      # (8, 8) complex symmetric
     linear: np.ndarray      # (8,) complex
 
-    def value(self, e: np.ndarray) -> complex:
-        e = np.asarray(e, dtype=float)
-        return complex(-0.5 * e @ self.matrix @ e + self.linear @ e)
+
+def _exponents(cfg: InternalConfig, bilinear: np.ndarray,
+               linear_xi: np.ndarray, quadratic: np.ndarray) -> tuple:
+    """Stacked exponents (M (n, 8, 8), L (n, 8)) from the action blocks
+    (n, 4, 4), (n, 4) and the bath-phase blocks (n, 4, 4)."""
+    n = bilinear.shape[0]
+    M = np.zeros((n, 8, 8), dtype=complex)
+    L = np.zeros((n, 8), dtype=complex)
+    # i * (classical action): strictly X-xi bilinear plus xi-linear terms
+    M[(slice(None),) + _X_XI] = -1j * bilinear
+    M[(slice(None),) + _XI_X] = -1j * np.swapaxes(bilinear, 1, 2)
+    L[:, _XI_SLOTS] = 1j * linear_xi
+    # -(bath phase): real quadratic in xi
+    M[(slice(None),) + _XI_XI] = 2.0 * quadratic
+    # initial Gaussian wave packets: -(X_i^2 + xi_i^2) / (8 sigma0^2)
+    M[:, _INITIAL, _INITIAL] += 1.0 / (4.0 * np.array(
+        [cfg.sigma01_sq, cfg.sigma02_sq, cfg.sigma01_sq, cfg.sigma02_sq]))
+    return M, L
 
 
 def propagator_exponent(cfg: InternalConfig, action: ActionForm,
                         infl: InfluenceForm) -> QuadraticExponent:
     """Exponent of propagator times initial state, before reduction."""
-    M = np.zeros((8, 8), dtype=complex)
-    L = np.zeros(8, dtype=complex)
-    # i * (classical action): strictly X-xi bilinear plus xi-linear terms
-    M[_X_XI] = -1j * action.bilinear
-    M[_XI_X] = -1j * action.bilinear.T
-    L[_XI_SLOTS] = 1j * action.linear_xi
-    # -(bath phase): real quadratic in xi
-    M[_XI_XI] = 2.0 * infl.quadratic
-    # initial Gaussian wave packets: -(X_i^2 + xi_i^2) / (8 sigma0^2)
-    M[_INITIAL, _INITIAL] += 1.0 / (4.0 * np.array(
-        [cfg.sigma01_sq, cfg.sigma02_sq, cfg.sigma01_sq, cfg.sigma02_sq]))
-    return QuadraticExponent(matrix=M, linear=L)
+    M, L = _exponents(cfg, action.bilinear[None], action.linear_xi[None],
+                      infl.quadratic[None])
+    return QuadraticExponent(matrix=M[0], linear=L[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,89 +161,106 @@ def initial_state(cfg: InternalConfig) -> GaussianStateParams:
         nonherm_quadratic=0.0, nonherm_linear_X=0.0, nonherm_linear_xi=0.0)
 
 
-def _schur_reduce(exponent: QuadraticExponent):
-    """Integrate out the four initial endpoints.
+#: the `GaussianStateParams` fields, in order: the columns of a state table
+STATE_FIELDS = tuple(f.name for f in fields(GaussianStateParams))
 
-    Returns (Qp, Lp) with the reduced exponent
+
+def state_row(state: GaussianStateParams) -> np.ndarray:
+    """The state's fields as one row of a state table, (19,)."""
+    return np.array([getattr(state, name) for name in STATE_FIELDS])
+
+
+def _schur_reduce(M: np.ndarray, L: np.ndarray) -> tuple:
+    """Integrate out the four initial endpoints of stacked exponents.
+
+    Returns (Qp (n, 4, 4), Lp (n, 4)) with the reduced exponent
     -1/2 f^T Qp f + Lp . f + const over f = (X_f1, X_f2, xi_f1, xi_f2).
     The initial block spans many orders of magnitude at long times (the
     anti-damped paths grow like exp(delta t)), so it is symmetrically
     equilibrated before solving.
     """
-    M, L = exponent.matrix, exponent.linear
-    ff, ii = slice(0, 4), slice(4, 8)
-    Mff, Mfi, Mii = M[ff, ff], M[ff, ii], M[ii, ii]
-    Lf, Li = L[ff], L[ii]
-    d = 1.0 / np.sqrt(np.maximum(np.abs(np.diag(Mii)), 1e-300))
-    Mii_s = (d[:, None] * Mii) * d[None, :]
-    rhs = np.concatenate([Mfi.T * d[:, None] * 1.0,
-                          (d * Li)[:, None]], axis=1)
+    Mff, Mfi, Mii = M[:, :4, :4], M[:, :4, 4:], M[:, 4:, 4:]
+    d = 1.0 / np.sqrt(np.maximum(
+        np.abs(np.diagonal(Mii, axis1=1, axis2=2)), 1e-300))
+    Mii_s = (d[:, :, None] * Mii) * d[:, None, :]
+    rhs = np.concatenate([np.swapaxes(Mfi, 1, 2) * d[:, :, None],
+                          (d * L[:, 4:])[:, :, None]], axis=2)
     sol = np.linalg.solve(Mii_s, rhs)
-    inv_Mfi_T = d[:, None] * sol[:, :4]       # Mii^-1 Mfi^T
-    inv_Li = d * sol[:, 4]                    # Mii^-1 Li
+    inv_Mfi_T = d[:, :, None] * sol[:, :, :4]      # Mii^-1 Mfi^T
+    inv_Li = d * sol[:, :, 4]                      # Mii^-1 Li
     Qp = Mff - Mfi @ inv_Mfi_T
-    Qp = 0.5 * (Qp + Qp.T)
-    Lp = Lf - Mfi @ inv_Li
+    Qp = 0.5 * (Qp + np.swapaxes(Qp, 1, 2))
+    Lp = L[:, :4] - (Mfi @ inv_Li[:, :, None])[:, :, 0]
     return Qp, Lp
 
 
-def reduce_to_state(cfg: InternalConfig, action: ActionForm,
-                    infl: InfluenceForm) -> GaussianStateParams:
-    """Full contraction: exponent -> Schur complement -> state parameters."""
-    Qp, Lp = _schur_reduce(propagator_exponent(cfg, action, infl))
+def reduce_to_states(cfg: InternalConfig, times: np.ndarray,
+                     bilinear: np.ndarray, linear_xi: np.ndarray,
+                     quadratic: np.ndarray) -> np.ndarray:
+    """Full contraction at each time: stacked exponents -> Schur complement
+    -> state table (n, 19), columns STATE_FIELDS.
 
-    g1 = 0.5 * float(np.real(Qp[0, 0]))
-    g2 = 0.5 * float(np.real(Qp[1, 1]))
-    g12 = float(np.real(Qp[0, 1]))
-    gp1 = 0.5 * float(np.real(Qp[2, 2]))
-    gp2 = 0.5 * float(np.real(Qp[3, 3]))
-    gp12 = float(np.real(Qp[2, 3]))
-    gpp11 = -float(np.imag(Qp[0, 2]))
-    gpp12 = -float(np.imag(Qp[0, 3]))
-    gpp21 = -float(np.imag(Qp[1, 2]))
-    gpp22 = -float(np.imag(Qp[1, 3]))
-    mx1 = float(np.real(Lp[0]))
-    mx2 = float(np.real(Lp[1]))
-    mp1 = float(np.imag(Lp[2]))
-    mp2 = float(np.imag(Lp[3]))
+    NonHermitianLarge or NotNormalizable, for the first time at which
+    either check fails, as if the times were reduced one by one.
+    """
+    Qp, Lp = _schur_reduce(*_exponents(cfg, bilinear, linear_xi, quadratic))
+    Qr, Qi = Qp.real, Qp.imag
+    g1, g2, g12 = 0.5 * Qr[:, 0, 0], 0.5 * Qr[:, 1, 1], Qr[:, 0, 1]
+    gp1, gp2, gp12 = 0.5 * Qr[:, 2, 2], 0.5 * Qr[:, 3, 3], Qr[:, 2, 3]
+    gpp11, gpp12 = -Qi[:, 0, 2], -Qi[:, 0, 3]
+    gpp21, gpp22 = -Qi[:, 1, 2], -Qi[:, 1, 3]
+    mx1, mx2 = Lp.real[:, 0], Lp.real[:, 1]
+    mp1, mp2 = Lp.imag[:, 2], Lp.imag[:, 3]
 
     # anti-Hermitian residue: imaginary X-X / xi-xi and real X-xi quadratic
     # couplings, imaginary X-linear and real xi-linear coefficients
-    nh_quad = max(float(np.max(np.abs(np.imag(Qp[:2, :2])))),
-                  float(np.max(np.abs(np.imag(Qp[2:, 2:])))),
-                  float(np.max(np.abs(np.real(Qp[:2, 2:])))))
-    nh_lx = float(np.max(np.abs(np.imag(Lp[:2]))))
-    nh_lxi = float(np.max(np.abs(np.real(Lp[2:]))))
-    quad_scale = max(abs(g1), abs(g2), abs(gp1), abs(gp2), 1e-300)
-    lin_scale = max(abs(mx1), abs(mx2), abs(mp1), abs(mp2))
-    if nh_quad > NONHERM_TOL * quad_scale:
-        raise NonHermitianLarge(
-            f"anti-Hermitian quadratic residue {nh_quad:.3e} exceeds "
-            f"{NONHERM_TOL:.1e} of scale {quad_scale:.3e} at t={action.t}")
-    if lin_scale > 0 and max(nh_lx, nh_lxi) > NONHERM_TOL * lin_scale:
-        raise NonHermitianLarge(
-            f"anti-Hermitian linear residue {max(nh_lx, nh_lxi):.3e} "
-            f"exceeds {NONHERM_TOL:.1e} of scale {lin_scale:.3e} "
-            f"at t={action.t}")
+    n = times.size
+    nh_quad = np.max(np.abs(np.concatenate(
+        [Qi[:, :2, :2].reshape(n, 4), Qi[:, 2:, 2:].reshape(n, 4),
+         Qr[:, :2, 2:].reshape(n, 4)], axis=1)), axis=1)
+    nh_lx = np.max(np.abs(Lp.imag[:, :2]), axis=1)
+    nh_lxi = np.max(np.abs(Lp.real[:, 2:]), axis=1)
+    nh_lin = np.maximum(nh_lx, nh_lxi)
+    quad_scale = np.max(np.abs([g1, g2, gp1, gp2]), axis=0, initial=1e-300)
+    lin_scale = np.max(np.abs([mx1, mx2, mp1, mp2]), axis=0)
+    bad_quad = nh_quad > NONHERM_TOL * quad_scale
+    bad_lin = (lin_scale > 0) & (nh_lin > NONHERM_TOL * lin_scale)
 
     beta11, beta22, beta12 = 8.0 * g1, 8.0 * g2, 4.0 * g12
     delta = beta11 * beta22 - beta12 ** 2
-    if not (g1 > 0 and g2 > 0 and delta > 0):
+    bad_norm = ~((g1 > 0) & (g2 > 0) & (delta > 0))
+    bad = bad_quad | bad_lin | bad_norm
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = float(times[i])
+        if bad_quad[i]:
+            raise NonHermitianLarge(
+                f"anti-Hermitian quadratic residue {nh_quad[i]:.3e} exceeds "
+                f"{NONHERM_TOL:.1e} of scale {quad_scale[i]:.3e} at t={t}")
+        if bad_lin[i]:
+            raise NonHermitianLarge(
+                f"anti-Hermitian linear residue {nh_lin[i]:.3e} "
+                f"exceeds {NONHERM_TOL:.1e} of scale {lin_scale[i]:.3e} "
+                f"at t={t}")
         raise NotNormalizable(
-            f"position quadratic form not positive definite at t={action.t}: "
-            f"g1={g1:.3e} g2={g2:.3e} det={delta:.3e}")
+            f"position quadratic form not positive definite at t={t}: "
+            f"g1={g1[i]:.3e} g2={g2[i]:.3e} det={delta[i]:.3e}")
     # trace = 1 on the diagonal x = y, with X = 2x there (Jacobian 1/4).
     # The exponent's constant is never formed: the path-integral prefactor
     # of the propagator is not tracked either, so the normalization is
     # imposed here rather than inherited.
     a_lin, b_lin = -mx1, -mx2
-    log_norm = (0.5 * math.log(delta) - math.log(2.0 * math.pi)
+    log_norm = (0.5 * np.log(delta) - math.log(2.0 * math.pi)
                 - 2.0 * (a_lin * a_lin * beta22 - 2.0 * a_lin * b_lin * beta12
                          + b_lin * b_lin * beta11) / delta)
+    return np.stack([times, g1, g2, g12, gp1, gp2, gp12,
+                     gpp11, gpp12, gpp21, gpp22, mx1, mx2, mp1, mp2,
+                     log_norm, nh_quad, nh_lx, nh_lxi], axis=1)
 
-    return GaussianStateParams(
-        t=action.t, g1=g1, g2=g2, g12=g12, gp1=gp1, gp2=gp2, gp12=gp12,
-        gpp11=gpp11, gpp12=gpp12, gpp21=gpp21, gpp22=gpp22,
-        mx1=mx1, mx2=mx2, mp1=mp1, mp2=mp2, log_norm=log_norm,
-        nonherm_quadratic=nh_quad, nonherm_linear_X=nh_lx,
-        nonherm_linear_xi=nh_lxi)
+
+def reduce_to_state(cfg: InternalConfig, action: ActionForm,
+                    infl: InfluenceForm) -> GaussianStateParams:
+    """Full contraction at one time: one row of `reduce_to_states`."""
+    row = reduce_to_states(cfg, np.array([action.t]), action.bilinear[None],
+                           action.linear_xi[None], infl.quadratic[None])[0]
+    return GaussianStateParams(*row.tolist())

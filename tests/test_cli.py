@@ -182,6 +182,20 @@ def test_nonfinite_config_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_fractional_n_points_exit_code(tmp_path, capsys):
+    cfgd = {
+        "m1": 1e-23, "m2": 5e-23, "omega01": 1e13, "omega02": 3e13,
+        "gamma1": 1e11, "gamma2": 1e11, "lambda_tilde": 0.2,
+        "T1": 300.0, "T2": 300.0, "t_end": 5e-13, "n_points": 6.5,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfgd))
+    rc = run_cli(["run", "custom", str(tmp_path / "o"), "--config", str(p)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: n_points")
+    assert not (tmp_path / "o").exists()
+
+
 def test_engine_error_exit_code(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise NotNormalizable("beta determinant <= 0")

@@ -198,6 +198,17 @@ def test_nonfinite_fields_are_rejected(build):
         validate_config(build())
 
 
+@pytest.mark.parametrize("n_points", [6.5, 2.0, True, "64", None, 1, 0, -3])
+def test_n_points_must_be_an_integer_of_at_least_two(n_points):
+    with pytest.raises(ConfigError, match="n_points"):
+        TimeGrid(t_end=3e-12, n_points=n_points)
+
+
+@pytest.mark.parametrize("n_points", [2, 64, np.int64(5)])
+def test_integer_n_points_are_accepted(n_points):
+    assert TimeGrid(t_end=3e-12, n_points=n_points).n_points == n_points
+
+
 def test_sampled_force_must_cover_grid():
     cfg = make_cfg(force1=ForceSpec(kind="sampled",
                                     times=(0.0, 1e-12),

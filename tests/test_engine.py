@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from duosc import engine
+from duosc.action import endpoint_action_arrays
 from duosc.config import InternalForce
 from duosc.engine import simulate, state_at
-from duosc.errors import ConfigError
-from duosc.modes import solve_determinant
-from duosc.reduction import GaussianStateParams
+from duosc.errors import CausticTime, ConfigError
+from duosc.influence import bath_spectra, grid_quadratic
+from duosc.modes import check_caustic, coefficient_matrices, solve_determinant
+from duosc.observables import CovarianceReport
+from duosc.reduction import GaussianStateParams, initial_state
 
 from test_modes import make_ic
 
@@ -78,12 +81,22 @@ def _wideband(ic_fig4):
                    force2=zero)
 
 
-@pytest.mark.parametrize("which", ["fig3", "wideband"])
+def _sampled(ic_fig3):
+    """fig3 physics with a sampled force on oscillator 1 only."""
+    knots = np.linspace(0.0, ic_fig3.t_end, 65)
+    values = 0.05 * np.sin(0.8 * knots) * np.exp(-0.05 * knots)
+    return replace(ic_fig3, force1=InternalForce(kind="sampled", times=knots,
+                                                 values=values),
+                   force2=InternalForce(kind="zero"))
+
+
+@pytest.mark.parametrize("which", ["fig3", "wideband", "sampled"])
 def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
     """All 19 state fields are bit-identical however a time is batched:
     alone, in a 3-point grid, in the full grid, with a thread pool, and in
     a grid longer than one chunk."""
-    ic = ic_fig3 if which == "fig3" else _wideband(ic_fig4)
+    ic = {"fig3": ic_fig3, "wideband": _wideband(ic_fig4),
+          "sampled": _sampled(ic_fig3)}[which]
     modes = solve_determinant(ic)
     full = np.linspace(0.0, ic.t_end, 2000)
     probe = [1, 40, 77, 1300, 1999]     # t < 1 (direct branch) and Filon
@@ -110,3 +123,47 @@ def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
 def test_nonfinite_times_are_rejected(ic_fig3):
     with pytest.raises(ConfigError):
         simulate(ic_fig3, times=np.array([1.0, float("nan")]))
+
+
+def test_caustic_inside_a_batch_names_its_time(ic_fig3, modes_fig3):
+    """Every batched layer raises CausticTime for the time on a caustic,
+    not for the batch."""
+    t_bad = 3.0 * math.pi / modes_fig3.Omega1
+    times = np.array([0.5, 2.0, t_bad, 7.0])
+    spectra = bath_spectra(ic_fig3, modes_fig3)
+    for call in (lambda: engine._chunk_states(ic_fig3, modes_fig3, spectra,
+                                              times),
+                 lambda: endpoint_action_arrays(ic_fig3, modes_fig3, times),
+                 lambda: grid_quadratic(ic_fig3, modes_fig3, times, spectra),
+                 lambda: coefficient_matrices(modes_fig3, times, -1.0),
+                 lambda: check_caustic(modes_fig3, times)):
+        with pytest.raises(CausticTime, match=f"t={t_bad};"):
+            call()
+
+
+def test_result_views_read_the_tables(ic_fig3):
+    times = np.linspace(0.0, 9.0, 11)
+    res = simulate(ic_fig3, times=times)
+    for rows, table, cls in ((res.states, res.state_array,
+                              GaussianStateParams),
+                             (res.reports, res.report_array,
+                              CovarianceReport)):
+        assert len(rows) == len(times) == table.shape[0]
+        names = [f.name for f in fields(cls)]
+        assert table.shape[1] == len(names)
+        items = list(rows)
+        assert len(items) == len(times)
+        assert all(type(r) is cls for r in items)
+        assert rows[-1] == items[-1] == rows[len(times) - 1]
+        assert rows[2:4] == tuple(items[2:4])
+        with pytest.raises(IndexError):
+            rows[len(times)]
+        for k, name in enumerate(names):
+            assert [getattr(r, name) for r in items] == table[:, k].tolist()
+    for name in ("t", "mean_x1", "var_p2", "cov_x2p1", "rs_min_eig"):
+        col = res.column(name)
+        assert col.tolist() == [getattr(r, name) for r in res.reports]
+        with pytest.raises(ValueError):
+            col[0] = 1.0            # the result is read-only
+    assert res.states[-1].t == times[-1]
+    assert res.states[0] == initial_state(ic_fig3)

@@ -8,7 +8,9 @@ from scipy.special import spherical_jn
 from duosc.cli import preset_config
 from duosc.config import InternalForce, to_internal, validate_config
 from duosc.errors import ConfigError
-from duosc.influence import (FILON_MIN_T, bath_spectra, grid_quadratic,
+from duosc.influence import (BERNSTEIN_RHO, FILON_BASE_PANELS, FILON_MIN_T,
+                             _bernstein_rho, _graded_panels, _matsubara_pole,
+                             _mode_poles, bath_spectra, grid_quadratic,
                              influence_form, spherical_jn_orders,
                              thermal_weight)
 from duosc.modes import (basis_paths, check_caustic, component_weights,
@@ -17,6 +19,15 @@ from duosc.oracle import (brute_double_integral, brute_square_form,
                           clenshaw_curtis)
 
 from test_modes import make_ic
+
+
+def named_slots(q):
+    """The slots A1 ... E4 of the conventional expansion of the bath phase
+    in the xi endpoints (xi_f1, xi_f2, xi_i1, xi_i2)."""
+    return {"A1": q[0, 0], "B1": 2.0 * q[0, 2], "C1": q[2, 2],
+            "A2": q[1, 1], "B2": 2.0 * q[1, 3], "C2": q[3, 3],
+            "E1": 2.0 * q[2, 3], "E2": 2.0 * q[1, 2], "E3": 2.0 * q[0, 3],
+            "E4": 2.0 * q[0, 1]}
 
 
 def grid_kernel_table(T, mass, gamma, numax, t, n, n_cc=2048):
@@ -86,7 +97,8 @@ def test_decoupled_cross_slots_vanish():
     modes = solve_determinant(ic)
     inf = influence_form(ic, modes, 4.4)
     scale = np.max(np.abs(inf.quadratic))
-    for e in (inf.E1, inf.E2, inf.E3, inf.E4):
+    slots = named_slots(inf.quadratic)
+    for e in (slots["E1"], slots["E2"], slots["E3"], slots["E4"]):
         assert abs(e) < 1e-12 * scale
 
 
@@ -106,15 +118,16 @@ def test_quadratic_block_is_drive_independent(ic_fig3, modes_fig3):
 def test_named_slots_match_matrix(ic_fig3, modes_fig3):
     inf = influence_form(ic_fig3, modes_fig3, 3.3)
     q = inf.quadratic
-    assert inf.A1 == q[0, 0] and inf.C1 == q[2, 2]
-    assert inf.B1 == 2 * q[0, 2] and inf.E4 == 2 * q[0, 1]
+    n = named_slots(q)
+    assert n["A1"] == q[0, 0] and n["C1"] == q[2, 2]
+    assert n["B1"] == 2 * q[0, 2] and n["E4"] == 2 * q[0, 1]
     e = np.array([0.3, -0.7, 1.1, 0.4])
     direct = float(e @ q @ e)
-    expanded = (inf.A1 * e[0] ** 2 + inf.A2 * e[1] ** 2
-                + inf.C1 * e[2] ** 2 + inf.C2 * e[3] ** 2
-                + inf.B1 * e[0] * e[2] + inf.B2 * e[1] * e[3]
-                + inf.E1 * e[2] * e[3] + inf.E2 * e[1] * e[2]
-                + inf.E3 * e[0] * e[3] + inf.E4 * e[0] * e[1])
+    expanded = (n["A1"] * e[0] ** 2 + n["A2"] * e[1] ** 2
+                + n["C1"] * e[2] ** 2 + n["C2"] * e[3] ** 2
+                + n["B1"] * e[0] * e[2] + n["B2"] * e[1] * e[3]
+                + n["E1"] * e[2] * e[3] + n["E2"] * e[1] * e[2]
+                + n["E3"] * e[0] * e[3] + n["E4"] * e[0] * e[1])
     assert math.isclose(direct, expanded, rel_tol=1e-13)
 
 
@@ -310,6 +323,38 @@ def test_panel_half_widths_come_from_bisection_depth():
 
     assert distinct_widths(123.4) <= distinct_widths(200.0)
     assert distinct_widths(37.7) <= distinct_widths(200.0)
+
+
+def looped_graded_panels(numax, panels, singular):
+    """Reference: the bisection loop that re-tests every panel each round."""
+    edges = np.linspace(0.0, numax, panels + 1)
+    for s in singular:
+        while True:
+            lo, hi = edges[:-1], edges[1:]
+            bad = _bernstein_rho(lo, hi, s) < BERNSTEIN_RHO
+            if not bad.any():
+                break
+            edges = np.sort(np.concatenate(
+                [edges, 0.5 * (lo[bad] + hi[bad])]))
+    h0 = 0.5 * numax / panels
+    depth = np.rint(np.log2(h0 / (0.5 * np.diff(edges)))).astype(int)
+    return 0.5 * (edges[:-1] + edges[1:]), np.ldexp(h0, -depth)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+@pytest.mark.parametrize("kelvin", [None, 0.0, 0.3])
+def test_graded_panels_match_the_looped_reference(name, kelvin):
+    """Re-testing only the halves of bisected panels gives the layout of
+    the loop that re-tests every panel, bit for bit."""
+    for cutoff in (None, 123.4, 200.0):
+        ic, modes = physical_ic(name, cutoff, kelvin)
+        for numax, T in ((ic.numax1, ic.T1), (ic.numax2, ic.T2)):
+            singular = tuple(_mode_poles(modes)) + _matsubara_pole(T)
+            for panels in (FILON_BASE_PANELS, 256):
+                got = _graded_panels(numax, panels, singular)
+                want = looped_graded_panels(numax, panels, singular)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def test_grid_route_matches_square_rule_oracle(ic_fig3, modes_fig3):

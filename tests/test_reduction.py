@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from duosc.action import classical_action_form
+from duosc.action import classical_action_form, endpoint_action_arrays
 from duosc.engine import state_at
-from duosc.influence import influence_form
+from duosc.errors import NonHermitianLarge, NotNormalizable
+from duosc.influence import grid_quadratic, influence_form
 from duosc.modes import solve_determinant
 from duosc.particular import particular_solution
 from duosc.reduction import (GaussianStateParams, initial_state,
-                             propagator_exponent, reduce_to_state)
+                             propagator_exponent, reduce_to_state,
+                             reduce_to_states)
 
+from test_action import x_value
 from test_modes import make_ic
 
 
@@ -52,11 +55,11 @@ def test_exponent_value_definition(ic_fig3, modes_fig3):
         e = rng.normal(size=8)
         x = e[[0, 1, 4, 5]]
         xi = e[[2, 3, 6, 7]]
-        expected = (1j * action.x_value(x, xi)
+        expected = (1j * x_value(action, x, xi)
                     - xi @ infl.quadratic @ xi
                     - (e[4] ** 2 + e[6] ** 2) / (8.0 * ic_fig3.sigma01_sq)
                     - (e[5] ** 2 + e[7] ** 2) / (8.0 * ic_fig3.sigma02_sq))
-        got = exp8.value(e)
+        got = complex(-0.5 * e @ exp8.matrix @ e + exp8.linear @ e)
         assert abs(got - expected) < 1e-10 * max(1.0, abs(expected))
 
 
@@ -143,3 +146,23 @@ def test_state_at_t_zero_is_initial_state(ic_fig3, modes_fig3):
     s = state_at(ic_fig3, modes_fig3, 0.0)
     ref = initial_state(ic_fig3)
     assert s == ref
+
+
+@pytest.mark.parametrize("order", ["norm-first", "herm-first"])
+def test_batch_raises_at_its_first_bad_time(order, ic_fig3, modes_fig3):
+    """A stacked reduction raises what a one-by-one loop would: the error
+    of the earliest bad row, naming its time."""
+    times = np.array([2.0, 5.0, 9.0])
+    bilinear, linear_xi = endpoint_action_arrays(ic_fig3, modes_fig3, times)
+    quadratic = grid_quadratic(ic_fig3, modes_fig3, times)
+    norm_row, herm_row = (1, 2) if order == "norm-first" else (2, 1)
+    # a strongly negative bath phase leaves no normalizable state
+    quadratic[norm_row] *= -10.0
+    # an imaginary drive term puts a real part on the xi-linear exponent
+    linear_xi = linear_xi.astype(complex)
+    linear_xi[herm_row, 2] += 1j * np.max(np.abs(linear_xi))
+    err, message = ((NotNormalizable, "not positive definite at t=5.0:")
+                    if order == "norm-first" else
+                    (NonHermitianLarge, "linear residue .* at t=5.0$"))
+    with pytest.raises(err, match=message):
+        reduce_to_states(ic_fig3, times, bilinear, linear_xi, quadratic)

@@ -31,7 +31,7 @@ import numpy as np  # noqa: E402
 
 from duosc.cli import preset_config  # noqa: E402
 from duosc.config import ForceSpec, to_internal, validate_config  # noqa: E402
-from duosc.engine import CHUNK, _off_caustic  # noqa: E402
+from duosc.engine import CHUNK, off_caustic  # noqa: E402
 from duosc.influence import (bath_spectra, grid_quadratic,  # noqa: E402
                              influence_form)
 from duosc.modes import solve_determinant  # noqa: E402
@@ -57,7 +57,7 @@ def main(argv=None) -> None:
         ic = to_internal(validate_config(cfg))
         modes = solve_determinant(ic)
         grid = np.linspace(0.0, ic.t_end, ic.n_points)[1:]
-        times = np.array([_off_caustic(t, modes) for t in grid])
+        times = off_caustic(grid, modes)
 
         sample = times[::args.stride]
         start = time.perf_counter()
