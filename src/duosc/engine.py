@@ -4,11 +4,11 @@ Each requested time is an independent boundary-value computation, not a
 step of a time stepper.  `simulate` first moves grid times that fall in a
 caustic window slightly later, then evaluates fixed-size chunks of times,
 each as arrays from start to finish: the bath phase
-(`influence.grid_quadratic`, a Filon quadrature in omega on t-independent
-spectral data built once per run), the closed-form classical action
-(`action.endpoint_action_arrays`), the stacked Gaussian reduction
-(`reduction.reduce_to_states`) and the moment table
-(`observables.report_table`).  The drive never enters the bath phase
+(`influence.grid_quadratic`: per time, one Filon product in omega with the
+spectrum of each distinct bath cutoff and temperature, built once per run),
+the closed-form classical action (`action.endpoint_action_arrays`), the
+stacked Gaussian reduction (`reduction.reduce_to_states`) and the moment
+table (`observables.report_table`).  The drive never enters the bath phase
 (Feynman & Vernon 1963): the phase is a quadratic form in the xi endpoints
 alone.
 

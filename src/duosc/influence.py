@@ -14,10 +14,10 @@ The endpoint quadratic form is extracted exactly from the four unit-endpoint
 basis paths.
 
 Production route (`bath_spectra` + `grid_quadratic`): whole time grids at
-once.  Partial fractions move all t-dependence of the omega integral into
-eight transforms of t-independent spectral data, which Filon-Legendre
-quadrature on a fixed panel layout evaluates exactly in t (section at the
-end of this module); the cost per time no longer grows with t or the cutoff.
+once, one spectrum per distinct (cutoff, temperature).  Partial fractions
+move all t-dependence of the omega integral into eight transforms, which
+Filon-Legendre quadrature on a fixed panel layout gives exactly in t as one
+matrix product per time (section at the end of this module).
 
 Cross-check route (`influence_form`): one composite omega quadrature per
 time, resolving exp(-i w t) anew.
@@ -143,13 +143,15 @@ def _omega_panels(numax: float, t: float, T: float):
                         _GL16)
 
 
-def _elementary_transforms(modes: NormalModes, t: float,
+def _elementary_transforms(modes: NormalModes, times,
                            omega: np.ndarray) -> np.ndarray:
-    """F_c(w) = int_0^t psi_c(tau) exp(-i w tau) dtau for the four
-    anti-damped elementary functions [sin1, cos1, sin2, cos2]; (4, n).
+    """F_c(t, w) = int_0^t psi_c(tau) exp(-i w tau) dtau for the four
+    anti-damped elementary functions [sin1, cos1, sin2, cos2]; (n, 4, N)
+    for n times and N frequencies.
 
     Cross-check route, and the small-t branch of `grid_quadratic`."""
-    out = np.empty((4, omega.size), dtype=complex)
+    t = np.asarray(times, dtype=float).reshape(-1, 1)
+    out = np.empty((t.shape[0], 4, omega.size), dtype=complex)
     for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
                                 (modes.Omega2, modes.delta2))):
         ap = d + 1j * (O - omega)
@@ -160,12 +162,12 @@ def _elementary_transforms(modes: NormalModes, t: float,
             # near w = Omega costs up to 1e-9 relative at t ~ 1e-5
             zero = alpha == 0.0
             res = np.expm1(alpha * t) / np.where(zero, 1.0, alpha)
-            res[zero] = t
+            res[:, zero] = t
             return res
 
         Ep, Em = E(ap), E(am)
-        out[2 * k] = (Ep - Em) / 2j
-        out[2 * k + 1] = (Ep + Em) / 2.0
+        out[:, 2 * k] = (Ep - Em) / 2j
+        out[:, 2 * k + 1] = (Ep + Em) / 2.0
     return out
 
 
@@ -194,7 +196,7 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
         for lo in range(0, omega.size, chunk):
             om = omega[lo:lo + chunk]
             wt = wts[lo:lo + chunk] * thermal_weight(om, T) * pref
-            psi = _elementary_transforms(modes, t, om)
+            psi = _elementary_transforms(modes, t, om)[0]
             Fb = (V * comp[:, None]).T @ psi          # (4, n) basis transforms
             Sq = np.real((Fb * wt) @ Fb.conj().T)     # symmetric square form
             quadratic += 0.5 * Sq
@@ -205,25 +207,32 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
 # ---------------------------------------------------------------------------
 # whole-grid evaluation: t-independent spectral data, Filon quadrature in w
 #
-# Per bath, Q(t) = 1/2 Re[A T Sigma(t) T^H A^T] with A the component-weighted
-# xi coefficient matrix and T the map from the mode exponentials
-# E_a(w) = i (exp(-i (w - p_a) t) - 1) / (w - p_a), poles p = +-Omega_k -
-# i delta_k, to the transforms [sin1, cos1, sin2, cos2].  Partial fractions
-# put the t-dependence of Sigma_ab = int g E_a conj(E_b) dw into the constants
-# C_r = int g / (w - r) and the transforms D_r(t) = int g exp(-i w t) / (w - r)
-# for r in {p, conj(p)}.  On a fixed panel layout D_r is exact in t:
-# with the Legendre coefficients c_k of g / (w - r) on a panel of centre m
-# and half-width h, int P_k(x) exp(-i z x) dx = 2 (-i)^k j_k(z) gives
-# D_r(t) = sum_panels h exp(-i m t) sum_k c_k 2 (-i)^k j_k(h t).  The terms
-# cancel as t -> 0, so below FILON_MIN_T Sigma is summed directly on the
-# same nodes, where E_a is smooth.
+# The phase is linear in the spectral density, so baths of one cutoff and
+# temperature share one spectrum of g0(w) = w coth(w / 2T): Q(t) = 1/2 V^T
+# (Re M(t) . W) V, V the xi coefficient matrix, W = sum_b (2 m_b gamma_b / pi)
+# c_b c_b^T over the baths' component weights, M = T Sigma T^H with T the map
+# from the mode exponentials E_a(w) = i (exp(-i (w - p_a) t) - 1) / (w - p_a),
+# p = +-Omega_k - i delta_k, to the transforms [sin1, cos1, sin2, cos2].
+# Partial fractions put the t-dependence of Sigma_ab = int g0 E_a conj(E_b)
+# into C_r = int g0 / (w - r) and D_r(t) = int g0 exp(-i w t) / (w - r), r in
+# {p, conj p}.  With the Legendre coefficients c_k of g0 / (w - r) on a panel
+# of centre m, half-width h, int P_k(x) exp(-i z x) dx = 2 (-i)^k j_k(z) gives
+# D_r(t) exactly: the row exp(-i m t) j_k(h t) over (panel, k) times the
+# fixed matrix 2 h (-i)^k c_k.  The terms cancel as t -> 0, so below
+# FILON_MIN_T M is summed directly on the same nodes, where E_a is smooth.
 
 FILON_ORDER = 24           # GL nodes per panel = Legendre orders kept
 FILON_BASE_PANELS = 64     # uniform panels on [0, numax] before grading
 FILON_MIN_T = 1.0          # below: direct sum on the Filon nodes
+_FILON_BLOCK = 8           # times per block: bounds the (block, J*K) temps
 _MILLER_START = 2 * FILON_ORDER + 32
-_MILLER_RESCALE = 1e100
-_FILON_BLOCK = 16          # times per block: bounds the (block, 8, J) temps
+# Every _MILLER_STRIDE steps, acc = sum (2k+1) b_k^2 above _MILLER_BIG is
+# rescaled exactly (b by _MILLER_SCALE).  A step grows |b| at most (161/z + 1)
+# fold, so for z >= 1e-30 three steps grow acc < 2^656 fold: it stays below
+# 2^1015 and one rescale brings it back under 2^359.
+_MILLER_STRIDE = 3
+_MILLER_SCALE = 2.0 ** -332
+_MILLER_BIG = 2.0 ** 359
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,8 +245,8 @@ def _filon_rule():
 
 
 def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
-    """Spherical Bessel functions j_0..j_{n-1} at z > 0, n = FILON_ORDER;
-    shape (n, z.size).
+    """Spherical Bessel functions j_0..j_{n-1} at z >= 1e-30, n =
+    FILON_ORDER; shape (n, z.size).
 
     Upward recurrence from the closed forms of j_0, j_1 where z > n (stable
     for k < z); elsewhere Miller's downward recurrence from the fixed index
@@ -262,7 +271,7 @@ def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
     if zm.size:
         inv = 1.0 / zm
         a = np.zeros_like(zm)                         # j_{k+1}
-        b = np.full_like(zm, 1.0 / _MILLER_RESCALE)   # j_k, k = start
+        b = np.full_like(zm, _MILLER_SCALE)           # j_k, k = start
         acc = (2 * _MILLER_START + 1) * b * b
         low = np.empty((n, zm.size))
         for k in range(_MILLER_START, 0, -1):
@@ -270,9 +279,8 @@ def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
             acc += (2 * k - 1) * b * b
             if k <= n:
                 low[k - 1] = b
-            big = np.abs(b) > _MILLER_RESCALE
-            if big.any():
-                s = np.where(big, 1.0 / _MILLER_RESCALE, 1.0)
+            if k % _MILLER_STRIDE == 0 and acc.max() > _MILLER_BIG:
+                s = np.where(acc > _MILLER_BIG, _MILLER_SCALE, 1.0)
                 a *= s
                 b *= s
                 acc *= s * s
@@ -299,93 +307,79 @@ _E_TO_TRIG = np.array([[-0.5j, 0.5j, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
 
 @dataclass(frozen=True)
 class BathSpectrum:
-    """t-independent spectral data of one bath on its fixed Filon panels.
-
-    Only the Legendre coefficients c_k of g / (w - p) for the four poles p
-    are stored, as 2 h (-1)^floor(k/2) c_k split by the parity of k into
-    real arrays with rows (Re, Im) x 4 poles: g / (w - conj p) is
-    conj(g / (w - p)), which gives the other four.
+    """t-independent spectral data of the baths of one cutoff and
+    temperature, on their fixed Filon panels, for the unit weight g0(w) =
+    w coth(w / 2T); `W` carries the baths' prefactors and component weights.
     """
-    comp: np.ndarray       # (4,) component weights of the bath's oscillator
+    W: np.ndarray          # (4, 4) sum_b (2 m_b gamma_b / pi) c_b c_b^T
     nodes: np.ndarray      # (J*K,) GL nodes of all panels
-    weights: np.ndarray    # (J*K,) node weights times g(w)
+    weights: np.ndarray    # (J*K,) node weights times g0(w)
     mids: np.ndarray       # (J,) panel centres
     widths: np.ndarray     # (U,) distinct panel half-widths
     width_of: np.ndarray   # (J,) index into `widths` for each panel
-    even: np.ndarray       # (K/2, 8, J) scaled c_k, even k
-    odd: np.ndarray        # (K/2, 8, J) scaled c_k, odd k
-    C: np.ndarray          # (8,) int g / (w - r), r = (p, conj p)
+    coef: np.ndarray       # (J*K, 8) 2 h (-i)^k c_k, r = (p, conj p)
+    C: np.ndarray          # (8,) int g0 / (w - r)
 
     def transforms(self, times: np.ndarray) -> np.ndarray:
-        """D_r(t) = int g exp(-i w t) / (w - r) dw for t > 0, shape (n, 8).
-
-        With v_k = 2 h (-1)^floor(k/2) j_k(h t), sum_k c_k 2 h (-i)^k j_k
-        is E - i O for E = sum_even c_k v_k, O = sum_odd c_k v_k, and
-        conj(E) - i conj(O) for the conjugate pole.
+        """D_r(t) = int g0 exp(-i w t) / (w - r) dw for t > 0, shape (n, 8):
+        per time, the row exp(-i m t) j_k(h t) over (panel, k) times `coef`.
         """
         out = np.empty((times.size, 8), dtype=complex)
-        # (K, n, U): one Bessel table for every time and distinct width
-        bessel = spherical_jn_orders(np.outer(times, self.widths)).reshape(
-            FILON_ORDER, times.size, -1)
+        # (n, U, K): one Bessel table for every time and distinct width
+        bessel = np.moveaxis(spherical_jn_orders(
+            np.outer(times, self.widths)).reshape(
+                FILON_ORDER, times.size, -1), 0, -1)
         for lo in range(0, times.size, _FILON_BLOCK):
             t = times[lo:lo + _FILON_BLOCK]
-            jk = bessel[:, lo:lo + _FILON_BLOCK, self.width_of]
-            sums = []
-            term = np.empty((t.size, 8, self.mids.size))
-            for coef, k0 in ((self.even, 0), (self.odd, 1)):
-                acc = np.zeros_like(term)
-                for i, c in enumerate(coef):
-                    np.multiply(c, jk[k0 + 2 * i][:, None, :], out=term)
-                    acc += term
-                sums.append(acc[:, :4] + 1j * acc[:, 4:])
-            E, O = sums
-            phase = np.exp(-1j * np.outer(t, self.mids))[:, None, :]
-            out[lo:lo + t.size, :4] = (phase * (E - 1j * O)).sum(axis=-1)
-            out[lo:lo + t.size, 4:] = (phase * (E.conj() - 1j * O.conj())
-                                       ).sum(axis=-1)
+            phase = np.exp(-1j * np.outer(t, self.mids))[:, :, None]
+            rows = phase * bessel[lo:lo + _FILON_BLOCK][:, self.width_of]
+            # one identically shaped product per time: batch-independent
+            out[lo:lo + t.size] = (rows.reshape(t.size, 1, -1)
+                                   @ self.coef)[:, 0]
         return out
 
 
 def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
-    """Spectral data of every bath with nonzero damping.
+    """Spectral data of the baths with nonzero damping, one BathSpectrum per
+    distinct (cutoff, temperature).
 
     Panels: FILON_BASE_PANELS uniform ones on [0, numax], bisected until the
-    poles +-Omega_k -+ i delta_k of g / (w - r) and the Matsubara pole
-    2 pi i T of g lie outside each panel's Bernstein ellipse BERNSTEIN_RHO.
+    poles +-Omega_k -+ i delta_k of g0 / (w - r) and the Matsubara pole
+    2 pi i T of g0 lie outside each panel's Bernstein ellipse BERNSTEIN_RHO.
     """
+    groups = {}          # (numax, T) -> W
+    for mass, gamma, T, numax, c in zip(
+            (cfg.m1, cfg.m2), (cfg.gamma1, cfg.gamma2), (cfg.T1, cfg.T2),
+            (cfg.numax1, cfg.numax2), component_weights(modes)):
+        if gamma != 0.0:
+            W = (2.0 * mass * gamma / math.pi) * np.outer(c, c)
+            groups[numax, T] = groups.get((numax, T), 0.0) + W
     gl_x, gl_w, to_legendre = _filon_rule()
     poles = _mode_poles(modes)
     r = np.concatenate([poles, poles.conj()])
-    c1, c2 = component_weights(modes)
-    k = np.arange(FILON_ORDER)
-    sign = np.where((k // 2) % 2, -1.0, 1.0)[:, None, None]    # (-1)^(k//2)
+    i_k = np.array([1.0, -1j, -1.0, 1j])[np.arange(FILON_ORDER) % 4]
     out = []
-    for mass, gamma, T, numax, comp in (
-            (cfg.m1, cfg.gamma1, cfg.T1, cfg.numax1, c1),
-            (cfg.m2, cfg.gamma2, cfg.T2, cfg.numax2, c2)):
-        if gamma == 0.0:
-            continue
+    for (numax, T), W in groups.items():
         mids, halfs = _graded_panels(numax, FILON_BASE_PANELS,
                                      tuple(poles) + _matsubara_pole(T))
         nodes, wts = _panel_nodes(mids, halfs, (gl_x, gl_w))
-        g = (2.0 * mass * gamma / math.pi) * thermal_weight(nodes, T)
+        g = thermal_weight(nodes, T)
         f = g / (nodes[None, :] - r[:, None])                  # (8, J*K)
-        # Legendre coefficients of g / (w - p), (K, 4, J), scaled to v_k
-        coef = np.moveaxis(f[:4].reshape(4, halfs.size, FILON_ORDER)
-                           @ to_legendre.T, 2, 0) * (2.0 * halfs) * sign
-        coef = np.concatenate([coef.real, coef.imag], axis=1)  # (K, 8, J)
+        # Legendre coefficients of g0 / (w - p), (4, J, K); those of
+        # g0 / (w - conj p) are their conjugates
+        c = f[:4].reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
+        coef = (np.concatenate([c, c.conj()])
+                * (2.0 * halfs)[:, None] * i_k).reshape(8, -1)
         widths, width_of = np.unique(halfs, return_inverse=True)
         out.append(BathSpectrum(
-            comp=comp, nodes=nodes, weights=wts * g,
-            mids=mids, widths=widths,
-            width_of=width_of, even=coef[0::2].copy(), odd=coef[1::2].copy(),
-            C=f @ wts))
+            W=W, nodes=nodes, weights=wts * g, mids=mids, widths=widths,
+            width_of=width_of, coef=np.ascontiguousarray(coef.T), C=f @ wts))
     return tuple(out)
 
 
 def _sigma(poles: np.ndarray, C: np.ndarray, D: np.ndarray,
            t: np.ndarray) -> np.ndarray:
-    """Sigma_ab(t) = int g E_a conj(E_b) dw from C and D, shape (n, 4, 4)."""
+    """Sigma_ab(t) = int g0 E_a conj(E_b) dw from C and D, shape (n, 4, 4)."""
     p, pc = poles[:, None], poles.conj()[None, :]          # p_a, conj p_b
     den = p - pc
     dC = C[:4, None] - C[None, 4:]
@@ -411,22 +405,24 @@ def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
     times = np.asarray(times, dtype=float).ravel()
     if not np.all(np.isfinite(times) & (times > 0.0)):
         raise ConfigError("grid_quadratic needs finite t > 0")
-    out = np.zeros((times.size, 4, 4))
     if times.size == 0:
-        return out
+        return np.zeros((0, 4, 4))
     if spectra is None:
         spectra = bath_spectra(cfg, modes)
     V = coefficient_matrices(modes, times, sign=+1.0)
-    filon = times >= FILON_MIN_T
+    small = np.flatnonzero(times < FILON_MIN_T)
+    filon = np.flatnonzero(times >= FILON_MIN_T)
     poles = _mode_poles(modes)
+    R = np.zeros((times.size, 4, 4))          # sum of Re M . W over groups
     for sp in spectra:
-        A = np.swapaxes(V * sp.comp[:, None], 1, 2)        # (n, 4, 4)
-        for i in np.flatnonzero(~filon):
-            Fb = A[i] @ _elementary_transforms(modes, times[i], sp.nodes)
-            out[i] += 0.5 * np.real((Fb * sp.weights) @ Fb.conj().T)
-        if filon.any():
+        for lo in range(0, small.size, _FILON_BLOCK):
+            idx = small[lo:lo + _FILON_BLOCK]
+            F = _elementary_transforms(modes, times[idx], sp.nodes)
+            M = (F * sp.weights) @ np.swapaxes(F.conj(), 1, 2)
+            R[idx] += M.real * sp.W
+        if filon.size:
             tf = times[filon]
             S = _sigma(poles, sp.C, sp.transforms(tf), tf)
-            AT = A[filon] @ _E_TO_TRIG
-            out[filon] += 0.5 * np.real(AT @ S @ np.swapaxes(AT.conj(), 1, 2))
+            R[filon] += (_E_TO_TRIG @ S @ _E_TO_TRIG.conj().T).real * sp.W
+    out = 0.5 * (np.swapaxes(V, 1, 2) @ R @ V)
     return 0.5 * (out + np.swapaxes(out, 1, 2))

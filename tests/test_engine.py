@@ -167,3 +167,19 @@ def test_result_views_read_the_tables(ic_fig3):
             col[0] = 1.0            # the result is read-only
     assert res.states[-1].t == times[-1]
     assert res.states[0] == initial_state(ic_fig3)
+
+
+@pytest.mark.parametrize("mode, half_periods", [(1, 3), (2, 5)])
+def test_reports_are_continuous_across_a_caustic(ic_fig3, modes_fig3,
+                                                 mode, half_periods):
+    """Stepping off a caustic t_c = k pi / Omega by +-delta moves every
+    report column by O(delta): the boundary-value representation is
+    singular at t_c, the state is not."""
+    O = (modes_fig3.Omega1, modes_fig3.Omega2)[mode - 1]
+    t_c, period = half_periods * math.pi / O, 2.0 * math.pi / O
+    scale = np.max(np.abs(simulate(ic_fig3).report_array), axis=0)
+    for frac in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        res = simulate(ic_fig3, times=t_c + frac * period * np.array([-1, 1]))
+        assert res.nudged == ()
+        jump = np.abs(res.report_array[1] - res.report_array[0]) / scale
+        assert np.max(jump) <= 100.0 * frac, frac

@@ -256,6 +256,17 @@ def test_spherical_jn_orders_against_mpmath():
             assert abs(got[k, i] - float(want)) < 3e-16, (zi, k)
 
 
+def test_spherical_jn_orders_down_to_the_smallest_admitted_z():
+    """Miller's rescaling is tested only every few steps; down to z = 1e-30
+    the values must stay finite and match j_k(z) = z^k / (2k+1)!! (the next
+    term is smaller by z^2 / (4k+6))."""
+    z = np.array([1e-30, 1e-24, 1e-18, 1e-12])
+    want = np.array([[zi ** k / math.prod(range(1, 2 * k + 2, 2)) for zi in z]
+                     for k in range(24)])
+    np.testing.assert_allclose(spherical_jn_orders(z), want, rtol=1e-14,
+                               atol=1e-300)
+
+
 def test_per_t_route_resolves_thermal_scale():
     # at 0.3 K, w coth(w / 2T) bends on 2 pi T = 0.025 internal units; the
     # per-t panels used to start with one 0.78 wide (5.7e-8 off at t = 1)
@@ -355,6 +366,37 @@ def test_graded_panels_match_the_looped_reference(name, kelvin):
                 want = looped_graded_panels(numax, panels, singular)
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name, kelvin", [
+    ("fig3", None), ("fig2", 0.0), ("fig2", 0.3)])
+def test_shared_spectrum_equals_the_bath_by_bath_sum(name, kelvin):
+    """Baths of one cutoff and temperature share one spectrum; the phase is
+    linear in the spectral density, so it must equal the sum of the two
+    one-bath phases (other bath's damping 0, so skipped), modes held fixed,
+    on both the small-t and the Filon branch."""
+    ic, modes = physical_ic(name, kelvin=kelvin)
+    times = np.array([1e-4, 0.02, 0.5, 0.999, FILON_MIN_T, 2.7, 9.1, 29.9])
+    assert len(bath_spectra(ic, modes)) == 1
+    shared = grid_quadratic(ic, modes, times)
+    apart = (grid_quadratic(replace(ic, gamma2=0.0), modes, times)
+             + grid_quadratic(replace(ic, gamma1=0.0), modes, times))
+    for g, ref in zip(shared, apart):
+        assert block_rel(g, ref) <= 1e-13
+
+
+def test_one_spectrum_per_cutoff_and_temperature():
+    def count(name, cutoff1=None):
+        cfg = preset_config(name)
+        if cutoff1 is not None:
+            cfg = replace(cfg, bath1=replace(
+                cfg.bath1, cutoff=cutoff1 * cfg.osc1.eigenfrequency))
+        ic = to_internal(validate_config(cfg))
+        return len(bath_spectra(ic, solve_determinant(ic)))
+
+    assert count("fig2") == 1 and count("fig3") == 1
+    assert count("fig4") == 2               # 300 K and 900 K
+    assert count("fig3", cutoff1=200.0) == 2
 
 
 def test_grid_route_matches_square_rule_oracle(ic_fig3, modes_fig3):

@@ -3,7 +3,8 @@
     python3 tools/bath_phase_ms.py [--stride 25]
 
 For the fig3 preset and the wideband configuration (fig4 baths, cutoff 200
-omega01, no forces) on their 2000-point grids, prints the wall time per
+omega01, no forces) on their 2000-point grids, prints the number of bath
+spectra (one per distinct cutoff and temperature) and the wall time per
 point of
 
   per-t       influence.influence_form at every `stride`-th grid point: a
@@ -71,7 +72,8 @@ def main(argv=None) -> None:
             grid_quadratic(ic, modes, times[lo:lo + CHUNK], spectra)
         whole = (time.perf_counter() - start) / times.size
 
-        print(f"{name:9s} per-t {1e3 * per_t:8.3f} ms/point "
+        print(f"{name:9s} {len(spectra)} spectra   "
+              f"per-t {1e3 * per_t:8.3f} ms/point "
               f"({sample.size} points)   whole-grid {1e3 * whole:6.3f} "
               f"ms/point ({times.size} points)   x{per_t / whole:.0f}")
 
