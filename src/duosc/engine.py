@@ -4,11 +4,13 @@ Each requested time is an independent boundary-value computation, not a
 step of a time stepper.  `simulate` first moves grid times that fall in a
 caustic window slightly later, then evaluates fixed-size chunks of times,
 each as arrays from start to finish: the bath phase
-(`influence.grid_quadratic`: per time, one Filon product in omega with the
-spectrum of each distinct bath cutoff and temperature, built once per run),
-the closed-form classical action (`action.endpoint_action_arrays`), the
-stacked Gaussian reduction (`reduction.reduce_to_states`) and the moment
-table (`observables.report_table`).  The drive never enters the bath phase
+(`influence.grid_quadratic` with the spectrum of each distinct bath cutoff
+and temperature, built once per run: per time t >= 1 one Filon product in
+omega on pole-graded panels, with one Bessel table per chunk for all
+spectra; below t = 1 a direct sum on 64-256 pole-free nodes), the
+closed-form classical action (`action.endpoint_action_arrays`), the stacked
+Gaussian reduction (`reduction.reduce_to_states`) and the moment table
+(`observables.report_table`).  The drive never enters the bath phase
 (Feynman & Vernon 1963): the phase is a quadratic form in the xi endpoints
 alone.
 

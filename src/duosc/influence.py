@@ -16,8 +16,9 @@ basis paths.
 Production route (`bath_spectra` + `grid_quadratic`): whole time grids at
 once, one spectrum per distinct (cutoff, temperature).  Partial fractions
 move all t-dependence of the omega integral into eight transforms, which
-Filon-Legendre quadrature on a fixed panel layout gives exactly in t as one
-matrix product per time (section at the end of this module).
+Filon-Legendre quadrature on panels graded to the poles gives exactly in t
+as one matrix product per time; below t = 1 the phase is summed directly
+on a small pole-free layout of its own (section at the end of this module).
 
 Cross-check route (`influence_form`): one composite omega quadrature per
 time, resolving exp(-i w t) anew.
@@ -30,6 +31,7 @@ so the phase has no linear or constant part.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -40,6 +42,8 @@ from .config import InternalConfig
 from .errors import ConfigError
 from .modes import (NormalModes, check_caustic, coefficient_matrices,
                     component_weights, xi_coefficient_matrix)
+
+log = logging.getLogger("duosc")
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 #: panels are bisected until every singularity of the integrand lies
@@ -218,12 +222,22 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
 # {p, conj p}.  With the Legendre coefficients c_k of g0 / (w - r) on a panel
 # of centre m, half-width h, int P_k(x) exp(-i z x) dx = 2 (-i)^k j_k(z) gives
 # D_r(t) exactly: the row exp(-i m t) j_k(h t) over (panel, k) times the
-# fixed matrix 2 h (-i)^k c_k.  The terms cancel as t -> 0, so below
-# FILON_MIN_T M is summed directly on the same nodes, where E_a is smooth.
+# fixed matrix 2 h (-i)^k c_k.  j_k depends on h t alone, so one table over
+# the distinct half-widths of all spectra serves every spectrum of a call.
+#
+# Each sum has its own omega layout, sized for its integrand:
+# - Filon panels hold g0 / (w - r) to FILON_ORDER Legendre terms.  Bisection
+#   until the mode poles p, conj p and the Matsubara pole 2 pi i T lie
+#   outside each panel's Bernstein ellipse guarantees that on any base, and
+#   exp(-i w t) is exact whatever the width, so the base is a few panels.
+# - The terms cancel as t -> 0, so below FILON_MIN_T M is summed directly.
+#   There g0 E_a conj(E_b) has no mode poles (E_a is entire in w), only the
+#   Matsubara pole; its GL-16 panels each span at most two periods of
+#   exp(-i w t) at t = FILON_MIN_T, graded to 2 pi i T alone.
 
 FILON_ORDER = 24           # GL nodes per panel = Legendre orders kept
-FILON_BASE_PANELS = 64     # uniform panels on [0, numax] before grading
-FILON_MIN_T = 1.0          # below: direct sum on the Filon nodes
+FILON_BASE_PANELS = 8      # uniform panels on [0, numax] before grading
+FILON_MIN_T = 1.0          # below: direct sum on the small-t layout
 _FILON_BLOCK = 8           # times per block: bounds the (block, J*K) temps
 _MILLER_START = 2 * FILON_ORDER + 32
 # Every _MILLER_STRIDE steps, acc = sum (2k+1) b_k^2 above _MILLER_BIG is
@@ -308,27 +322,27 @@ _E_TO_TRIG = np.array([[-0.5j, 0.5j, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
 @dataclass(frozen=True)
 class BathSpectrum:
     """t-independent spectral data of the baths of one cutoff and
-    temperature, on their fixed Filon panels, for the unit weight g0(w) =
-    w coth(w / 2T); `W` carries the baths' prefactors and component weights.
+    temperature for the unit weight g0(w) = w coth(w / 2T): Filon data on
+    the pole-graded panels, and the nodes of the small-t sum; `W` carries
+    the baths' prefactors and component weights.
     """
     W: np.ndarray          # (4, 4) sum_b (2 m_b gamma_b / pi) c_b c_b^T
-    nodes: np.ndarray      # (J*K,) GL nodes of all panels
-    weights: np.ndarray    # (J*K,) node weights times g0(w)
-    mids: np.ndarray       # (J,) panel centres
-    widths: np.ndarray     # (U,) distinct panel half-widths
+    small_nodes: np.ndarray    # (N,) GL-16 nodes of the small-t layout
+    small_weights: np.ndarray  # (N,) their weights times g0(w)
+    mids: np.ndarray       # (J,) Filon panel centres
+    widths: np.ndarray     # (U,) sorted distinct Filon half-widths of all
+                           #      spectra of one `bath_spectra` call
     width_of: np.ndarray   # (J,) index into `widths` for each panel
     coef: np.ndarray       # (J*K, 8) 2 h (-i)^k c_k, r = (p, conj p)
     C: np.ndarray          # (8,) int g0 / (w - r)
 
-    def transforms(self, times: np.ndarray) -> np.ndarray:
+    def transforms(self, times: np.ndarray,
+                   bessel: np.ndarray) -> np.ndarray:
         """D_r(t) = int g0 exp(-i w t) / (w - r) dw for t > 0, shape (n, 8):
         per time, the row exp(-i m t) j_k(h t) over (panel, k) times `coef`.
+        `bessel` (n, U, K) holds j_k(h t) for these times over `widths`.
         """
         out = np.empty((times.size, 8), dtype=complex)
-        # (n, U, K): one Bessel table for every time and distinct width
-        bessel = np.moveaxis(spherical_jn_orders(
-            np.outer(times, self.widths)).reshape(
-                FILON_ORDER, times.size, -1), 0, -1)
         for lo in range(0, times.size, _FILON_BLOCK):
             t = times[lo:lo + _FILON_BLOCK]
             phase = np.exp(-1j * np.outer(t, self.mids))[:, :, None]
@@ -343,9 +357,12 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
     """Spectral data of the baths with nonzero damping, one BathSpectrum per
     distinct (cutoff, temperature).
 
-    Panels: FILON_BASE_PANELS uniform ones on [0, numax], bisected until the
-    poles +-Omega_k -+ i delta_k of g0 / (w - r) and the Matsubara pole
-    2 pi i T of g0 lie outside each panel's Bernstein ellipse BERNSTEIN_RHO.
+    Filon panels: FILON_BASE_PANELS uniform ones on [0, numax], bisected
+    until the poles +-Omega_k -+ i delta_k of g0 / (w - r) and the Matsubara
+    pole 2 pi i T of g0 lie outside each panel's Bernstein ellipse
+    BERNSTEIN_RHO.  Small-t layout: max(4, ceil(numax FILON_MIN_T / 4 pi))
+    uniform GL-16 panels, bisected for the Matsubara pole alone.  Logs each
+    spectrum's layout sizes at DEBUG level on the `duosc` logger.
     """
     groups = {}          # (numax, T) -> W
     for mass, gamma, T, numax, c in zip(
@@ -354,14 +371,22 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
         if gamma != 0.0:
             W = (2.0 * mass * gamma / math.pi) * np.outer(c, c)
             groups[numax, T] = groups.get((numax, T), 0.0) + W
-    gl_x, gl_w, to_legendre = _filon_rule()
+    if not groups:
+        return ()
     poles = _mode_poles(modes)
+    panels = [_graded_panels(numax, FILON_BASE_PANELS,
+                             tuple(poles) + _matsubara_pole(T))
+              for numax, T in groups]
+    # one sorted width array for all spectra: one Bessel table per call
+    widths, index = np.unique(np.concatenate([h for _, h in panels]),
+                              return_inverse=True)
+    width_of = np.split(index, np.cumsum([h.size for _, h in panels])[:-1])
+    gl_x, gl_w, to_legendre = _filon_rule()
     r = np.concatenate([poles, poles.conj()])
     i_k = np.array([1.0, -1j, -1.0, 1j])[np.arange(FILON_ORDER) % 4]
     out = []
-    for (numax, T), W in groups.items():
-        mids, halfs = _graded_panels(numax, FILON_BASE_PANELS,
-                                     tuple(poles) + _matsubara_pole(T))
+    for ((numax, T), W), (mids, halfs), w_of in zip(groups.items(), panels,
+                                                    width_of):
         nodes, wts = _panel_nodes(mids, halfs, (gl_x, gl_w))
         g = thermal_weight(nodes, T)
         f = g / (nodes[None, :] - r[:, None])                  # (8, J*K)
@@ -370,10 +395,19 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
         c = f[:4].reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
         coef = (np.concatenate([c, c.conj()])
                 * (2.0 * halfs)[:, None] * i_k).reshape(8, -1)
-        widths, width_of = np.unique(halfs, return_inverse=True)
+        # at most two periods of exp(-i w t) per panel at t = FILON_MIN_T
+        small = max(4, math.ceil(numax * FILON_MIN_T / (4.0 * math.pi)))
+        s_nodes, s_wts = _panel_nodes(
+            *_graded_panels(numax, small, _matsubara_pole(T)), _GL16)
+        log.debug("bath spectrum numax=%.6g T=%.6g: %d Filon panels, "
+                  "%d nodes, %d distinct widths; %d small-t nodes",
+                  numax, T, halfs.size, nodes.size, np.unique(w_of).size,
+                  s_nodes.size)
         out.append(BathSpectrum(
-            W=W, nodes=nodes, weights=wts * g, mids=mids, widths=widths,
-            width_of=width_of, coef=np.ascontiguousarray(coef.T), C=f @ wts))
+            W=W, small_nodes=s_nodes,
+            small_weights=s_wts * thermal_weight(s_nodes, T), mids=mids,
+            widths=widths, width_of=w_of, coef=np.ascontiguousarray(coef.T),
+            C=f @ wts))
     return tuple(out)
 
 
@@ -413,16 +447,22 @@ def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
     small = np.flatnonzero(times < FILON_MIN_T)
     filon = np.flatnonzero(times >= FILON_MIN_T)
     poles = _mode_poles(modes)
+    tf = times[filon]
+    if filon.size and spectra:
+        # (n, U, K); the spectra share one width array, so one table
+        # serves them all
+        bessel = np.moveaxis(spherical_jn_orders(
+            np.outer(tf, spectra[0].widths)).reshape(
+                FILON_ORDER, tf.size, -1), 0, -1)
     R = np.zeros((times.size, 4, 4))          # sum of Re M . W over groups
     for sp in spectra:
         for lo in range(0, small.size, _FILON_BLOCK):
             idx = small[lo:lo + _FILON_BLOCK]
-            F = _elementary_transforms(modes, times[idx], sp.nodes)
-            M = (F * sp.weights) @ np.swapaxes(F.conj(), 1, 2)
+            F = _elementary_transforms(modes, times[idx], sp.small_nodes)
+            M = (F * sp.small_weights) @ np.swapaxes(F.conj(), 1, 2)
             R[idx] += M.real * sp.W
         if filon.size:
-            tf = times[filon]
-            S = _sigma(poles, sp.C, sp.transforms(tf), tf)
+            S = _sigma(poles, sp.C, sp.transforms(tf, bessel), tf)
             R[filon] += (_E_TO_TRIG @ S @ _E_TO_TRIG.conj().T).real * sp.W
     out = 0.5 * (np.swapaxes(V, 1, 2) @ R @ V)
     return 0.5 * (out + np.swapaxes(out, 1, 2))

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
+from duosc import influence
 from duosc.cli import preset_config
 from duosc.config import InternalForce, to_internal, validate_config
 from duosc.errors import ConfigError
@@ -324,6 +326,21 @@ def test_small_t_routes_against_dense_reference():
                              ref) <= 1e-11
 
 
+@pytest.mark.parametrize("name, cutoff, kelvin", [
+    ("fig3", None, None), ("fig4", 200.0, None), ("fig2", None, 0.0),
+    ("fig2", None, 0.3)])
+def test_small_t_layout_against_dense_reference(name, cutoff, kelvin):
+    """Below FILON_MIN_T the phase is summed on its own pole-free layout
+    (64 to 256 nodes); it matches the 2x denser, deeper-graded reference to
+    rounding, down to t = 1e-5 and up to the Filon branch."""
+    ic, modes = physical_ic(name, cutoff, kelvin)
+    times = np.array([1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.999])
+    G = grid_quadratic(ic, modes, times)
+    for t, g in zip(times, G):
+        ref = dense_quadratic(ic, modes, t, per_period=16, levels=80)
+        assert block_rel(g, ref) <= 1e-13
+
+
 def test_panel_half_widths_come_from_bisection_depth():
     """Panels of one bisection depth share one half-width, so a cutoff that
     is not a binary fraction needs no more distinct widths (spherical
@@ -334,6 +351,12 @@ def test_panel_half_widths_come_from_bisection_depth():
 
     assert distinct_widths(123.4) <= distinct_widths(200.0)
     assert distinct_widths(37.7) <= distinct_widths(200.0)
+
+
+def small_t_panels(numax):
+    """Base panels of the small-t layout: at most two periods of
+    exp(-i w t) per GL-16 panel at t = FILON_MIN_T."""
+    return max(4, math.ceil(numax * FILON_MIN_T / (4.0 * math.pi)))
 
 
 def looped_graded_panels(numax, panels, singular):
@@ -366,6 +389,12 @@ def test_graded_panels_match_the_looped_reference(name, kelvin):
                 want = looped_graded_panels(numax, panels, singular)
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and np.array_equal(g, w)
+            # the small-t layout: graded to the Matsubara pole alone
+            small = small_t_panels(numax)
+            got = _graded_panels(numax, small, _matsubara_pole(T))
+            want = looped_graded_panels(numax, small, _matsubara_pole(T))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("name, kelvin", [
@@ -415,6 +444,68 @@ def test_grid_route_is_batch_independent(ic_fig3, modes_fig3):
     for i, t in enumerate(times):
         alone = grid_quadratic(ic_fig3, modes_fig3, [t], spectra)[0]
         assert np.array_equal(alone, whole[i])
+    # two spectra (300 K and 900 K) sharing one Bessel table per call
+    ic, modes = physical_ic("fig4", 200.0)
+    whole = grid_quadratic(ic, modes, times)
+    spectra = bath_spectra(ic, modes)
+    assert len(spectra) == 2
+    for i, t in enumerate(times):
+        alone = grid_quadratic(ic, modes, [t], spectra)[0]
+        assert np.array_equal(alone, whole[i])
+
+
+def test_one_bessel_table_per_call(monkeypatch):
+    """The spectra of one call share one width array, so `grid_quadratic`
+    evaluates the spherical Bessel functions once, however many spectra."""
+    ic, modes = physical_ic("fig4", 200.0)
+    spectra = bath_spectra(ic, modes)
+    assert len(spectra) == 2
+    assert all(sp.widths is spectra[0].widths for sp in spectra)
+    calls = []
+
+    def counted(z):
+        calls.append(z.size)
+        return spherical_jn_orders(z)
+
+    monkeypatch.setattr(influence, "spherical_jn_orders", counted)
+    for times in ([0.5, 1.0, 2.2, 29.9], [7.5], np.linspace(1.0, 30.0, 64)):
+        calls.clear()
+        grid_quadratic(ic, modes, times, spectra)
+        n_filon = np.count_nonzero(np.asarray(times) >= FILON_MIN_T)
+        assert calls == [n_filon * spectra[0].widths.size]
+    calls.clear()
+    grid_quadratic(ic, modes, [1e-3, 0.5], spectra)   # small-t only
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, cutoff, small_nodes", [
+    ("fig2", None, 64), ("fig3", None, 64), ("fig4", None, 64),
+    ("fig3", 123.4, 160), ("fig4", 200.0, 256)])
+def test_layout_sizes_stay_small(name, cutoff, small_nodes):
+    """Each layout is sized for its own integrand: the Filon panels are
+    graded by the poles from a base of FILON_BASE_PANELS, and the small-t
+    nodes follow the cutoff.  Re-inflating either layout fails here."""
+    ic, modes = physical_ic(name, cutoff)
+    for sp in bath_spectra(ic, modes):
+        assert sp.mids.size <= 48
+        assert sp.small_nodes.size == small_nodes
+
+
+def test_spectra_log_their_layouts(caplog, capsys):
+    """One DEBUG line per spectrum on the `duosc` logger, nothing printed."""
+    ic, modes = physical_ic("fig4")
+    with caplog.at_level(logging.DEBUG, logger="duosc"):
+        spectra = bath_spectra(ic, modes)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "duosc" and r.levelno == logging.DEBUG]
+    assert len(lines) == len(spectra) == 2
+    for line, sp in zip(lines, spectra):
+        assert (f"{sp.mids.size} Filon panels, {sp.coef.shape[0]} nodes, "
+                f"{np.unique(sp.width_of).size} distinct widths; "
+                f"{sp.small_nodes.size} small-t nodes") in line
+    assert "42 Filon panels, 1008 nodes" in lines[0]
+    assert "64 small-t nodes" in lines[0]
+    assert capsys.readouterr() == ("", "")
 
 
 def test_grid_route_rejects_nonpositive_times(ic_fig3, modes_fig3):

@@ -4,8 +4,9 @@
 
 For the fig3 preset and the wideband configuration (fig4 baths, cutoff 200
 omega01, no forces) on their 2000-point grids, prints the number of bath
-spectra (one per distinct cutoff and temperature) and the wall time per
-point of
+spectra (one per distinct cutoff and temperature), the size of each
+spectrum's two omega layouts (Filon panels and nodes for t >= 1, nodes of
+the direct sum below), and the wall time per point of
 
   per-t       influence.influence_form at every `stride`-th grid point: a
               fresh omega quadrature per time, as the engine did up to the
@@ -72,7 +73,11 @@ def main(argv=None) -> None:
             grid_quadratic(ic, modes, times[lo:lo + CHUNK], spectra)
         whole = (time.perf_counter() - start) / times.size
 
-        print(f"{name:9s} {len(spectra)} spectra   "
+        layouts = ", ".join(
+            f"{sp.mids.size} panels / {sp.coef.shape[0]} Filon nodes + "
+            f"{sp.small_nodes.size} small-t nodes" for sp in spectra)
+        print(f"{name:9s} {len(spectra)} spectra ({layouts})")
+        print(f"{'':9s} "
               f"per-t {1e3 * per_t:8.3f} ms/point "
               f"({sample.size} points)   whole-grid {1e3 * whole:6.3f} "
               f"ms/point ({times.size} points)   x{per_t / whole:.0f}")
