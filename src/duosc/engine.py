@@ -8,11 +8,11 @@ each as arrays from start to finish: the bath phase
 and temperature, built once per run: per time t >= 1 one Filon product in
 omega on pole-graded panels, with one Bessel table per chunk for all
 spectra; below t = 1 a direct sum on 64-256 pole-free nodes), the
-closed-form classical action (`action.endpoint_action_arrays`), the stacked
-Gaussian reduction (`reduction.reduce_to_states`) and the moment table
-(`observables.report_table`).  The drive never enters the bath phase
-(Feynman & Vernon 1963): the phase is a quadratic form in the xi endpoints
-alone.
+closed-form classical action (`action.endpoint_action_arrays`) and the
+stacked Gaussian reduction (`reduction.reduce_to_states`); the moment table
+(`observables.report_table`) then takes one pass over the whole grid.  The
+drive never enters the bath phase (Feynman & Vernon 1963): the phase is a
+quadratic form in the xi endpoints alone.
 
 A state is a function of (cfg, t) alone, bit for bit: the chunking and the
 thread pool (which maps the same chunks) do not change any value.
@@ -139,9 +139,8 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
         log.warning("t = %.17g (grid index %d) lies in a caustic window; "
                     "evaluated at t = %.17g instead", times[i], i, evals[i])
 
-    def run(idx: np.ndarray) -> tuple:
-        states = _chunk_states(cfg, modes, spectra, evals[idx])
-        return states, report_table(states, hbar=cfg.hbar)
+    def run(idx: np.ndarray) -> np.ndarray:
+        return _chunk_states(cfg, modes, spectra, evals[idx])
 
     positive = np.flatnonzero(evals > 0.0)
     chunks = [positive[lo:lo + CHUNK]
@@ -152,13 +151,13 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     else:
         done = [run(idx) for idx in chunks]
 
-    start = state_row(initial_state(cfg))[None]
-    states = np.repeat(start, times.size, axis=0)
-    reports = np.repeat(report_table(start, hbar=cfg.hbar), times.size,
-                        axis=0)
-    for idx, (s, r) in zip(chunks, done):
+    states = np.repeat(state_row(initial_state(cfg))[None], times.size,
+                       axis=0)
+    for idx, s in zip(chunks, done):
         states[idx] = s
-        reports[idx] = r
+    # one pass over every row, the start rows included: each report row is
+    # a function of its state row alone
+    reports = report_table(states, hbar=cfg.hbar)
     states.flags.writeable = False
     reports.flags.writeable = False
     return SimulationResult(config=cfg, times=times, state_array=states,

@@ -3,25 +3,22 @@
 The driven sector of the dynamics only ever sees the forces through eight
 weighted integrals of the form  int_0^t f(tau) {sin,cos}(Omega_k tau)
 exp(delta_k tau) dtau  and the linear-in-endpoint combinations built from
-them.  For exponential-step forces these integrals have elementary
-antiderivatives, evaluated here in closed form; sampled forces are handled
-with Gauss-Legendre panels (the integrand grows like exp(delta*tau), so
-panel quadrature on the sample grid beats any global uniform rule).
+them.  Both force kinds have elementary antiderivatives, evaluated here in
+closed form: an exponential step directly, a sampled force (linear between
+its knots, zero outside them) per knot interval, summed over the intervals
+below t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .config import InternalForce, ForceSpec, OscillatorParams
 from .errors import ConfigError
 from .modes import NormalModes, check_caustic
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def force_value(f, tau):
@@ -69,17 +66,23 @@ def default_amplitude(osc: OscillatorParams, force: ForceSpec) -> float:
             * osc.mass * osc.eigenfrequency * sigma0)
 
 
-def oscillatory_moments(f, Omega: float, delta: float, times: np.ndarray
+def oscillatory_moments(f, Omega, delta, times: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(M, N) = int_0^t f(tau) (sin, cos)(Omega tau) exp(delta tau) dtau at
-    each of `times`: closed form for an exponential step, panel quadrature
-    per time for a sampled profile."""
+    each of `times`, in closed form for both force kinds.
+
+    Omega and delta may be arrays of one shape S (one entry per mode); M
+    and N then have shape S + (times.size,).
+    """
     times = np.ascontiguousarray(times, dtype=float)
+    alpha = (np.asarray(delta, dtype=float)
+             + 1j * np.asarray(Omega, dtype=float))[..., None]
     if f.is_zero:
-        return np.zeros(times.size), np.zeros(times.size)
+        zero = np.zeros(alpha.shape[:-1] + times.shape)
+        return zero, zero.copy()
     if f.kind == "exponential_step":
         # f0 int_t0^t exp(alpha tau) dtau, series-safe for small alpha h
-        alpha = complex(delta - f.decay, Omega)
+        alpha = alpha - f.decay
         h = times - f.t0
         z = alpha * h
         start = np.exp(alpha * f.t0)
@@ -88,8 +91,7 @@ def oscillatory_moments(f, Omega: float, delta: float, times: np.ndarray
                        (np.exp(alpha * times) - start) / alpha)
         val = np.where(times > max(f.t0, 0.0), f.f0 * val, 0.0)
     else:
-        val = np.array([_sampled_moment(f, Omega, delta, t) if t > 0.0
-                        else 0.0 for t in times], dtype=complex)
+        val = _sampled_moments(f, alpha, times)
     return val.imag, val.real
 
 
@@ -100,28 +102,65 @@ def oscillatory_moment(f, Omega: float, delta: float, t: float
     return float(M[0]), float(N[0])
 
 
-def _sampled_moment(f, Omega: float, delta: float, t: float) -> complex:
-    """f(tau) exp((delta + i Omega) tau) integrated over [0, t] for a
-    sampled profile: panels bounded by sample points and a trig/envelope
-    scale; each interval between breaks splits into nsub equal sub-panels,
-    and the nodes of all sub-panels are built as one array."""
-    scale = max(abs(Omega), abs(delta), 1.0)
-    h_max = 0.25 * math.pi / scale
-    knots = np.asarray(f.times, dtype=float)
-    breaks = knots[(knots > 0.0) & (knots < t)]
-    edges = np.unique(np.concatenate(([0.0], breaks, [t])))
-    a, length = edges[:-1], np.diff(edges)
-    nsub = np.maximum(1, np.ceil(length / h_max).astype(int))
-    panel = np.repeat(np.arange(a.size), nsub)
-    j = np.arange(panel.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
-    h = (length / nsub)[panel]
-    sa = a[panel] + j * h
-    sb = np.where(j + 1 == nsub[panel], edges[1:][panel], sa + h)
-    mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES
-    fv = force_value(f, nodes.ravel()).reshape(nodes.shape)
-    return complex(np.sum(half[:, None] * _GL_WEIGHTS * fv
-                          * np.exp(complex(delta, Omega) * nodes)))
+# Taylor coefficients of E1 / L = (exp(z) - 1) / z = sum z^k / (k+1)! and
+# E2 / L^2 = int_0^1 x exp(z x) dx = sum z^k / (k! (k+2)), as columns, highest
+# power first: 10 terms reach 1e-17 relative for |z| < _SERIES_Z, where the
+# closed form of E2 would lose up to 2 eps / |z| to cancellation
+_SERIES_Z = 0.1
+_SERIES = np.array([[1.0 / math.factorial(k + 1),
+                     1.0 / (math.factorial(k) * (k + 2))]
+                    for k in range(9, -1, -1)])[:, :, None]
+
+
+def _sampled_moments(f, alpha: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """int_0^t f(tau) exp(alpha tau) dtau for the linear interpolant f of a
+    sampled profile (zero outside its knots), at each of `times`; `alpha`
+    has shape S + (1,), the result S + (times.size,).
+
+    On a knot interval [a, a + L] with f = v + s u, u = tau - a, the
+    integral is exp(alpha a) (v E1 + s E2), E1 = int_0^L exp(alpha u) du =
+    expm1(alpha L) / alpha and E2 = int_0^L u exp(alpha u) du = (L
+    exp(alpha L) - E1) / alpha, or their Taylor series where |alpha L| <
+    _SERIES_Z.  A prefix sum over the intervals clipped to [0, inf) plus
+    one partial interval per time gives every time at once; each value
+    depends on the knots, its alpha and its own t only.
+    """
+    x = np.asarray(f.times, dtype=float)
+    v = np.asarray(f.values, dtype=float)
+    if x[0] < 0.0:
+        keep = x > 0.0
+        v = np.concatenate(([np.interp(0.0, x, v)], v[keep]))
+        x = np.concatenate(([0.0], x[keep]))
+    length = np.diff(x)
+    slope = np.append(np.diff(v) / length, 0.0)
+    # the interval holding each time, and the part of it below t; a time
+    # outside the knots gets a zero part (all or none of the intervals)
+    j = np.maximum(np.searchsorted(x, times, side="right") - 1, 0)
+    part = np.minimum(np.maximum(times, x[0]), x[-1]) - x[j]
+    # one array for the whole intervals and the partial ones
+    idx = np.concatenate((np.arange(length.size), j))
+    L = np.concatenate((length, part))
+    z = alpha * L
+    flat = z.reshape(-1)
+    small = np.flatnonzero(np.abs(flat) < _SERIES_Z)
+    zs = flat[small]
+    flat[small] = 1.0                 # keeps the closed form finite there
+    inv = 1.0 / np.where(alpha == 0.0, 1.0, alpha)   # alpha = 0: all small
+    em1 = np.expm1(z)
+    e1 = em1 * inv
+    e2 = (L * (em1 + 1.0) - e1) * inv
+    if small.size:
+        Ls = L[small % L.size]
+        acc = _SERIES[0] + 0.0 * zs   # (2, m): E1 / L and E2 / L^2
+        for c in _SERIES[1:]:
+            acc *= zs
+            acc += c
+        e1.reshape(-1)[small] = acc[0] * Ls
+        e2.reshape(-1)[small] = acc[1] * Ls * Ls
+    terms = np.exp(alpha * x[idx]) * (v[idx] * e1 + slope[idx] * e2)
+    prefix = np.zeros(alpha.shape[:-1] + (x.size,), dtype=complex)
+    np.cumsum(terms[..., :length.size], axis=-1, out=prefix[..., 1:])
+    return prefix[..., j] + terms[..., length.size:]
 
 
 @dataclass(frozen=True)
@@ -159,10 +198,9 @@ def force_moment_table(modes: NormalModes, f1, f2,
     check_caustic(modes, times)
     O1, O2 = modes.Omega1, modes.Omega2
     d1, d2 = modes.delta1, modes.delta2
-    M1, N1 = oscillatory_moments(f1, O1, d1, times)
-    M2, N2 = oscillatory_moments(f1, O2, d2, times)
-    M1p, N1p = oscillatory_moments(f2, O1, d1, times)
-    M2p, N2p = oscillatory_moments(f2, O2, d2, times)
+    Omega, delta = np.array([O1, O2]), np.array([d1, d2])
+    (M1, M2), (N1, N2) = oscillatory_moments(f1, Omega, delta, times)
+    (M1p, M2p), (N1p, N2p) = oscillatory_moments(f2, Omega, delta, times)
     r1, r2 = modes.r1, modes.r2
     q = modes.one_minus_r1r2
     S1, S2 = np.sin(O1 * times), np.sin(O2 * times)

@@ -87,11 +87,18 @@ def _bernstein_rho(lo: np.ndarray, hi: np.ndarray,
     """Bernstein-ellipse parameter of singularity s for panels [lo, hi].
 
     A function analytic inside the ellipse with foci lo, hi through s has
-    Legendre coefficients on the panel decaying like rho^-k.
+    Legendre coefficients on the panel decaying like rho^-k.  The layout
+    tests the equivalent focal-distance sum (`_graded_panels`); the tests
+    check it against this definition.
     """
     z = (s - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
     w = np.sqrt(z * z - 1.0)
     return np.maximum(np.abs(z + w), np.abs(z - w))
+
+
+#: rho < BERNSTEIN_RHO  <=>  |s - lo| + |s - hi| < _FOCAL_SUM (hi - lo): the
+#: ellipse of parameter rho has semi-major axis (rho + 1/rho) (hi - lo) / 4
+_FOCAL_SUM = 0.5 * (BERNSTEIN_RHO + 1.0 / BERNSTEIN_RHO)
 
 
 def _graded_panels(numax: float, panels: int, singular) -> tuple:
@@ -111,15 +118,17 @@ def _graded_panels(numax: float, panels: int, singular) -> tuple:
     lo, hi = edges[:-1], edges[1:]
     new = [edges]
     while lo.size:
-        bad = np.any(_bernstein_rho(lo, hi, singular) < BERNSTEIN_RHO,
-                     axis=0)
+        bad = (np.abs(singular - lo) + np.abs(singular - hi)
+               < _FOCAL_SUM * (hi - lo)).any(0)
         lo, hi = lo[bad], hi[bad]
         mid = 0.5 * (lo + hi)
         new.append(mid)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     edges = np.sort(np.concatenate(new))
+    # a panel of depth d spans 2 h0 / 2^d up to rounding, so 3 h0 / width
+    # is 0.75 * 2^(d+1) and its binary exponent is d + 1
     h0 = 0.5 * numax / panels
-    depth = np.rint(np.log2(h0 / (0.5 * np.diff(edges)))).astype(int)
+    depth = np.frexp(3.0 * h0 / np.diff(edges))[1] - 1
     return 0.5 * (edges[:-1] + edges[1:]), np.ldexp(h0, -depth)
 
 
@@ -239,14 +248,12 @@ FILON_ORDER = 24           # GL nodes per panel = Legendre orders kept
 FILON_BASE_PANELS = 8      # uniform panels on [0, numax] before grading
 FILON_MIN_T = 1.0          # below: direct sum on the small-t layout
 _FILON_BLOCK = 8           # times per block: bounds the (block, J*K) temps
-_MILLER_START = 2 * FILON_ORDER + 32
-# Every _MILLER_STRIDE steps, acc = sum (2k+1) b_k^2 above _MILLER_BIG is
-# rescaled exactly (b by _MILLER_SCALE).  A step grows |b| at most (161/z + 1)
-# fold, so for z >= 1e-30 three steps grow acc < 2^656 fold: it stays below
-# 2^1015 and one rescale brings it back under 2^359.
-_MILLER_STRIDE = 3
-_MILLER_SCALE = 2.0 ** -332
-_MILLER_BIG = 2.0 ** 359
+# Miller's start: its truncation error falls about 1000-fold per 4 steps and
+# reaches 1e-16 at 2n - 4 for z <= n; 2n + 8 leaves a margin of 12 steps.
+# From T = 1 at the start a step grows |T| at most (2 start + 1) / z + 1 <=
+# 114 fold for z >= 1, so no value exceeds 2^383 and no rescaling is needed
+_MILLER_START = 2 * FILON_ORDER + 8
+_SERIES_TERMS = 10         # power series of j_k below z = 1: 1e-17 relative
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,51 +265,73 @@ def _filon_rule():
     return x, w, (np.arange(FILON_ORDER) + 0.5)[:, None] * vander.T * w
 
 
+@functools.lru_cache(maxsize=None)
+def _bessel_tables():
+    """Coefficients of the power series of j_k(z) / z^k in z^2, highest
+    power first, (terms, K, 1); and Miller's step factors 2k + 1 with the
+    normalization weights, (start + 1, 1).  Built on first use."""
+    k = np.arange(FILON_ORDER)
+    # j_k = z^k / (2k+1)!! sum_m (-z^2/2)^m / (m! (2k+3)(2k+5)...(2k+2m+1))
+    series = np.empty((_SERIES_TERMS, FILON_ORDER))
+    series[0] = 1.0 / np.cumprod(2 * k + 1.0)
+    for m in range(1, _SERIES_TERMS):
+        series[m] = series[m - 1] * (-0.5 / (m * (2 * k + 2 * m + 1.0)))
+    odd = 2.0 * np.arange(_MILLER_START + 1) + 1.0
+    return series[::-1, :, None], odd[:, None]
+
+
 def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
     """Spherical Bessel functions j_0..j_{n-1} at z >= 1e-30, n =
     FILON_ORDER; shape (n, z.size).
 
-    Upward recurrence from the closed forms of j_0, j_1 where z > n (stable
-    for k < z); elsewhere Miller's downward recurrence from the fixed index
-    2n + 32, normalized by sum_k (2k+1) j_k^2 = 1 over every recurrence term
-    and signed by the closed-form j_0, j_1.  Each value is a function of its
-    own z only, whatever else is in the array.
+    Below z = 1 the power series; up to z = n Miller's downward recurrence
+    from the fixed index 2n + 8, normalized by sum_k (2k+1) j_k^2 = 1 over
+    every recurrence term; above n upward recurrence from the closed forms
+    of j_0, j_1 (stable for k < z).  Each value is a function of its own z
+    only, whatever else is in the array.
     """
     n = FILON_ORDER
     z = np.asarray(z, dtype=float).ravel()
     out = np.empty((n, z.size))
+    series, odd = _bessel_tables()
+    low = z < 1.0
+    if low.any():
+        zl = z[low]
+        z2 = zl * zl
+        acc = series[0] * z2
+        for c in series[1:-1]:
+            acc += c
+            acc *= z2
+        acc += series[-1]
+        out[:, low] = acc * zl ** np.arange(n)[:, None]
     up = z > n
-    zu = z[up]
-    if zu.size:
-        a = np.sin(zu) / zu
-        b = (a - np.cos(zu)) / zu
-        out[0, up] = a
-        out[1, up] = b
+    mid = ~(low | up)
+    if mid.any():
+        zm = z[mid]
+        # started positive at k = start with j_{start+1} = 0, the recurrence
+        # is a positive multiple of j_k (the Wronskian with y_{start+1} < 0)
+        c = list(odd / zm)
+        T = np.empty((_MILLER_START + 1, zm.size))
+        rows = list(T)
+        T[-1] = 1.0
+        np.multiply(c[-1], rows[-1], out=rows[-2])
+        for k in range(_MILLER_START - 1, 0, -1):
+            np.multiply(c[k], rows[k], out=rows[k - 1])
+            np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
+        # the sum runs along rows, in one order for any number of columns
+        acc = np.ascontiguousarray((odd * T * T).T).sum(axis=1)
+        out[:, mid] = T[:n] / np.sqrt(acc)
+    if up.any():
+        zu = z[up]
+        c = list(odd[:n] / zu)
+        tab = np.empty((n, zu.size))
+        rows = list(tab)
+        np.divide(np.sin(zu), zu, out=rows[0])
+        np.divide(rows[0] - np.cos(zu), zu, out=rows[1])
         for k in range(1, n - 1):
-            a, b = b, (2 * k + 1) / zu * b - a
-            out[k + 1, up] = b
-    zm = z[~up]
-    if zm.size:
-        inv = 1.0 / zm
-        a = np.zeros_like(zm)                         # j_{k+1}
-        b = np.full_like(zm, _MILLER_SCALE)           # j_k, k = start
-        acc = (2 * _MILLER_START + 1) * b * b
-        low = np.empty((n, zm.size))
-        for k in range(_MILLER_START, 0, -1):
-            a, b = b, (2 * k + 1) * inv * b - a       # b = j_{k-1}
-            acc += (2 * k - 1) * b * b
-            if k <= n:
-                low[k - 1] = b
-            if k % _MILLER_STRIDE == 0 and acc.max() > _MILLER_BIG:
-                s = np.where(acc > _MILLER_BIG, _MILLER_SCALE, 1.0)
-                a *= s
-                b *= s
-                acc *= s * s
-                low[k - 1:] *= s
-        j0 = np.sin(zm) * inv
-        j1 = (j0 - np.cos(zm)) * inv
-        sign = np.sign(low[0] * j0 + low[1] * j1)
-        out[:, ~up] = low * (sign / np.sqrt(acc))
+            np.multiply(c[k], rows[k], out=rows[k + 1])
+            np.subtract(rows[k + 1], rows[k - 1], out=rows[k + 1])
+        out[:, up] = tab
     return out
 
 
@@ -378,36 +407,37 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
                              tuple(poles) + _matsubara_pole(T))
               for numax, T in groups]
     # one sorted width array for all spectra: one Bessel table per call
-    widths, index = np.unique(np.concatenate([h for _, h in panels]),
-                              return_inverse=True)
-    width_of = np.split(index, np.cumsum([h.size for _, h in panels])[:-1])
+    widths, width_of = np.unique(np.concatenate([h for _, h in panels]),
+                                 return_inverse=True)
     gl_x, gl_w, to_legendre = _filon_rule()
-    r = np.concatenate([poles, poles.conj()])
     i_k = np.array([1.0, -1j, -1.0, 1j])[np.arange(FILON_ORDER) % 4]
     out = []
-    for ((numax, T), W), (mids, halfs), w_of in zip(groups.items(), panels,
-                                                    width_of):
+    start = 0
+    for ((numax, T), W), (mids, halfs) in zip(groups.items(), panels):
         nodes, wts = _panel_nodes(mids, halfs, (gl_x, gl_w))
-        g = thermal_weight(nodes, T)
-        f = g / (nodes[None, :] - r[:, None])                  # (8, J*K)
-        # Legendre coefficients of g0 / (w - p), (4, J, K); those of
-        # g0 / (w - conj p) are their conjugates
-        c = f[:4].reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
+        # g0 / (w - p), (4, J*K); g0 / (w - conj p) is its conjugate, and so
+        # are its Legendre coefficients and integral
+        f = thermal_weight(nodes, T) / (nodes - poles[:, None])
+        c = f.reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
         coef = (np.concatenate([c, c.conj()])
                 * (2.0 * halfs)[:, None] * i_k).reshape(8, -1)
+        C = f @ wts
         # at most two periods of exp(-i w t) per panel at t = FILON_MIN_T
         small = max(4, math.ceil(numax * FILON_MIN_T / (4.0 * math.pi)))
         s_nodes, s_wts = _panel_nodes(
             *_graded_panels(numax, small, _matsubara_pole(T)), _GL16)
-        log.debug("bath spectrum numax=%.6g T=%.6g: %d Filon panels, "
-                  "%d nodes, %d distinct widths; %d small-t nodes",
-                  numax, T, halfs.size, nodes.size, np.unique(w_of).size,
-                  s_nodes.size)
+        w_of = width_of[start:start + halfs.size]
+        start += halfs.size
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("bath spectrum numax=%.6g T=%.6g: %d Filon panels, "
+                      "%d nodes, %d distinct widths; %d small-t nodes",
+                      numax, T, halfs.size, nodes.size, np.unique(w_of).size,
+                      s_nodes.size)
         out.append(BathSpectrum(
             W=W, small_nodes=s_nodes,
             small_weights=s_wts * thermal_weight(s_nodes, T), mids=mids,
             widths=widths, width_of=w_of, coef=np.ascontiguousarray(coef.T),
-            C=f @ wts))
+            C=np.concatenate([C, C.conj()])))
     return tuple(out)
 
 

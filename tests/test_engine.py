@@ -12,7 +12,7 @@ from duosc.engine import simulate, state_at
 from duosc.errors import CausticTime, ConfigError
 from duosc.influence import bath_spectra, grid_quadratic
 from duosc.modes import check_caustic, coefficient_matrices, solve_determinant
-from duosc.observables import CovarianceReport
+from duosc.observables import CovarianceReport, report_table
 from duosc.reduction import GaussianStateParams, initial_state
 
 from test_modes import make_ic
@@ -167,6 +167,17 @@ def test_result_views_read_the_tables(ic_fig3):
             col[0] = 1.0            # the result is read-only
     assert res.states[-1].t == times[-1]
     assert res.states[0] == initial_state(ic_fig3)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reports_are_one_pass_over_the_state_table(ic_fig3, threads):
+    """The report table is `report_table` of the finished state table, bit
+    for bit: start rows (t <= 0) and several chunks included."""
+    times = np.concatenate([[0.0, -1.0], np.linspace(0.0, 29.0, 150)])
+    res = simulate(ic_fig3, times=times, threads=threads)
+    assert np.count_nonzero(times > 0.0) > engine.CHUNK
+    want = report_table(res.state_array, hbar=ic_fig3.hbar)
+    assert np.array_equal(res.report_array, want)
 
 
 @pytest.mark.parametrize("mode, half_periods", [(1, 3), (2, 5)])

@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 from duosc.action import classical_action_form
 from duosc.config import InternalForce
-from duosc.forcing import (_GL_NODES, _GL_WEIGHTS,
-                           default_amplitude_internal, force_moments,
-                           force_value, oscillatory_moment)
+from duosc.forcing import (default_amplitude_internal, force_moments,
+                           force_value, oscillatory_moment,
+                           oscillatory_moments)
 from duosc.particular import particular_solution
 
 STEP = InternalForce(kind="exponential_step", f0=0.078, t0=1.0, decay=0.1)
@@ -114,8 +114,12 @@ def test_moments_additive_in_force():
     assert math.isclose(N, 2.0 * Nh, rel_tol=1e-13)
 
 
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
 def looped_sampled_moment(f, Omega, delta, t):
-    """Reference: the sampled-branch panel rule, one sub-panel at a time."""
+    """Reference: Gauss-Legendre panels bounded by the samples and an eighth
+    of a period, one sub-panel at a time."""
     h_max = 0.25 * math.pi / max(abs(Omega), abs(delta), 1.0)
     breaks = [x for x in f.times if 0.0 < x < t]
     edges = np.unique(np.concatenate(([0.0], breaks, [t])))
@@ -124,8 +128,8 @@ def looped_sampled_moment(f, Omega, delta, t):
         sub = np.linspace(a, b, max(1, int(math.ceil((b - a) / h_max))) + 1)
         for sa, sb in zip(sub[:-1], sub[1:]):
             mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
-            nodes = mid + half * _GL_NODES
-            val += half * np.sum(_GL_WEIGHTS * force_value(f, nodes)
+            nodes = mid + half * GL_NODES
+            val += half * np.sum(GL_WEIGHTS * force_value(f, nodes)
                                  * np.exp(complex(delta, Omega) * nodes))
     return val.imag, val.real
 
@@ -141,6 +145,33 @@ def test_sampled_moment_matches_looped_reference(Omega, delta, t):
                       values=np.sin(0.7 * times) * np.exp(-0.05 * times))
     M, N = oscillatory_moment(f, Omega, delta, t)
     Mr, Nr = looped_sampled_moment(f, Omega, delta, t)
-    # same nodes and weights, summed in another order
     scale = max(abs(Mr), abs(Nr))
     assert abs(M - Mr) <= 1e-13 * scale and abs(N - Nr) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("start, first, last", [
+    (-2.3, 0.4, -0.7),         # knots begin below 0: the first one clipped
+    (0.8, 0.4, -0.7),          # jumps at both ends of np.interp's support
+    (0.0, 0.0, 0.0),
+])
+@pytest.mark.parametrize("Omega, delta", [
+    (0.9486305919587454, 0.01),
+    (3.0166040509155327, 0.01),
+    (1e-3, 0.0),               # |alpha h| < 1e-3 on every interval
+])
+def test_sampled_moments_in_closed_form(start, first, last, Omega, delta):
+    """The per-interval closed form against the panel rule: times before
+    the first knot, on knots, between them and past the last one."""
+    times = np.linspace(start, 21.7, 186)
+    values = np.sin(0.7 * times) * np.exp(-0.05 * times) + 0.3
+    values[0], values[-1] = first, last
+    f = InternalForce(kind="sampled", times=times, values=values)
+    grid = np.array([-1.0, 0.0, 0.5, times[1], times[2], times[90],
+                     0.5 * (times[90] + times[91]), times[-2], times[-1],
+                     23.0, 40.0])
+    M, N = oscillatory_moments(f, Omega, delta, grid)
+    for t, m, n in zip(grid, M, N):
+        Mr, Nr = (looped_sampled_moment(f, Omega, delta, t) if t > 0.0
+                  else (0.0, 0.0))
+        scale = max(abs(Mr), abs(Nr))
+        assert abs(m - Mr) <= 1e-13 * scale and abs(n - Nr) <= 1e-13 * scale

@@ -238,7 +238,8 @@ def test_spherical_jn_orders_against_scipy():
     z = np.concatenate([np.geomspace(1e-12, 1.0, 200),
                         np.linspace(1.0, 150.0, 20001),
                         np.pi * np.arange(1, 48),           # j_0 = 0 here
-                        23.999999 + np.arange(3) * 1e-6])   # branch switch
+                        1.0 + np.array([-1e-9, 0.0, 1e-9]),  # branch switches
+                        23.999999 + np.arange(3) * 1e-6])
     ref = np.array([spherical_jn(k, z) for k in range(24)])
     # scipy's own error reaches 1.4e-15 here (mpmath test below)
     assert np.max(np.abs(spherical_jn_orders(z) - ref)) < 3e-15
@@ -248,6 +249,7 @@ def test_spherical_jn_orders_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     z = np.concatenate([[1e-6, 0.3, 9.921500933856667, 23.9, 24.1],
+                        1.0 + np.array([-1e-9, 0.0, 1e-9]),
                         np.linspace(0.05, 150.0, 61)])
     got = spherical_jn_orders(z)
     for i, zi in enumerate(z):
@@ -259,14 +261,25 @@ def test_spherical_jn_orders_against_mpmath():
 
 
 def test_spherical_jn_orders_down_to_the_smallest_admitted_z():
-    """Miller's rescaling is tested only every few steps; down to z = 1e-30
-    the values must stay finite and match j_k(z) = z^k / (2k+1)!! (the next
-    term is smaller by z^2 / (4k+6))."""
+    """The power series runs down to z = 1e-30, where z^k underflows for
+    the higher orders: the values must stay finite and match j_k(z) =
+    z^k / (2k+1)!! (the next term is smaller by z^2 / (4k+6))."""
     z = np.array([1e-30, 1e-24, 1e-18, 1e-12])
     want = np.array([[zi ** k / math.prod(range(1, 2 * k + 2, 2)) for zi in z]
                      for k in range(24)])
     np.testing.assert_allclose(spherical_jn_orders(z), want, rtol=1e-14,
                                atol=1e-300)
+
+
+def test_spherical_jn_orders_value_depends_on_its_own_z_only():
+    """Each column is bit-identical whether z comes alone or with others,
+    on all three branches (the Miller normalization sums in one order)."""
+    z = np.outer(np.linspace(1.0, 30.0, 9),
+                 [0.004, 0.03, 0.2, 0.9, 1.7, 3.3]).ravel()
+    whole = spherical_jn_orders(z)
+    for i, zi in enumerate(z):
+        assert np.array_equal(spherical_jn_orders(np.array([zi]))[:, 0],
+                              whole[:, i])
 
 
 def test_per_t_route_resolves_thermal_scale():

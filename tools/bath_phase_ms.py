@@ -12,7 +12,11 @@ the direct sum below), and the wall time per point of
               fresh omega quadrature per time, as the engine did up to the
               whole-grid route;
   whole-grid  influence.bath_spectra once plus influence.grid_quadratic over
-              the full grid in the engine's chunks.
+              the full grid in the engine's chunks;
+
+and the fixed cost every engine.simulate call pays, in ms per call (best of
+several repeats): influence.bath_spectra, and the spherical Bessel table of
+a 2-time grid (influence.spherical_jn_orders over both times' Filon widths).
 
 BLAS is pinned to one thread, as in the benchmark.
 """
@@ -21,6 +25,7 @@ import argparse
 import os
 import sys
 import time
+import timeit
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +40,7 @@ from duosc.cli import preset_config  # noqa: E402
 from duosc.config import ForceSpec, to_internal, validate_config  # noqa: E402
 from duosc.engine import CHUNK, off_caustic  # noqa: E402
 from duosc.influence import (bath_spectra, grid_quadratic,  # noqa: E402
-                             influence_form)
+                             influence_form, spherical_jn_orders)
 from duosc.modes import solve_determinant  # noqa: E402
 
 
@@ -48,6 +53,10 @@ def configs():
                    bath2=replace(fig4.bath2, cutoff=cut),
                    force1=zero, force2=zero)
     return {"fig3": fig3, "wideband": wide}
+
+
+def ms_per_call(fn, number: int = 200) -> float:
+    return 1e3 * min(timeit.repeat(fn, number=number, repeat=5)) / number
 
 
 def main(argv=None) -> None:
@@ -81,6 +90,15 @@ def main(argv=None) -> None:
               f"per-t {1e3 * per_t:8.3f} ms/point "
               f"({sample.size} points)   whole-grid {1e3 * whole:6.3f} "
               f"ms/point ({times.size} points)   x{per_t / whole:.0f}")
+
+        two = np.outer(times[[times.size // 4, times.size // 2]],
+                       spectra[0].widths).ravel()
+        print(f"{'':9s} "
+              f"per call: bath_spectra "
+              f"{ms_per_call(lambda: bath_spectra(ic, modes)):6.3f} ms   "
+              f"2-time Bessel table "
+              f"{ms_per_call(lambda: spherical_jn_orders(two)):6.3f} ms "
+              f"({two.size} arguments)")
 
 
 if __name__ == "__main__":
