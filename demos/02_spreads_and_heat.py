@@ -21,9 +21,7 @@ import numpy as np
 
 from duosc.cli import preset_config
 from duosc.config import InternalForce, to_internal, validate_config
-from duosc.engine import simulate, state_at
-from duosc.modes import solve_determinant
-from duosc.observables import report
+from duosc.engine import simulate
 from duosc.oracle import fdt_stationary_variance
 
 
@@ -47,9 +45,8 @@ def main():
     print("late-time spreads vs the fluctuation-dissipation integral:")
     for name in ("fig3", "fig4"):
         icn = zero_forces(to_internal(validate_config(preset_config(name))))
-        modes = solve_determinant(icn)
         t_long = 50.0 / icn.gamma1
-        rep = report(state_at(icn, modes, t_long), hbar=icn.hbar)
+        rep = simulate(icn, times=[t_long]).reports[0]
         fdt = fdt_stationary_variance(icn)
         if fdt["equal_temperatures"]:
             print(f"  {name} (equal bath temperatures), t = 50 damping times:")

@@ -12,17 +12,15 @@ import numpy as np
 
 from duosc.cli import preset_config
 from duosc.config import to_internal, validate_config
-from duosc.engine import state_at
-from duosc.modes import solve_determinant
+from duosc.engine import simulate
 from duosc.observables import (hermiticity_error, numeric_trace, report,
                                verify_state)
 
 
 def main():
     ic = to_internal(validate_config(preset_config("fig3")))
-    modes = solve_determinant(ic)
     t = 12.3
-    s = state_at(ic, modes, t)
+    s = simulate(ic, times=[t]).states[0]
 
     print(f"reduced state of the driven pair at internal time t = {t}")
     print()

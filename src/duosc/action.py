@@ -6,14 +6,20 @@ integrated action is an exact bilinear-plus-xi-linear form over the eight
 endpoint variables, up to a constant that the reduction's trace-1
 normalization absorbs.
 
-Production route (`endpoint_action_form`): pure endpoint algebra.  On a
-classical X path, integrating the kinetic term by parts leaves
--1/2 xi.(damped equation of motion of X), which vanishes, plus the boundary
-term sum_k m_k/2 [dX_k xi_k]_0^t.  The bilinear block is therefore eight
-endpoint derivatives of the X basis paths, and the xi-linear drive terms
-are the closed-form force moments of `forcing.force_moment_table`.
+The engine does not use this module: it builds each state from its
+phase-space moments (`engine`), which are regular at every time.  Both
+routes here are the paper's endpoint form, kept as cross-checks; like the
+basis paths they rest on, they raise CausticTime where sin(Omega_k t) = 0.
 
-Cross-check route (`classical_action_form`): the form is extracted by
+Closed-form cross-check (`endpoint_action_arrays`, `endpoint_action_form`):
+pure endpoint algebra.  On a classical X path, integrating the kinetic term
+by parts leaves -1/2 xi.(damped equation of motion of X), which vanishes,
+plus the boundary term sum_k m_k/2 [dX_k xi_k]_0^t.  The bilinear block is
+therefore eight endpoint derivatives of the X basis paths, and the xi-linear
+drive terms are the closed-form force moments of
+`forcing.force_moment_table`.
+
+Quadrature cross-check (`classical_action_form`): the form is extracted by
 polarization: evaluate the action integral on the sixteen unit-endpoint
 basis pairs (bilinear block) and on single unit endpoints with the drive on
 (xi-linear terms), with composite quadrature over smooth
@@ -188,7 +194,7 @@ def classical_action_form(cfg: InternalConfig, modes: NormalModes,
                           t: float, n_min: int = 2048) -> ActionForm:
     """Extract the full endpoint structure of the action at time t.
 
-    Quadrature and polarization; the independent cross-check of
+    Quadrature and polarization; the independent check of
     `endpoint_action_form`.
     """
     if t <= 0.0:

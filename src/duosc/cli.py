@@ -25,6 +25,7 @@ from .config import (BathParams, ForceSpec, OscillatorParams, SystemConfig,
                      TimeGrid, load_config, to_internal, validate_config)
 from .errors import DuoscError
 from .forcing import default_amplitude
+from .modes import solve_determinant
 
 SCENARIOS = ("fig2", "fig3", "fig4", "custom")
 
@@ -87,7 +88,7 @@ def _write_csv(path: str, header: list, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_outputs(outdir: str, result, args) -> None:
+def _write_outputs(outdir: str, result, args, action=None) -> None:
     ic = result.config
     u = ic.units
     ts = result.times * u.time_unit
@@ -129,13 +130,10 @@ def _write_outputs(outdir: str, result, args) -> None:
                    [tuple(getattr(s, f) for f in fields)
                     for s in result.states])
 
-    if args.dump_action:
-        from .modes import solve_determinant
-        modes = solve_determinant(ic)
-        form = endpoint_action_form(ic, modes, result.states[-1].t)
+    if action is not None:
         with open(os.path.join(outdir, "action_form.csv"), "w") as fh:
             fh.write("slot,value\n")
-            for name, val in form.labeled_entries():
+            for name, val in action.labeled_entries():
                 fh.write(f"{name},{_fmt(val)}\n")
 
 
@@ -239,11 +237,16 @@ def main(argv=None) -> int:
         return 2
     try:
         result = engine.simulate(ic, threads=max(1, args.threads))
+        # the endpoint form of the action at the last grid time; it does not
+        # exist on a caustic (CausticTime)
+        action = (endpoint_action_form(ic, solve_determinant(ic),
+                                       result.times[-1])
+                  if args.dump_action else None)
     except DuoscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)
-    _write_outputs(args.out, result, args)
+    _write_outputs(args.out, result, args, action)
     if args.verify:
         failures = _verify(args.out, result)
         if failures:

@@ -1,26 +1,28 @@
 """End-to-end pipeline: configuration to Gaussian state on a time grid.
 
-Each requested time is an independent boundary-value computation, not a
-step of a time stepper.  `simulate` first moves grid times that fall in a
-caustic window slightly later, then evaluates fixed-size chunks of times,
-each as arrays from start to finish: the bath phase
-(`influence.grid_quadratic` with the spectrum of each distinct bath cutoff
-and temperature, built once per run: per time t >= 1 one Filon product in
-omega on pole-graded panels, with one Bessel table per chunk for all
-spectra; below t = 1 a direct sum on 64-256 pole-free nodes), the
-closed-form classical action (`action.endpoint_action_arrays`) and the
-stacked Gaussian reduction (`reduction.reduce_to_states`); the moment table
-(`observables.report_table`) then takes one pass over the whole grid.  The
-drive never enters the bath phase (Feynman & Vernon 1963): the phase is a
-quadratic form in the xi endpoints alone.
+Each requested time is evaluated on its own, exactly as requested; nothing
+steps from one time to the next.  The state is built from its moments in
+phase space: with B(t) the regular map from mode amplitudes to (x1, x2, p1,
+p2) (`modes.response_matrices`), the covariance is B (A0 + R) B^T and the
+means are B m.  A0 = K0 C0 K0^T carries the initial wave packets
+(`modes.initial_amplitude_map`), R(t) is the bath noise block
+(`influence.grid_noise`, with the spectrum of each distinct bath cutoff and
+temperature built once per run: per time t >= 1 one Filon product in omega
+on pole-graded panels, with one Bessel table per chunk for all spectra;
+below t = 1 a direct sum on 64-256 pole-free nodes) and m(t) the drive's
+moments (`forcing.drive_amplitudes`).  `reduction.states_from_moments` maps
+the moments to the state parameters in closed form, and the moment table
+(`observables.report_table`) takes one pass over the whole grid.  No step
+divides by sin(Omega t), so no time is special.  The drive never enters
+the covariance (Feynman & Vernon 1963).
 
-A state is a function of (cfg, t) alone, bit for bit: the chunking and the
-thread pool (which maps the same chunks) do not change any value.
+Fixed-size chunks of times run as arrays from start to finish.  A state is
+a function of (cfg, t) alone, bit for bit: the chunking and the thread pool
+(which maps the same chunks) do not change any value.
 """
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Sequence as SequenceABC
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,36 +30,37 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .action import endpoint_action_arrays
 from .config import InternalConfig
 from .errors import ConfigError
-from .influence import bath_spectra, grid_quadratic
-from .modes import NormalModes, caustic_mask, solve_determinant
+from .forcing import drive_amplitudes
+from .influence import bath_spectra, grid_noise
+from .modes import (NormalModes, initial_amplitude_map, response_matrices,
+                    solve_determinant)
 from .observables import REPORT_FIELDS, CovarianceReport, report_table
-from .reduction import (GaussianStateParams, initial_state, reduce_to_states,
-                        state_row)
-
-log = logging.getLogger("duosc")
+from .reduction import (GaussianStateParams, initial_state, state_row,
+                        states_from_moments)
 
 CHUNK = 64      # times per chunk: one array pass and one thread-pool task
 
 
+def _initial_amplitudes(cfg: InternalConfig, modes: NormalModes) -> np.ndarray:
+    """A0 = K0 C0 K0^T: the initial wave packets' covariance, carried to the
+    mode amplitudes; C0 = diag(sigma01^2, sigma02^2, hbar^2 / 4 sigma01^2,
+    hbar^2 / 4 sigma02^2) over (x1, x2, p1, p2)."""
+    var = np.array([cfg.sigma01_sq, cfg.sigma02_sq])
+    K0 = initial_amplitude_map(modes)
+    return (K0 * np.concatenate([var, 0.25 * cfg.hbar ** 2 / var])) @ K0.T
+
+
 def _chunk_states(cfg: InternalConfig, modes: NormalModes, spectra: tuple,
-                  times: np.ndarray) -> np.ndarray:
-    """State table (n, 19) at positive times off the caustics."""
-    bilinear, linear_xi = endpoint_action_arrays(cfg, modes, times)
-    return reduce_to_states(cfg, times, bilinear, linear_xi,
-                            grid_quadratic(cfg, modes, times, spectra))
-
-
-def state_at(cfg: InternalConfig, modes: NormalModes,
-             t: float) -> GaussianStateParams:
-    """Reduced Gaussian state at one time (CausticTime on a caustic)."""
-    if t <= 0.0:
-        return initial_state(cfg)
-    row = _chunk_states(cfg, modes, bath_spectra(cfg, modes),
-                        np.array([t], dtype=float))[0]
-    return GaussianStateParams(*row.tolist())
+                  A0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """State table (n, 19) at positive times."""
+    B = response_matrices(modes, times)
+    cov = B @ (A0 + grid_noise(cfg, modes, times, spectra)) \
+        @ np.swapaxes(B, 1, 2)
+    means = B @ drive_amplitudes(modes, cfg.force1, cfg.force2,
+                                 times)[:, :, None]
+    return states_from_moments(times, means[:, :, 0], cov, cfg.hbar)
 
 
 class _Rows(SequenceABC):
@@ -86,16 +89,11 @@ class SimulationResult:
     GaussianStateParams fields as columns, `report_array` with the
     CovarianceReport fields.  `states` and `reports` read them as
     sequences of those dataclasses.
-
-    `nudged` lists the grid indices whose state was evaluated slightly past
-    the requested time because it fell in a caustic window; such a state
-    carries its own time in `states[i].t`.
     """
     config: InternalConfig
     times: np.ndarray
     state_array: np.ndarray      # (n, 19)
     report_array: np.ndarray     # (n, 16)
-    nudged: tuple = ()
 
     @property
     def states(self) -> Sequence[GaussianStateParams]:
@@ -110,18 +108,6 @@ class SimulationResult:
         return self.report_array[:, REPORT_FIELDS.index(name)]
 
 
-def _nudge(t: np.ndarray, modes: NormalModes) -> np.ndarray:
-    # step past a caustic window; the window width is ~1e-8 of a period
-    return t + 1e-6 * 2.0 * np.pi / max(modes.Omega1, modes.Omega2)
-
-
-def off_caustic(times: np.ndarray, modes: NormalModes) -> np.ndarray:
-    """The times, each positive one in a caustic window nudged past it."""
-    times = np.asarray(times, dtype=float)
-    hit = (times > 0.0) & caustic_mask(modes, times)
-    return np.where(hit, _nudge(times, modes), times)
-
-
 def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
              threads: int = 1) -> SimulationResult:
     """Evaluate the state on a time grid (default: the configured grid)."""
@@ -132,17 +118,12 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
         raise ConfigError("simulate needs finite times")
     modes = solve_determinant(cfg)
     spectra = bath_spectra(cfg, modes)
-
-    evals = off_caustic(times, modes)
-    nudged = tuple(int(i) for i in np.flatnonzero(evals != times))
-    for i in nudged:
-        log.warning("t = %.17g (grid index %d) lies in a caustic window; "
-                    "evaluated at t = %.17g instead", times[i], i, evals[i])
+    A0 = _initial_amplitudes(cfg, modes)
 
     def run(idx: np.ndarray) -> np.ndarray:
-        return _chunk_states(cfg, modes, spectra, evals[idx])
+        return _chunk_states(cfg, modes, spectra, A0, times[idx])
 
-    positive = np.flatnonzero(evals > 0.0)
+    positive = np.flatnonzero(times > 0.0)
     chunks = [positive[lo:lo + CHUNK]
               for lo in range(0, positive.size, CHUNK)]
     if threads > 1 and len(chunks) > 1:
@@ -161,4 +142,4 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     states.flags.writeable = False
     reports.flags.writeable = False
     return SimulationResult(config=cfg, times=times, state_array=states,
-                            report_array=reports, nudged=nudged)
+                            report_array=reports)

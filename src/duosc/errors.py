@@ -17,14 +17,11 @@ class DegenerateModes(DuoscError):
     """The two mode frequencies coincide within tolerance."""
 
 
-class NonRealRatio(DuoscError):
-    """A mode amplitude ratio came out with a non-negligible imaginary part."""
-
-
 class CausticTime(DuoscError):
     """sin(Omega*t) is too close to zero; the boundary-value form is singular.
 
-    These are isolated times; callers may perturb t and retry.
+    Raised only by the endpoint (boundary-value) cross-check route;
+    `engine.simulate` evaluates every time as requested.
     """
 
 
@@ -37,7 +34,10 @@ class NotNormalizable(DuoscError):
 
 
 class NonHermitianLarge(DuoscError):
-    """Dropped non-Hermitian coefficients exceed the allowed fraction of kept ones."""
+    """Dropped non-Hermitian coefficients exceed the allowed fraction of kept ones.
+
+    Raised only by the endpoint-route reduction (`reduction.reduce_to_states`).
+    """
 
 
 class StepFailure(DuoscError):

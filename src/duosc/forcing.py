@@ -7,6 +7,11 @@ them.  Both force kinds have elementary antiderivatives, evaluated here in
 closed form: an exponential step directly, a sampled force (linear between
 its knots, zero outside them) per knot interval, summed over the intervals
 below t.
+
+Production route: `drive_amplitudes`, the moments of the mode-projected
+force.  Cross-check route: `force_moment_table` / `force_moments`, which
+add the endpoint coefficients lambda and phi of the boundary-value action
+(singular on the caustics).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .config import InternalForce, ForceSpec, OscillatorParams
 from .errors import ConfigError
-from .modes import NormalModes, check_caustic
+from .modes import NormalModes, check_caustic, component_weights
 
 
 def force_value(f, tau):
@@ -161,6 +166,21 @@ def _sampled_moments(f, alpha: np.ndarray, times: np.ndarray) -> np.ndarray:
     prefix = np.zeros(alpha.shape[:-1] + (x.size,), dtype=complex)
     np.cumsum(terms[..., :length.size], axis=-1, out=prefix[..., 1:])
     return prefix[..., j] + terms[..., length.size:]
+
+
+def drive_amplitudes(modes: NormalModes, f1, f2,
+                     times: np.ndarray) -> np.ndarray:
+    """m(t), (n, 4): the drive's amplitudes on [sin1, cos1, sin2, cos2] in
+    the production route (`modes.response_matrices`): the moments (M, N)
+    of u_k . F, M in the sin columns and N in the cos columns."""
+    times = np.ascontiguousarray(times, dtype=float)
+    Omega = np.array([modes.Omega1, modes.Omega2])
+    delta = np.array([modes.delta1, modes.delta2])
+    out = np.zeros((times.size, 4))
+    for f, u in zip((f1, f2), component_weights(modes)):
+        M, N = oscillatory_moments(f, Omega, delta, times)
+        out += u * np.stack([M[0], N[0], M[1], N[1]], axis=1)
+    return out
 
 
 @dataclass(frozen=True)

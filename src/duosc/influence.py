@@ -13,19 +13,21 @@ the path, which for the trig-times-exponential boundary paths is elementary.
 The endpoint quadratic form is extracted exactly from the four unit-endpoint
 basis paths.
 
-Production route (`bath_spectra` + `grid_quadratic`): whole time grids at
-once, one spectrum per distinct (cutoff, temperature).  Partial fractions
-move all t-dependence of the omega integral into eight transforms, which
+Production route (`bath_spectra` + `grid_noise`): whole time grids at once,
+one spectrum per distinct (cutoff, temperature).  `grid_noise` returns the
+double integral R(t) over the four anti-damped elementary functions, before
+any endpoint map; the engine uses it as the noise covariance of the mode
+amplitudes, which is regular at every t.  Partial fractions move all
+t-dependence of the omega integral into eight transforms, which
 Filon-Legendre quadrature on panels graded to the poles gives exactly in t
 as one matrix product per time; below t = 1 the phase is summed directly
 on a small pole-free layout of its own (section at the end of this module).
 
-Cross-check route (`influence_form`): one composite omega quadrature per
-time, resolving exp(-i w t) anew.
-
-Both routes form only the quadratic block over the final and initial xi
-endpoints: the drive never enters the bath phase (Feynman & Vernon 1963),
-so the phase has no linear or constant part.
+Cross-check routes, in the endpoint (boundary-value) form that is singular
+on the caustics: `grid_quadratic`, 1/2 V^T R V over the final and initial xi
+endpoints, and `influence_form`, one composite omega quadrature per time,
+resolving exp(-i w t) anew.  The drive never enters the bath phase
+(Feynman & Vernon 1963), so the phase has no linear or constant part.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def _elementary_transforms(modes: NormalModes, times,
     anti-damped elementary functions [sin1, cos1, sin2, cos2]; (n, 4, N)
     for n times and N frequencies.
 
-    Cross-check route, and the small-t branch of `grid_quadratic`."""
+    Cross-check route, and the small-t branch of `grid_noise`."""
     t = np.asarray(times, dtype=float).reshape(-1, 1)
     out = np.empty((t.shape[0], 4, omega.size), dtype=complex)
     for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
@@ -188,7 +190,7 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
                    t: float) -> InfluenceForm:
     """Evaluate the total bath phase structure at time t.
 
-    Cross-check route: the engine uses `grid_quadratic`.
+    Cross-check route: the engine uses `grid_noise`.
     """
     if t <= 0.0:
         raise ConfigError(f"influence_form needs t > 0, got {t}")
@@ -457,23 +459,27 @@ def _sigma(poles: np.ndarray, C: np.ndarray, D: np.ndarray,
             - np.exp(-1j * pc * tt) * dDc) / den
 
 
-def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
-                   spectra: Optional[tuple] = None) -> np.ndarray:
-    """Quadratic block of the total bath phase at each time, (n, 4, 4).
+def grid_noise(cfg: InternalConfig, modes: NormalModes, times,
+               spectra: Optional[tuple] = None) -> np.ndarray:
+    """Bath noise block R(t) at each time, (n, 4, 4): the sum over spectra
+    of Re M(t) . W, the phase's double integral over the anti-damped
+    elementary functions [sin1, cos1, sin2, cos2] before any endpoint map.
 
-    Production route.  `spectra` (from `bath_spectra`) may be passed to
-    reuse them across calls.  Every time must be positive and off the
-    caustics (CausticTime otherwise).  Each block is a function of
-    (cfg, t) only, bit for bit, however the times are batched.
+    Production route: it is also the covariance the bath noise adds to the
+    mode amplitudes of `modes.response_matrices`.  `spectra` (from
+    `bath_spectra`) may be passed to reuse them across calls.  Every time
+    must be positive; the block is regular at every such time.  Each block
+    is a function of (cfg, t) only, bit for bit, however the times are
+    batched.
     """
     times = np.asarray(times, dtype=float).ravel()
     if not np.all(np.isfinite(times) & (times > 0.0)):
-        raise ConfigError("grid_quadratic needs finite t > 0")
+        raise ConfigError("the bath phase needs finite t > 0")
+    R = np.zeros((times.size, 4, 4))
     if times.size == 0:
-        return np.zeros((0, 4, 4))
+        return R
     if spectra is None:
         spectra = bath_spectra(cfg, modes)
-    V = coefficient_matrices(modes, times, sign=+1.0)
     small = np.flatnonzero(times < FILON_MIN_T)
     filon = np.flatnonzero(times >= FILON_MIN_T)
     poles = _mode_poles(modes)
@@ -484,7 +490,6 @@ def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
         bessel = np.moveaxis(spherical_jn_orders(
             np.outer(tf, spectra[0].widths)).reshape(
                 FILON_ORDER, tf.size, -1), 0, -1)
-    R = np.zeros((times.size, 4, 4))          # sum of Re M . W over groups
     for sp in spectra:
         for lo in range(0, small.size, _FILON_BLOCK):
             idx = small[lo:lo + _FILON_BLOCK]
@@ -494,5 +499,20 @@ def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
         if filon.size:
             S = _sigma(poles, sp.C, sp.transforms(tf, bessel), tf)
             R[filon] += (_E_TO_TRIG @ S @ _E_TO_TRIG.conj().T).real * sp.W
+    return R
+
+
+def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
+                   spectra: Optional[tuple] = None) -> np.ndarray:
+    """Quadratic block of the total bath phase over the xi endpoints at each
+    time, (n, 4, 4): 1/2 V^T R V with R from `grid_noise` and V the xi
+    coefficient matrix.
+
+    Cross-check route (the endpoint form of the reduction): every time
+    must be off the caustics (CausticTime otherwise).
+    """
+    R = grid_noise(cfg, modes, times, spectra)
+    V = coefficient_matrices(modes, np.asarray(times, dtype=float).ravel(),
+                             sign=+1.0)
     out = 0.5 * (np.swapaxes(V, 1, 2) @ R @ V)
     return 0.5 * (out + np.swapaxes(out, 1, 2))

@@ -1,15 +1,23 @@
-"""Normal modes of the coupled damped pair and the classical boundary paths.
+"""Normal modes of the coupled damped pair, the phase-space flow, and the
+classical boundary paths.
 
 The characteristic (determinant) equation of the coupled linear system is the
 quartic  w^4 + i*a*w^3 + b*w^2 + i*c*w + d = 0  with real a, b, c, d.  For
 equal damping rates gamma its four roots pair up as  -+Omega1 - i*gamma  and
--+Omega2 - i*gamma.  The sum-variable (damped) sector evolves with envelopes
-exp(-delta*tau); the difference-variable sector is the time-reversed, anti-
-damped partner with envelopes exp(+delta*tau).
+-+Omega2 - i*gamma, and `solve_determinant` gives them, and the amplitude
+ratios, in closed form.  The sum-variable (damped) sector evolves with
+envelopes exp(-delta*tau); the difference-variable sector is the
+time-reversed, anti-damped partner with envelopes exp(+delta*tau).
 
-Boundary-value paths are represented on the four elementary mode functions
-sin/cos(Omega_k tau) * exp(-+delta_k tau); the coefficient solve is singular
-at the isolated "caustic" times where sin(Omega_k t) = 0.
+Production route (`response_matrices`, `initial_amplitude_map`): the
+phase-space point at time t is B(t) times mode amplitudes, with B regular at
+every t.
+
+Cross-check route (`coefficient_matrices`, `basis_paths` and the path
+helpers): boundary-value paths on the four elementary mode functions
+sin/cos(Omega_k tau) * exp(-+delta_k tau).  The coefficient solve is singular
+at the isolated "caustic" times where sin(Omega_k t) = 0, and raises
+CausticTime there (`check_caustic`).
 """
 
 from __future__ import annotations
@@ -21,11 +29,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .config import InternalConfig
-from .errors import CausticTime, ConfigError, DegenerateModes, NonRealRatio
+from .errors import CausticTime, ConfigError, DegenerateModes
 
-ROOT_RESIDUAL_TOL = 1e-10
 CAUSTIC_TOL = 1e-8
-RATIO_IMAG_TOL = 1e-8
 DEGENERACY_TOL = 1e-8
 
 
@@ -54,9 +60,6 @@ class QuarticCoefficients:
 
     def value(self, w: complex) -> complex:
         return np.polyval(self.poly(), w)
-
-    def derivative(self, w: complex) -> complex:
-        return np.polyval(np.polyder(self.poly()), w)
 
 
 @dataclass(frozen=True)
@@ -89,90 +92,50 @@ class NormalModes:
         return 1.0 - self.r1 * self.r2
 
 
-def _amplitude_ratio_mode1(cfg: InternalConfig, Omega: float, delta: float) -> complex:
-    """Oscillator-2 over oscillator-1 amplitude for a mode exp(s*tau),
-    s = -delta + i*Omega, from the first equation of the damped system."""
-    s = complex(-delta, Omega)
-    return (cfg.m1 / cfg.lam) * (s * s + 2.0 * cfg.gamma1 * s + cfg.w01 ** 2)
-
-
-def _amplitude_ratio_mode2(cfg: InternalConfig, Omega: float, delta: float) -> complex:
-    """Oscillator-1 over oscillator-2 amplitude, from the second equation."""
-    s = complex(-delta, Omega)
-    return (cfg.m2 / cfg.lam) * (s * s + 2.0 * cfg.gamma2 * s + cfg.w02 ** 2)
-
-
 def solve_determinant(cfg: InternalConfig) -> NormalModes:
-    """Solve the quartic determinant equation and label the two modes.
+    """Mode frequencies, damping rates and amplitude ratios in closed form.
 
-    Restricted to gamma1 == gamma2: the root pairing and the real amplitude
-    ratios rely on it.  `config.validate_config` rejects unequal damping
-    up front; this check guards configs built by hand.
+    Restricted to gamma1 == gamma2: then the quartic's roots are
+    +-Omega_k - i gamma with Omega_k^2 = w_k^2 - gamma^2, where w_k^2 are
+    the eigenvalues of the mass-weighted stiffness matrix.  With a =
+    (w01^2 + w02^2) / 2, b = (w01^2 - w02^2) / 2, kappa = lam / sqrt(m1 m2)
+    and h = hypot(b, kappa) they are a + h and d / (a + h), d = w01^2 w02^2
+    - kappa^2 (> 0 below the breakdown coupling `validate_config`
+    enforces).  Mode 1 is the one nearer w01^2.  Its ratio r1 = (m1 / lam)
+    (w01^2 - w1^2) = -lam / (m2 (b +- h)), with the sign of b, does not
+    cancel at weak coupling, and r2 = -(m2 / m1) r1 makes the modes
+    orthogonal under the mass matrix.  `config.validate_config` rejects
+    unequal damping up front; this check guards configs built by hand.
     """
     if not math.isclose(cfg.gamma1, cfg.gamma2, rel_tol=1e-12, abs_tol=1e-15):
         raise ConfigError(
             "the closed-form engine requires equal damping rates "
             f"(gamma1={cfg.gamma1}, gamma2={cfg.gamma2}); "
             "unequal damping is not supported")
-    q = QuarticCoefficients.from_config(cfg)
-    roots = np.roots(q.poly())
-    poly = q.poly()
-    dpoly = np.polyder(poly)
-    for _ in range(2):
-        roots = roots - np.polyval(poly, roots) / np.polyval(dpoly, roots)
-    residual = np.max(np.abs(np.polyval(poly, roots)))
-    scale = max(1.0, abs(q.d))
-    if residual > ROOT_RESIDUAL_TOL * scale:
-        raise ConfigError(f"quartic root residual {residual} too large")
-
-    # pair by sign of the real part; each pair shares |Re| and Im = -gamma
-    order = np.argsort(roots.real)
-    roots = roots[order]                    # [-O2, -O1, +O1, +O2] roughly
-    pos = sorted([w for w in roots if w.real > 0], key=lambda w: w.real)
-    if len(pos) != 2:
-        raise DegenerateModes(f"unexpected root layout: {roots}")
-    cands = [(float(w.real), float(-w.imag)) for w in pos]
-    (Oa, da), (Ob, db) = cands
-    if abs(Oa - Ob) < DEGENERACY_TOL * max(Oa, Ob):
-        raise DegenerateModes(f"mode frequencies coincide: {Oa} vs {Ob}")
-
-    if cfg.lam == 0.0:
-        # decoupled: label by proximity to the bare frequencies, ratios 0
-        f1 = math.sqrt(max(cfg.w01 ** 2 - cfg.gamma1 ** 2, 0.0))
-        if abs(Oa - f1) <= abs(Ob - f1):
-            Omega1, delta1, Omega2, delta2 = Oa, da, Ob, db
-        else:
-            Omega1, delta1, Omega2, delta2 = Ob, db, Oa, da
-        r1 = r2 = 0.0
-    else:
-        # label by eigenvector overlap: mode 1 is the one whose amplitude
-        # lives mostly on oscillator 1, i.e. |x2/x1| < |for the other mode|
-        rho_a = _amplitude_ratio_mode1(cfg, Oa, da)
-        rho_b = _amplitude_ratio_mode1(cfg, Ob, db)
-        if abs(rho_a) <= abs(rho_b):
-            Omega1, delta1, rho1 = Oa, da, rho_a
-            Omega2, delta2 = Ob, db
-        else:
-            Omega1, delta1, rho1 = Ob, db, rho_b
-            Omega2, delta2 = Oa, da
-        rho2 = _amplitude_ratio_mode2(cfg, Omega2, delta2)
-        for name, rho in (("r1", rho1), ("r2", rho2)):
-            # absolute floor: at weak coupling |rho| ~ lam while its rounding
-            # noise ~ eps/lam, so a purely relative gate trips spuriously
-            if abs(rho.imag) > RATIO_IMAG_TOL * max(abs(rho), 1.0):
-                raise NonRealRatio(
-                    f"{name} = {rho} has a non-negligible imaginary part")
-        r1, r2 = float(rho1.real), float(rho2.real)
-        if abs(1.0 - r1 * r2) < 1e-12:
-            raise DegenerateModes(f"1 - r1*r2 vanished (r1={r1}, r2={r2})")
-
-    root_tuple = tuple(
-        complex(s * O, -d)
-        for (O, d) in ((Omega1, delta1), (Omega2, delta2)) for s in (-1.0, 1.0)
-    )
+    gamma = cfg.gamma1
+    w1sq, w2sq = cfg.w01 ** 2, cfg.w02 ** 2
+    a, b = 0.5 * (w1sq + w2sq), 0.5 * (w1sq - w2sq)
+    h = math.hypot(b, cfg.lam / math.sqrt(cfg.m1 * cfg.m2))
+    d = w1sq * w2sq - cfg.lam ** 2 / (cfg.m1 * cfg.m2)
+    upper, lower = a + h, d / (a + h)
+    # mode 1 is the eigenvalue nearer w01^2: the upper one when b >= 0
+    sign = 1.0 if b >= 0.0 else -1.0
+    wsq = (upper, lower) if sign > 0.0 else (lower, upper)
+    if min(wsq) <= gamma ** 2:
+        raise DegenerateModes(
+            f"a mode is not underdamped: w^2 = {min(wsq)} <= gamma^2 = "
+            f"{gamma ** 2}")
+    Omega1, Omega2 = (math.sqrt(w - gamma ** 2) for w in wsq)
+    if abs(Omega1 - Omega2) < DEGENERACY_TOL * max(Omega1, Omega2):
+        raise DegenerateModes(
+            f"mode frequencies coincide: {Omega1} vs {Omega2}")
+    r1 = -cfg.lam / (cfg.m2 * (b + sign * h))
+    r2 = -(cfg.m2 / cfg.m1) * r1
+    roots = (complex(-Omega1, -gamma), complex(Omega1, -gamma),
+             complex(-Omega2, -gamma), complex(Omega2, -gamma))
     return NormalModes(
-        roots=root_tuple, Omega1=Omega1, Omega2=Omega2,
-        delta1=delta1, delta2=delta2, r1=r1, r2=r2,
+        roots=roots, Omega1=Omega1, Omega2=Omega2,
+        delta1=gamma, delta2=gamma, r1=r1, r2=r2,
         m1=cfg.m1, m2=cfg.m2, w01=cfg.w01, w02=cfg.w02,
         gamma1=cfg.gamma1, gamma2=cfg.gamma2, lam=cfg.lam,
     )
@@ -181,13 +144,6 @@ def solve_determinant(cfg: InternalConfig) -> NormalModes:
 def _caustic_sines(modes: NormalModes, times: np.ndarray) -> np.ndarray:
     """sin(Omega_k t) for k = 1, 2 at each time, (2, n); 0 on a caustic."""
     return np.sin(np.outer((modes.Omega1, modes.Omega2), times))
-
-
-def caustic_mask(modes: NormalModes, times, tol: float = CAUSTIC_TOL
-                 ) -> np.ndarray:
-    """True at each time where either sin(Omega_k t) is within tol of 0."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    return np.any(np.abs(_caustic_sines(modes, times)) < tol, axis=0)
 
 
 def check_caustic(modes: NormalModes, times, tol: float = CAUSTIC_TOL) -> None:
@@ -301,6 +257,66 @@ def basis_paths(modes: NormalModes, t: float, tau: np.ndarray, sign: float
     dP1 = (W * c1[:, None]).T @ dphi
     dP2 = (W * c2[:, None]).T @ dphi
     return P1, P2, dP1, dP2
+
+
+# ---------------------------------------------------------------------------
+# phase-space flow (production route)
+#
+# Every solution of the damped pair under a force F is x = sum_k u_k q_k with
+# u_1 = (1, r1), u_2 = (r2, 1) and q_k'' + 2 delta_k q_k' + w_k^2 q_k =
+# u_k . F / n_k, n_k = u_k^T M u_k = m_k (1 - r1 r2).  The retarded Green's
+# function splits as e^(-delta (t-s)) sin Omega (t-s) = e^(-delta t)
+# [sin Omega t psi_cos(s) - cos Omega t psi_sin(s)], psi = e^(delta s)
+# {sin, cos}(Omega s), so the phase-space point (x1, x2, p1, p2) at time t is
+# B(t) a: a holds amplitudes on [sin1, cos1, sin2, cos2] that accumulate
+# u_k . F against psi, plus K0 times the initial point.  B has no 1/sin.
+
+def response_matrices(modes: NormalModes, times) -> np.ndarray:
+    """B(t), (n, 4, 4): amplitudes on [sin1, cos1, sin2, cos2] -> the
+    phase-space point (x1, x2, p1, p2) at each time.
+
+    Column (sin_k, cos_k) of row x_i is u_k[i] e^(-delta_k t) (-cos, sin)
+    (Omega_k t) / (Omega_k n_k); row p_i is m_i times its time derivative
+    at fixed amplitudes, u_k[i] m_i e^(-delta_k t) (Omega_k sin + delta_k
+    cos, Omega_k cos - delta_k sin) / (Omega_k n_k).
+    """
+    t = np.asarray(times, dtype=float).reshape(-1, 1)
+    O = np.array([modes.Omega1, modes.Omega2])
+    d = np.array([modes.delta1, modes.delta2])
+    n_k = np.array([modes.m1, modes.m2]) * modes.one_minus_r1r2
+    s, c = np.sin(O * t), np.cos(O * t)
+    e = np.exp(-d * t) / (O * n_k)
+    x_row = np.empty((t.shape[0], 4))
+    p_row = np.empty((t.shape[0], 4))
+    x_row[:, 0::2], x_row[:, 1::2] = -c * e, s * e
+    p_row[:, 0::2] = (O * s + d * c) * e
+    p_row[:, 1::2] = (O * c - d * s) * e
+    u, mu = _mode_weights(modes)
+    return np.concatenate([x_row[:, None, :] * u, p_row[:, None, :] * mu],
+                          axis=1)
+
+
+def initial_amplitude_map(modes: NormalModes) -> np.ndarray:
+    """K0, (4, 4): the initial point (x1, x2, p1, p2) -> amplitudes, so that
+    B(t) K0 is the free flow (B(0) K0 = 1).
+
+    Row sin_k carries -Omega_k m_j u_k[j] on x_j; row cos_k carries
+    delta_k m_j u_k[j] on x_j and u_k[j] on p_j.
+    """
+    u, mu = _mode_weights(modes)
+    O = np.repeat([modes.Omega1, modes.Omega2], 2)
+    d = np.repeat([modes.delta1, modes.delta2], 2)
+    sin_row = np.array([True, False, True, False])
+    K0 = np.empty((4, 4))
+    K0[:, :2] = np.where(sin_row, -O, d)[:, None] * mu.T
+    K0[:, 2:] = np.where(sin_row, 0.0, 1.0)[:, None] * u.T
+    return K0
+
+
+def _mode_weights(modes: NormalModes) -> Tuple[np.ndarray, np.ndarray]:
+    """u (2, 4) with u_k[i] in the columns of mode k, and M u."""
+    u = np.stack(component_weights(modes))
+    return u, np.array([[modes.m1], [modes.m2]]) * u
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
-"""Contraction of the propagator exponent with the initial Gaussian state.
+"""The reduced Gaussian state: its Hermitian parametrization, built from the
+phase-space moments (production) or by contracting the propagator exponent
+with the initial state (cross-check).
 
-Works on a chunk of times at once: the exponents of all times are stacked
-as (n, 8, 8) arrays, reduced with one stacked solve, and returned as an
-(n, 19) table whose columns are the `GaussianStateParams` fields.  The
-per-time functions are one-row calls of the stacked ones.
+Production route (`states_from_moments`): a Gaussian state is fixed by its
+means and its coordinate-momentum covariance matrix, so the 19
+`GaussianStateParams` of a chunk of times follow from those moments in
+closed form, as stacked 2x2 algebra; it inverts `observables.report_table`.
+The state is Hermitian by construction, so its anti-Hermitian residues
+read 0.
 
-The full exponent of (propagator) x (initial density matrix) is an exact
-complex quadratic-plus-linear form over eight endpoint variables, up to an
+Cross-check route (`reduce_to_states`, `reduce_to_state`): the full
+exponent of (propagator) x (initial density matrix) is an exact complex
+quadratic-plus-linear form over eight endpoint variables, up to an
 additive constant that no output needs: the reduced state is normalized to
-unit trace here.  Integrating out the four initial variables is a Schur
-complement; what remains is the final-time Gaussian state, parametrized by
-real coefficients of its Hermitian part.
-Anti-Hermitian residue (which would vanish in exact arithmetic for a valid
-open-system evolution) is measured and reported, never silently projected
-away without record.
+unit trace here.  The exponents of all times are stacked as (n, 8, 8)
+arrays, and integrating out the four initial variables is one stacked
+Schur complement; what remains is the final-time Gaussian state,
+parametrized by real coefficients of its Hermitian part.  Anti-Hermitian
+residue (which would vanish in exact arithmetic for a valid open-system
+evolution) is measured and reported, never silently projected away
+without record.
 
 Variable order used throughout: (X_f1, X_f2, xi_f1, xi_f2,
 X_i1, X_i2, xi_i1, xi_i2), where X = x + y and xi = x - y.
@@ -170,6 +176,70 @@ def state_row(state: GaussianStateParams) -> np.ndarray:
     return np.array([getattr(state, name) for name in STATE_FIELDS])
 
 
+def _log_norm(g1, g2, g12, mx1, mx2) -> tuple:
+    """(log_norm, beta determinant): trace = 1 on the diagonal x = y, with
+    X = 2x there (Jacobian 1/4).  Neither route tracks the exponent's
+    constant, so the normalization is imposed here rather than inherited."""
+    beta11, beta22, beta12 = 8.0 * g1, 8.0 * g2, 4.0 * g12
+    delta = beta11 * beta22 - beta12 ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        log_norm = (0.5 * np.log(delta) - math.log(2.0 * math.pi)
+                    - 2.0 * (mx1 * mx1 * beta22 - 2.0 * mx1 * mx2 * beta12
+                             + mx2 * mx2 * beta11) / delta)
+    return log_norm, delta
+
+
+def _check_normalizable(times, g1, g2, delta) -> None:
+    """NotNormalizable naming the first time whose position quadratic form
+    is not positive definite."""
+    bad = ~((g1 > 0) & (g2 > 0) & (delta > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NotNormalizable(
+            f"position quadratic form not positive definite at "
+            f"t={float(times[i])}: g1={g1[i]:.3e} g2={g2[i]:.3e} "
+            f"det={delta[i]:.3e}")
+
+
+def states_from_moments(times: np.ndarray, means: np.ndarray,
+                        cov: np.ndarray, hbar: float = 1.0) -> np.ndarray:
+    """State table (n, 19), columns STATE_FIELDS, of the Gaussian states with
+    the given means (n, 4) and covariance matrices (n, 4, 4) over
+    (x1, x2, p1, p2).
+
+    With the blocks Cxx, Cxp, Cpp and the means xbar, pbar:
+    G = Cxx^-1 / 4, Gamma = (2 / hbar) G Cxp,
+    Gp = (Cpp - Cxp^T Cxx^-1 Cxp) / hbar^2, h = 2 G xbar and
+    m_p = pbar / hbar - 2 Gamma^T xbar, where G and Gp hold (2 g1, g12,
+    2 g2) and (2 gp1, gp12, 2 gp2).  NotNormalizable for the first time at
+    which Cxx is not positive definite.
+    """
+    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    Cxp, Cpp = cov[:, :2, 2:], cov[:, 2:, 2:]
+    det = a * c - b * b
+    # Cxx^-1 = [[c, -b], [-b, a]] / det, exactly symmetric
+    inv = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2) \
+        / det[:, None, None]
+    G = 0.25 * inv
+    Gamma = (2.0 / hbar) * G @ Cxp
+    Gp = (Cpp - np.swapaxes(Cxp, 1, 2) @ inv @ Cxp) / hbar ** 2
+    xbar, pbar = means[:, :2, None], means[:, 2:]
+    h = 2.0 * (G @ xbar)[:, :, 0]
+    mp = pbar / hbar - 2.0 * (np.swapaxes(Gamma, 1, 2) @ xbar)[:, :, 0]
+    g1, g2, g12 = 0.5 * G[:, 0, 0], 0.5 * G[:, 1, 1], G[:, 0, 1]
+    log_norm, delta = _log_norm(g1, g2, g12, h[:, 0], h[:, 1])
+    _check_normalizable(times, g1, g2, delta)
+    zero = np.zeros(times.size)
+    return np.stack([times, g1, g2, g12,
+                     0.5 * Gp[:, 0, 0], 0.5 * Gp[:, 1, 1],
+                     0.5 * (Gp[:, 0, 1] + Gp[:, 1, 0]),
+                     Gamma[:, 0, 0], Gamma[:, 0, 1],
+                     Gamma[:, 1, 0], Gamma[:, 1, 1],
+                     h[:, 0], h[:, 1], mp[:, 0], mp[:, 1],
+                     log_norm, zero, zero, zero], axis=1)
+
+
 def _schur_reduce(M: np.ndarray, L: np.ndarray) -> tuple:
     """Integrate out the four initial endpoints of stacked exponents.
 
@@ -226,10 +296,8 @@ def reduce_to_states(cfg: InternalConfig, times: np.ndarray,
     bad_quad = nh_quad > NONHERM_TOL * quad_scale
     bad_lin = (lin_scale > 0) & (nh_lin > NONHERM_TOL * lin_scale)
 
-    beta11, beta22, beta12 = 8.0 * g1, 8.0 * g2, 4.0 * g12
-    delta = beta11 * beta22 - beta12 ** 2
-    bad_norm = ~((g1 > 0) & (g2 > 0) & (delta > 0))
-    bad = bad_quad | bad_lin | bad_norm
+    log_norm, delta = _log_norm(g1, g2, g12, mx1, mx2)
+    bad = bad_quad | bad_lin | ~((g1 > 0) & (g2 > 0) & (delta > 0))
     if bad.any():
         i = int(np.argmax(bad))
         t = float(times[i])
@@ -242,17 +310,7 @@ def reduce_to_states(cfg: InternalConfig, times: np.ndarray,
                 f"anti-Hermitian linear residue {nh_lin[i]:.3e} "
                 f"exceeds {NONHERM_TOL:.1e} of scale {lin_scale[i]:.3e} "
                 f"at t={t}")
-        raise NotNormalizable(
-            f"position quadratic form not positive definite at t={t}: "
-            f"g1={g1[i]:.3e} g2={g2[i]:.3e} det={delta[i]:.3e}")
-    # trace = 1 on the diagonal x = y, with X = 2x there (Jacobian 1/4).
-    # The exponent's constant is never formed: the path-integral prefactor
-    # of the propagator is not tracked either, so the normalization is
-    # imposed here rather than inherited.
-    a_lin, b_lin = -mx1, -mx2
-    log_norm = (0.5 * np.log(delta) - math.log(2.0 * math.pi)
-                - 2.0 * (a_lin * a_lin * beta22 - 2.0 * a_lin * b_lin * beta12
-                         + b_lin * b_lin * beta11) / delta)
+    _check_normalizable(times, g1, g2, delta)
     return np.stack([times, g1, g2, g12, gp1, gp2, gp12,
                      gpp11, gpp12, gpp21, gpp22, mx1, mx2, mp1, mp2,
                      log_norm, nh_quad, nh_lx, nh_lxi], axis=1)

@@ -206,6 +206,22 @@ def test_engine_error_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+def test_dump_action_on_a_caustic_exit_code(tmp_path, capsys):
+    """The grid ends on a caustic: the states are computed, but the
+    endpoint form of the action does not exist there, so the run exits 2
+    without writing anything."""
+    from duosc.config import to_internal, validate_config
+    from duosc.modes import solve_determinant
+    ic = to_internal(validate_config(preset_config("fig3")))
+    t_end = 3.0 * math.pi / solve_determinant(ic).Omega1 * ic.units.time_unit
+    out = tmp_path / "o"
+    args = ["run", "fig3", str(out), "--grid", "8", "--t-end", repr(t_end)]
+    assert run_cli(args + ["--dump-action"]) == 2
+    assert capsys.readouterr().err.startswith("error: sin(Omega*t)")
+    assert not out.exists()
+    assert run_cli(args) == 0
+
+
 def test_import_does_not_load_scipy():
     # a fresh interpreter that imports this same copy of the package and
     # runs a small simulation: scipy and the cross-check modules stay off

@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from duosc import engine
 from duosc.action import endpoint_action_arrays
 from duosc.config import InternalForce
-from duosc.engine import simulate, state_at
+from duosc.engine import simulate
 from duosc.errors import CausticTime, ConfigError
 from duosc.influence import bath_spectra, grid_quadratic
-from duosc.modes import check_caustic, coefficient_matrices, solve_determinant
+from duosc.modes import (CAUSTIC_TOL, check_caustic, coefficient_matrices,
+                         solve_determinant)
 from duosc.observables import CovarianceReport, report_table
-from duosc.reduction import GaussianStateParams, initial_state
+from duosc.reduction import (GaussianStateParams, initial_state,
+                             reduce_to_states)
 
 from test_modes import make_ic
 
@@ -36,26 +39,44 @@ def test_threaded_equals_serial(ic_fig3):
         np.testing.assert_array_equal(a.column(name), b.column(name))
 
 
-def test_caustic_grid_point_is_nudged_not_dropped(ic_fig3, modes_fig3,
-                                                  caplog):
-    t_caustic = math.pi / modes_fig3.Omega1
-    with caplog.at_level(logging.WARNING, logger="duosc"):
-        res = simulate(ic_fig3, times=np.array([1.0, t_caustic]))
-    assert len(res.states) == 2
+def test_caustic_grid_point_is_evaluated_at_its_own_time(ic_fig3, modes_fig3,
+                                                         caplog):
+    """Grid times exactly on a caustic of either mode, sin(Omega_k t) = 0,
+    are evaluated as requested, and nothing is logged about them."""
+    times = np.array([1.0, math.pi / modes_fig3.Omega1,
+                      2.0 * math.pi / modes_fig3.Omega2])
+    with caplog.at_level(logging.INFO, logger="duosc"):
+        res = simulate(ic_fig3, times=times)
+    assert caplog.records == []
+    assert [s.t for s in res.states] == times.tolist()
+    assert np.all(np.isfinite(res.state_array))
+    assert all(s.g1 > 0 and s.beta_det > 0 for s in res.states)
+    assert np.min(res.column("rs_min_eig")) >= -1e-10
+
+
+def test_time_on_caustics_of_both_modes_gives_a_physical_state():
+    """Decoupled modes with Omega2 = 3 Omega1 share the caustic t = pi /
+    Omega1, where the endpoint route cannot even start."""
+    gamma = 0.01
+    ic = make_ic(lam_tilde=0.0, gamma=gamma,
+                 w02=math.sqrt(9.0 - 8.0 * gamma ** 2))
+    modes = solve_determinant(ic)
+    t = math.pi / modes.Omega1
+    sines = np.sin(np.array([modes.Omega1, modes.Omega2]) * t)
+    assert np.all(np.abs(sines) < CAUSTIC_TOL)
+    with pytest.raises(CausticTime):
+        coefficient_matrices(modes, np.array([t]), -1.0)
+    res = simulate(ic, times=[t * (1.0 - 1e-9), t])
     s = res.states[1]
-    assert np.isfinite(s.g1) and s.g1 > 0
-    # nudge is ~1e-6 of a period, so the state is still "at" that time
-    assert abs(s.t - t_caustic) < 1e-5
-    # the nudge is recorded and logged, not silent
-    assert res.nudged == (1,)
-    assert s.t != t_caustic and res.states[0].t == 1.0
-    assert [r.name for r in caplog.records] == ["duosc"]
-    assert "caustic" in caplog.records[0].getMessage()
-
-
-def test_regular_grid_has_no_nudges(ic_fig3):
-    res = simulate(ic_fig3, times=np.linspace(0.0, 6.0, 4))
-    assert res.nudged == ()
+    assert s.t == t and s.g1 > 0 and s.g2 > 0 and s.beta_det > 0
+    assert np.all(np.isfinite(res.report_array))
+    assert np.min(res.column("rs_min_eig")) >= -1e-10
+    # the undriven means are 0 throughout; the other columns move O(1e-9)
+    scale = np.max(np.abs(simulate(ic, times=np.linspace(
+        0.0, 4.0 * t, 200)).report_array), axis=0)
+    jump = np.abs(res.report_array[1] - res.report_array[0])
+    assert np.all(jump[scale == 0.0] == 0.0)
+    assert np.max(jump[scale > 0.0] / scale[scale > 0.0]) <= 1e-7
 
 
 def test_simulate_validated_roundtrip():
@@ -67,11 +88,6 @@ def test_simulate_validated_roundtrip():
     res = simulate(to_internal(validate_config(cfg)))
     assert len(res.states) == 5
     assert res.times[0] == 0.0
-
-
-def test_state_at_negative_time_returns_initial(ic_fig3, modes_fig3):
-    s = state_at(ic_fig3, modes_fig3, -1.0)
-    assert s.t == 0.0 and s.mx1 == 0.0
 
 
 def _wideband(ic_fig4):
@@ -97,7 +113,6 @@ def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
     a grid longer than one chunk."""
     ic = {"fig3": ic_fig3, "wideband": _wideband(ic_fig4),
           "sampled": _sampled(ic_fig3)}[which]
-    modes = solve_determinant(ic)
     full = np.linspace(0.0, ic.t_end, 2000)
     probe = [1, 40, 77, 1300, 1999]     # t < 1 (direct branch) and Filon
     names = [f.name for f in fields(GaussianStateParams)]
@@ -106,7 +121,7 @@ def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
     def values(state):
         return [getattr(state, n) for n in names]
 
-    want = [values(state_at(ic, modes, full[i])) for i in probe]
+    want = [values(simulate(ic, times=[full[i]]).states[0]) for i in probe]
     runs = [simulate(ic, times=full[[i, 5, 1000]]).states[0] for i in probe]
     serial = simulate(ic, times=full)
     pooled = simulate(ic, times=full, threads=4)
@@ -126,14 +141,12 @@ def test_nonfinite_times_are_rejected(ic_fig3):
 
 
 def test_caustic_inside_a_batch_names_its_time(ic_fig3, modes_fig3):
-    """Every batched layer raises CausticTime for the time on a caustic,
-    not for the batch."""
+    """Every batched layer of the endpoint cross-check route raises
+    CausticTime for the time on a caustic, not for the batch."""
     t_bad = 3.0 * math.pi / modes_fig3.Omega1
     times = np.array([0.5, 2.0, t_bad, 7.0])
     spectra = bath_spectra(ic_fig3, modes_fig3)
-    for call in (lambda: engine._chunk_states(ic_fig3, modes_fig3, spectra,
-                                              times),
-                 lambda: endpoint_action_arrays(ic_fig3, modes_fig3, times),
+    for call in (lambda: endpoint_action_arrays(ic_fig3, modes_fig3, times),
                  lambda: grid_quadratic(ic_fig3, modes_fig3, times, spectra),
                  lambda: coefficient_matrices(modes_fig3, times, -1.0),
                  lambda: check_caustic(modes_fig3, times)):
@@ -189,8 +202,45 @@ def test_reports_are_continuous_across_a_caustic(ic_fig3, modes_fig3,
     O = (modes_fig3.Omega1, modes_fig3.Omega2)[mode - 1]
     t_c, period = half_periods * math.pi / O, 2.0 * math.pi / O
     scale = np.max(np.abs(simulate(ic_fig3).report_array), axis=0)
-    for frac in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+    for frac in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12):
         res = simulate(ic_fig3, times=t_c + frac * period * np.array([-1, 1]))
-        assert res.nudged == ()
         jump = np.abs(res.report_array[1] - res.report_array[0]) / scale
         assert np.max(jump) <= 100.0 * frac, frac
+
+
+def test_simulate_never_calls_the_endpoint_route(monkeypatch, ic_fig3):
+    """With the endpoint route's singular pieces made to raise wherever the
+    package holds them, `simulate` still runs."""
+    def endpoint_route(*args, **kwargs):
+        raise AssertionError("the endpoint route was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "duosc" or name.startswith("duosc."):
+            for attr in ("coefficient_matrices", "endpoint_action_arrays",
+                         "reduce_to_states", "check_caustic"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, endpoint_route)
+    with pytest.raises(AssertionError):
+        grid_quadratic(ic_fig3, solve_determinant(ic_fig3), [2.0])
+    for ic in (ic_fig3, _sampled(ic_fig3)):
+        res = simulate(ic, times=np.linspace(0.0, ic.t_end, 300))
+        assert np.all(np.isfinite(res.report_array))
+
+
+@pytest.mark.parametrize("which", ["fig3", "sampled"])
+def test_production_route_matches_the_endpoint_route(which, ic_fig3):
+    """Away from the caustics, where the endpoint route is well conditioned
+    (min_k |sin Omega_k t| >= 0.03), both routes give the same reports to
+    5e-12 of each column's scale."""
+    ic = {"fig3": ic_fig3, "sampled": _sampled(ic_fig3)}[which]
+    modes = solve_determinant(ic)
+    times = np.linspace(0.0, ic.t_end, 2000)[1:]
+    sines = np.sin(np.outer([modes.Omega1, modes.Omega2], times))
+    times = times[np.min(np.abs(sines), axis=0) >= 0.03]
+    bilinear, linear_xi = endpoint_action_arrays(ic, modes, times)
+    want = report_table(reduce_to_states(
+        ic, times, bilinear, linear_xi, grid_quadratic(ic, modes, times)),
+        ic.hbar)
+    got = simulate(ic, times=times).report_array
+    scale = np.max(np.abs(want), axis=0)
+    assert np.max(np.abs(got - want) / scale) <= 5e-12

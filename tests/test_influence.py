@@ -297,7 +297,8 @@ def test_per_t_route_resolves_thermal_scale():
     ("fig3", 123.4)])
 def test_grid_route_matches_per_t_route_on_preset_grids(name, cutoff):
     """Every 25th point of the 2000-point grid, plus probes at small t,
-    at caustics (nudged as the engine does) and at 50 / gamma."""
+    at caustics (stepped 1e-6 of a period past them: both endpoint forms
+    are singular there) and at 50 / gamma."""
     ic, modes = physical_ic(name, cutoff)
     grid = np.linspace(0.0, ic.t_end, 2000)[1::25]
     probes = [1e-4, 0.005, 0.02, 0.999, FILON_MIN_T, math.pi / modes.Omega1,

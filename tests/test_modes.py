@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duosc.config import InternalConfig, InternalForce
-from duosc.errors import CausticTime, ConfigError
+from duosc.errors import CausticTime, ConfigError, DegenerateModes
 from duosc.modes import (QuarticCoefficients, basis_paths, check_caustic,
                          decoupled_reference, homogeneous_xi_paths,
-                         mode_functions, solve_determinant,
+                         initial_amplitude_map, mode_functions,
+                         response_matrices, solve_determinant,
                          x_coefficient_matrix, xi_coefficient_matrix)
 
 ZERO = InternalForce(kind="zero")
@@ -104,6 +105,15 @@ def test_unequal_damping_rejected():
         solve_determinant(make_ic(gamma2=0.02))
 
 
+@pytest.mark.parametrize("kw", [dict(gamma=1.5),
+                                dict(lam_tilde=0.0, w02=1.0)])
+def test_overdamped_or_coinciding_modes_rejected(kw):
+    """A mode with w_k <= gamma has no Omega_k, and two equal Omega_k leave
+    the modes undetermined."""
+    with pytest.raises(DegenerateModes):
+        solve_determinant(make_ic(**kw))
+
+
 def test_caustic_detection(modes_fig3):
     t_bad = math.pi / modes_fig3.Omega1
     with pytest.raises(CausticTime):
@@ -176,3 +186,50 @@ def test_coefficient_matrices_are_inverse_maps(modes_fig3):
         # endpoint order (f1, f2, i1, i2): path j must equal delta_j there
         vals = np.stack([P1[:, 1], P2[:, 1], P1[:, 0], P2[:, 0]], axis=1)
         assert np.max(np.abs(vals - np.eye(4))) < 1e-9
+
+
+def _mpmath_ratios(ic):
+    """r1, r2 from the mass-weighted stiffness eigenproblem at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    m1, m2, lam = mp.mpf(ic.m1), mp.mpf(ic.m2), mp.mpf(ic.lam)
+    w1sq, w2sq = mp.mpf(ic.w01) ** 2, mp.mpf(ic.w02) ** 2
+    a, b = (w1sq + w2sq) / 2, (w1sq - w2sq) / 2
+    h = mp.sqrt(b * b + lam * lam / (m1 * m2))
+    # mode 1 is the eigenvalue nearer w01^2, mode 2 the other one
+    near, far = (a + h, a - h) if b >= 0 else (a - h, a + h)
+    return (m1 / lam) * (w1sq - near), (m2 / lam) * (w2sq - far)
+
+
+@pytest.mark.parametrize("lam_tilde", [1e-8, 1e-6, 1e-4])
+def test_weak_coupling_ratios_against_mpmath(lam_tilde):
+    """The closed-form amplitude ratios do not cancel at weak coupling, and
+    the modes stay orthogonal under the mass matrix."""
+    ic = make_ic(lam_tilde=lam_tilde)
+    modes = solve_determinant(ic)
+    r1, r2 = _mpmath_ratios(ic)
+    assert abs(modes.r1 - float(r1)) <= 1e-14 * abs(float(r1))
+    assert abs(modes.r2 - float(r2)) <= 1e-14 * abs(float(r2))
+    assert abs(ic.m1 * modes.r2 + ic.m2 * modes.r1) \
+        <= 1e-15 * ic.m2 * abs(modes.r1)
+
+
+def test_flow_maps_start_at_the_identity(ic_fig3, modes_fig3):
+    """B(0) K0 = 1, and B(t) K0 solves the homogeneous damped equations."""
+    K0 = initial_amplitude_map(modes_fig3)
+    np.testing.assert_allclose(response_matrices(modes_fig3, [0.0])[0] @ K0,
+                               np.eye(4), atol=1e-15)
+    h = 1e-4
+    tau = np.linspace(0.5, 9.0, 35)
+    flow = response_matrices(modes_fig3, np.concatenate(
+        [tau - h, tau, tau + h])).reshape(3, tau.size, 4, 4) @ K0
+    x, p = flow[1, :, :2], flow[1, :, 2:]
+    m = np.array([ic_fig3.m1, ic_fig3.m2])[:, None]
+    # p = m dx/dt, and m x'' = -m (w0^2 x + 2 gamma x') + lam x_other
+    dx = (flow[2, :, :2] - flow[0, :, :2]) / (2 * h)
+    dp = (flow[2, :, 2:] - flow[0, :, 2:]) / (2 * h)
+    w0sq = np.array([ic_fig3.w01, ic_fig3.w02])[:, None] ** 2
+    force = (-m * w0sq * x - 2.0 * ic_fig3.gamma1 * p
+             + ic_fig3.lam * x[:, ::-1])
+    assert np.max(np.abs(m * dx - p)) < 1e-7 * np.max(np.abs(p))
+    assert np.max(np.abs(dp - force)) < 1e-7 * np.max(np.abs(dp))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duosc.engine import state_at
+from duosc.engine import simulate
 from duosc.observables import (hermiticity_error, numeric_trace, report,
                                robertson_schrodinger_min_eig, verify_state)
 from duosc.reduction import initial_state
@@ -36,9 +36,8 @@ def test_rs_eig_flags_unphysical_matrix():
     assert robertson_schrodinger_min_eig(cov_ok, hbar=1.0) >= -1e-14
 
 
-def test_report_against_finite_difference_moments(ic_fig3, modes_fig3):
-    for t in (3.7, 12.3):
-        s = state_at(ic_fig3, modes_fig3, t)
+def test_report_against_finite_difference_moments(ic_fig3):
+    for s in simulate(ic_fig3, times=[3.7, 12.3]).states:
         res = verify_state(s, hbar=ic_fig3.hbar)
         assert res["trace_error"] < 1e-8
         assert res["hermiticity_error"] < 1e-12
@@ -49,8 +48,8 @@ def test_report_against_finite_difference_moments(ic_fig3, modes_fig3):
         assert res["var_p_error"] < 1e-5
 
 
-def test_covariance_matrix_layout(ic_fig3, modes_fig3):
-    rep = report(state_at(ic_fig3, modes_fig3, 5.5), hbar=ic_fig3.hbar)
+def test_covariance_matrix_layout(ic_fig3):
+    rep = simulate(ic_fig3, times=[5.5]).reports[0]
     cov = rep.covariance_matrix
     np.testing.assert_allclose(cov, cov.T)
     assert cov[0, 0] == rep.var_x1 and cov[1, 1] == rep.var_p1
@@ -92,10 +91,10 @@ def _mixed_moments_fd(state, j, hbar):
     return xp, px, trace
 
 
-def test_commutator_from_matrix_elements(ic_fig3, modes_fig3):
+def test_commutator_from_matrix_elements(ic_fig3):
     """Canonical commutator and symmetrized cross moment recovered from
     independent finite differences of the matrix elements."""
-    s = state_at(ic_fig3, modes_fig3, 7.7)
+    s = simulate(ic_fig3, times=[7.7]).states[0]
     rep = report(s, hbar=ic_fig3.hbar)
     for j, (cov_name, mx, mp) in enumerate(
             (("cov_x1p1", rep.mean_x1, rep.mean_p1),

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from duosc.action import classical_action_form, endpoint_action_arrays
-from duosc.engine import state_at
+from duosc.engine import simulate
 from duosc.errors import NonHermitianLarge, NotNormalizable
 from duosc.influence import grid_quadratic, influence_form
 from duosc.modes import solve_determinant
 from duosc.particular import particular_solution
+from duosc.observables import REPORT_FIELDS, report_table
 from duosc.reduction import (GaussianStateParams, initial_state,
                              propagator_exponent, reduce_to_state,
-                             reduce_to_states)
+                             reduce_to_states, states_from_moments)
 
 from test_action import x_value
 from test_modes import make_ic
@@ -78,13 +79,12 @@ def test_scalar_gaussian_reduction_identity():
 
 
 def test_nonherm_residues_are_exactly_zero(ic_fig3, modes_fig3):
-    # the checkerboard reality pattern of the 8-variable exponent survives
-    # the Schur complement, so the residues are structural zeros: on the
-    # cross-check route, and on the production route in both branches of
-    # its bath phase (t = 0.5: direct sum; t = 12.3: Filon)
+    # on the cross-check route the checkerboard reality pattern of the
+    # 8-variable exponent survives the Schur complement, so the residues are
+    # structural zeros; the production route builds a Hermitian state from
+    # its moments (t = 0.5: direct-sum bath phase; t = 12.3: Filon)
     states = [build_state(ic_fig3, modes_fig3, 12.3),
-              state_at(ic_fig3, modes_fig3, 0.5),
-              state_at(ic_fig3, modes_fig3, 12.3)]
+              *simulate(ic_fig3, times=[0.5, 12.3]).states]
     for s in states:
         assert s.nonherm_quadratic == 0.0
         assert s.nonherm_linear_X == 0.0
@@ -142,10 +142,10 @@ def test_long_time_conditioning(ic_fig3, modes_fig3):
     assert np.isfinite(s.log_norm)
 
 
-def test_state_at_t_zero_is_initial_state(ic_fig3, modes_fig3):
-    s = state_at(ic_fig3, modes_fig3, 0.0)
+def test_state_at_t_zero_is_initial_state(ic_fig3):
+    """t = 0, and any time before it, gives the initial product state."""
     ref = initial_state(ic_fig3)
-    assert s == ref
+    assert tuple(simulate(ic_fig3, times=[0.0, -1.0]).states) == (ref, ref)
 
 
 @pytest.mark.parametrize("order", ["norm-first", "herm-first"])
@@ -166,3 +166,39 @@ def test_batch_raises_at_its_first_bad_time(order, ic_fig3, modes_fig3):
                     (NonHermitianLarge, "linear residue .* at t=5.0$"))
     with pytest.raises(err, match=message):
         reduce_to_states(ic_fig3, times, bilinear, linear_xi, quadratic)
+
+
+def _random_moments(rng, n):
+    """n random means (n, 4) and positive definite covariances (n, 4, 4)."""
+    A = rng.normal(size=(n, 4, 4))
+    return rng.normal(size=(n, 4)), A @ np.swapaxes(A, 1, 2) + 0.5 * np.eye(4)
+
+
+def test_states_from_moments_inverts_the_report():
+    """The moments of the state built from (means, cov) are those moments."""
+    rng = np.random.default_rng(11)
+    means, cov = _random_moments(rng, 6)
+    times = np.arange(1.0, 7.0)
+    for hbar in (1.0, 0.3):
+        rep = report_table(states_from_moments(times, means, cov, hbar), hbar)
+        col = {name: rep[:, k] for k, name in enumerate(REPORT_FIELDS)}
+        got_means = np.stack([col[n] for n in ("mean_x1", "mean_x2",
+                                               "mean_p1", "mean_p2")], 1)
+        np.testing.assert_allclose(got_means, means, rtol=1e-12, atol=1e-12)
+        for (i, j), name in {(0, 0): "var_x1", (1, 1): "var_x2",
+                             (2, 2): "var_p1", (3, 3): "var_p2",
+                             (0, 1): "cov_x1x2", (2, 3): "cov_p1p2",
+                             (0, 2): "cov_x1p1", (1, 3): "cov_x2p2",
+                             (0, 3): "cov_x1p2", (1, 2): "cov_x2p1"}.items():
+            np.testing.assert_allclose(col[name], cov[:, i, j], rtol=1e-12,
+                                       atol=1e-12)
+        assert np.array_equal(col["t"], times)
+
+
+def test_states_from_moments_raises_at_its_first_bad_time():
+    rng = np.random.default_rng(5)
+    means, cov = _random_moments(rng, 3)
+    cov[1, :2, :2] = [[1.0, 2.0], [2.0, 1.0]]      # indefinite Cxx
+    cov[2, 0, 0] = -1.0
+    with pytest.raises(NotNormalizable, match="at t=5.0:"):
+        states_from_moments(np.array([2.0, 5.0, 9.0]), means, cov)

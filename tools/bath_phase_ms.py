@@ -11,7 +11,7 @@ the direct sum below), and the wall time per point of
   per-t       influence.influence_form at every `stride`-th grid point: a
               fresh omega quadrature per time, as the engine did up to the
               whole-grid route;
-  whole-grid  influence.bath_spectra once plus influence.grid_quadratic over
+  whole-grid  influence.bath_spectra once plus influence.grid_noise over
               the full grid in the engine's chunks;
 
 and the fixed cost every engine.simulate call pays, in ms per call (best of
@@ -38,8 +38,8 @@ import numpy as np  # noqa: E402
 
 from duosc.cli import preset_config  # noqa: E402
 from duosc.config import ForceSpec, to_internal, validate_config  # noqa: E402
-from duosc.engine import CHUNK, off_caustic  # noqa: E402
-from duosc.influence import (bath_spectra, grid_quadratic,  # noqa: E402
+from duosc.engine import CHUNK  # noqa: E402
+from duosc.influence import (bath_spectra, grid_noise,  # noqa: E402
                              influence_form, spherical_jn_orders)
 from duosc.modes import solve_determinant  # noqa: E402
 
@@ -67,8 +67,7 @@ def main(argv=None) -> None:
     for name, cfg in configs().items():
         ic = to_internal(validate_config(cfg))
         modes = solve_determinant(ic)
-        grid = np.linspace(0.0, ic.t_end, ic.n_points)[1:]
-        times = off_caustic(grid, modes)
+        times = np.linspace(0.0, ic.t_end, ic.n_points)[1:]
 
         sample = times[::args.stride]
         start = time.perf_counter()
@@ -79,7 +78,7 @@ def main(argv=None) -> None:
         start = time.perf_counter()
         spectra = bath_spectra(ic, modes)
         for lo in range(0, times.size, CHUNK):
-            grid_quadratic(ic, modes, times[lo:lo + CHUNK], spectra)
+            grid_noise(ic, modes, times[lo:lo + CHUNK], spectra)
         whole = (time.perf_counter() - start) / times.size
 
         layouts = ", ".join(
