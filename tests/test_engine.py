@@ -39,10 +39,11 @@ def test_threaded_equals_serial(ic_fig3):
         np.testing.assert_array_equal(a.column(name), b.column(name))
 
 
-def test_caustic_grid_point_is_evaluated_at_its_own_time(ic_fig3, modes_fig3,
-                                                         caplog):
+def test_caustic_grid_point_is_nudged_not_dropped(ic_fig3, modes_fig3,
+                                                  caplog):
     """Grid times exactly on a caustic of either mode, sin(Omega_k t) = 0,
-    are evaluated as requested, and nothing is logged about them."""
+    stay in the result. They are no longer nudged: each is evaluated at its
+    own t, and nothing is logged about it."""
     times = np.array([1.0, math.pi / modes_fig3.Omega1,
                       2.0 * math.pi / modes_fig3.Omega2])
     with caplog.at_level(logging.INFO, logger="duosc"):
@@ -52,6 +53,16 @@ def test_caustic_grid_point_is_evaluated_at_its_own_time(ic_fig3, modes_fig3,
     assert np.all(np.isfinite(res.state_array))
     assert all(s.g1 > 0 and s.beta_det > 0 for s in res.states)
     assert np.min(res.column("rs_min_eig")) >= -1e-10
+
+
+def test_regular_grid_has_no_nudges(ic_fig3, caplog):
+    """Every time of a regular grid is evaluated as requested, unlogged."""
+    times = np.linspace(0.0, 6.0, 4)
+    with caplog.at_level(logging.INFO, logger="duosc"):
+        res = simulate(ic_fig3, times=times)
+    assert caplog.records == []
+    assert np.array_equal(res.times, times)
+    assert [s.t for s in res.states] == times.tolist()
 
 
 def test_time_on_caustics_of_both_modes_gives_a_physical_state():
@@ -88,6 +99,12 @@ def test_simulate_validated_roundtrip():
     res = simulate(to_internal(validate_config(cfg)))
     assert len(res.states) == 5
     assert res.times[0] == 0.0
+
+
+def test_state_at_negative_time_returns_initial(ic_fig3):
+    s = simulate(ic_fig3, times=[-1.0]).states[0]
+    assert s.t == 0.0 and s.mx1 == 0.0
+    assert s == initial_state(ic_fig3)
 
 
 def _wideband(ic_fig4):
