@@ -17,7 +17,7 @@ from .config import (BathParams, ForceSpec, InternalConfig, OscillatorParams,
 from .engine import SimulationResult, simulate
 from .errors import (CausticTime, ConfigError, CouplingTooStrong,
                      DegenerateModes, DuoscError, NonHermitianLarge,
-                     NotNormalizable, QuadratureNonConvergence, StepFailure)
+                     NotNormalizable, QuadratureNonConvergence)
 from .modes import NormalModes, solve_determinant
 from .observables import CovarianceReport, report
 from .reduction import GaussianStateParams, initial_state
@@ -29,8 +29,8 @@ __all__ = [
     "CovarianceReport", "DegenerateModes", "DuoscError", "ForceSpec",
     "GaussianStateParams", "InternalConfig", "NonHermitianLarge",
     "NormalModes", "NotNormalizable", "OscillatorParams",
-    "QuadratureNonConvergence", "SimulationResult", "StepFailure",
-    "SystemConfig", "TimeGrid", "config_from_dict", "initial_state",
-    "load_config", "report", "simulate", "solve_determinant",
-    "to_internal", "validate_config",
+    "QuadratureNonConvergence", "SimulationResult", "SystemConfig",
+    "TimeGrid", "config_from_dict", "initial_state", "load_config",
+    "report", "simulate", "solve_determinant", "to_internal",
+    "validate_config",
 ]

@@ -6,12 +6,14 @@ phase space: with B(t) the regular map from mode amplitudes to (x1, x2, p1,
 p2) (`modes.response_matrices`), the covariance is B (A0 + R) B^T and the
 means are B m.  A0 = K0 C0 K0^T carries the initial wave packets
 (`modes.initial_amplitude_map`), R(t) is the bath noise block
-(`influence.grid_noise`, with the spectrum of each distinct bath cutoff and
-temperature built once per run: per time t >= 1 one Filon product in omega
-on pole-graded panels, with one Bessel table per chunk for all spectra;
-below t = 1 a direct sum on 64-256 pole-free nodes) and m(t) the drive's
-moments (`forcing.drive_amplitudes`).  `reduction.states_from_moments` maps
-the moments to the state parameters in closed form, and the moment table
+(`influence.grid_noise`, with one spectrum per distinct bath cutoff, built
+once per call and carrying every temperature on that cutoff on one omega
+layout: per time t >= 1 one Filon product in omega on pole-graded panels
+for all those temperatures, with one Bessel table per chunk for all
+spectra; below t = 1 a direct sum on 64-256 pole-free nodes, whose
+transforms serve every temperature) and m(t) the drive's moments
+(`forcing.drive_amplitudes`).  `reduction.states_from_moments` maps the
+moments to the state parameters in closed form, and the moment table
 (`observables.report_table`) takes one pass over the whole grid.  No step
 divides by sin(Omega t), so no time is special.  The drive never enters
 the covariance (Feynman & Vernon 1963).

@@ -38,7 +38,3 @@ class NonHermitianLarge(DuoscError):
 
     Raised only by the endpoint-route reduction (`reduction.reduce_to_states`).
     """
-
-
-class StepFailure(DuoscError):
-    """Adaptive ODE integration failed to meet its tolerance."""

@@ -14,14 +14,15 @@ The endpoint quadratic form is extracted exactly from the four unit-endpoint
 basis paths.
 
 Production route (`bath_spectra` + `grid_noise`): whole time grids at once,
-one spectrum per distinct (cutoff, temperature).  `grid_noise` returns the
-double integral R(t) over the four anti-damped elementary functions, before
-any endpoint map; the engine uses it as the noise covariance of the mode
-amplitudes, which is regular at every t.  Partial fractions move all
-t-dependence of the omega integral into eight transforms, which
-Filon-Legendre quadrature on panels graded to the poles gives exactly in t
-as one matrix product per time; below t = 1 the phase is summed directly
-on a small pole-free layout of its own (section at the end of this module).
+one spectrum per distinct cutoff, whose omega layouts the temperatures on
+that cutoff share.  `grid_noise` returns the double integral R(t) over the
+four anti-damped elementary functions, before any endpoint map; the engine
+uses it as the noise covariance of the mode amplitudes, which is regular at
+every t.  Partial fractions move all t-dependence of the omega integral
+into eight transforms, which Filon-Legendre quadrature on panels graded to
+the poles gives exactly in t as one matrix product per time; below t = 1
+the phase is summed directly on a small pole-free layout of its own
+(section at the end of this module).
 
 Cross-check routes, in the endpoint (boundary-value) form that is singular
 on the caustics: `grid_quadratic`, 1/2 V^T R V over the final and initial xi
@@ -223,7 +224,7 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
 # whole-grid evaluation: t-independent spectral data, Filon quadrature in w
 #
 # The phase is linear in the spectral density, so baths of one cutoff and
-# temperature share one spectrum of g0(w) = w coth(w / 2T): Q(t) = 1/2 V^T
+# temperature share one weight g0(w) = w coth(w / 2T): Q(t) = 1/2 V^T
 # (Re M(t) . W) V, V the xi coefficient matrix, W = sum_b (2 m_b gamma_b / pi)
 # c_b c_b^T over the baths' component weights, M = T Sigma T^H with T the map
 # from the mode exponentials E_a(w) = i (exp(-i (w - p_a) t) - 1) / (w - p_a),
@@ -233,18 +234,22 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
 # {p, conj p}.  With the Legendre coefficients c_k of g0 / (w - r) on a panel
 # of centre m, half-width h, int P_k(x) exp(-i z x) dx = 2 (-i)^k j_k(z) gives
 # D_r(t) exactly: the row exp(-i m t) j_k(h t) over (panel, k) times the
-# fixed matrix 2 h (-i)^k c_k.  j_k depends on h t alone, so one table over
-# the distinct half-widths of all spectra serves every spectrum of a call.
+# fixed matrix 2 h (-i)^k c_k.  The row depends on the panels alone, not on
+# g0, so the temperatures on one cutoff share one layout and each time's row
+# multiplies all their columns at once; j_k depends on h t alone, so one
+# table over the distinct half-widths of all layouts serves a whole call.
 #
 # Each sum has its own omega layout, sized for its integrand:
 # - Filon panels hold g0 / (w - r) to FILON_ORDER Legendre terms.  Bisection
-#   until the mode poles p, conj p and the Matsubara pole 2 pi i T lie
-#   outside each panel's Bernstein ellipse guarantees that on any base, and
-#   exp(-i w t) is exact whatever the width, so the base is a few panels.
+#   until the mode poles p, conj p and the Matsubara pole 2 pi i T of every
+#   temperature on the cutoff lie outside each panel's Bernstein ellipse
+#   guarantees that on any base, and exp(-i w t) is exact whatever the
+#   width, so the base is a few panels.
 # - The terms cancel as t -> 0, so below FILON_MIN_T M is summed directly.
 #   There g0 E_a conj(E_b) has no mode poles (E_a is entire in w), only the
-#   Matsubara pole; its GL-16 panels each span at most two periods of
-#   exp(-i w t) at t = FILON_MIN_T, graded to 2 pi i T alone.
+#   Matsubara poles; its GL-16 panels each span at most two periods of
+#   exp(-i w t) at t = FILON_MIN_T, graded to those poles alone, and the
+#   transforms E_a on its nodes serve every temperature.
 
 FILON_ORDER = 24           # GL nodes per panel = Legendre orders kept
 FILON_BASE_PANELS = 8      # uniform panels on [0, numax] before grading
@@ -352,28 +357,32 @@ _E_TO_TRIG = np.array([[-0.5j, 0.5j, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
 
 @dataclass(frozen=True)
 class BathSpectrum:
-    """t-independent spectral data of the baths of one cutoff and
-    temperature for the unit weight g0(w) = w coth(w / 2T): Filon data on
-    the pole-graded panels, and the nodes of the small-t sum; `W` carries
-    the baths' prefactors and component weights.
+    """t-independent spectral data of the baths of one cutoff, on one omega
+    layout that its S distinct temperatures share: Filon data on the
+    pole-graded panels, and the nodes of the small-t sum.  Temperature s
+    has the unit weight g0(w) = w coth(w / 2T_s), and `W[s]` carries the
+    prefactors and component weights of its baths.
     """
-    W: np.ndarray          # (4, 4) sum_b (2 m_b gamma_b / pi) c_b c_b^T
+    temperatures: tuple    # (S,) distinct temperatures, in bath order
+    W: np.ndarray          # (S, 4, 4) sum_b (2 m_b gamma_b / pi) c_b c_b^T
     small_nodes: np.ndarray    # (N,) GL-16 nodes of the small-t layout
-    small_weights: np.ndarray  # (N,) their weights times g0(w)
+    small_weights: np.ndarray  # (S, N) their weights times g0(w)
     mids: np.ndarray       # (J,) Filon panel centres
     widths: np.ndarray     # (U,) sorted distinct Filon half-widths of all
-                           #      spectra of one `bath_spectra` call
+                           #      layouts of one `bath_spectra` call
     width_of: np.ndarray   # (J,) index into `widths` for each panel
-    coef: np.ndarray       # (J*K, 8) 2 h (-i)^k c_k, r = (p, conj p)
-    C: np.ndarray          # (8,) int g0 / (w - r)
+    coef: np.ndarray       # (J*K, 8S) 2 h (-i)^k c_k, r = (p, conj p);
+                           #      columns 8s .. 8s + 7 for temperature s
+    C: np.ndarray          # (S, 8) int g0 / (w - r)
 
     def transforms(self, times: np.ndarray,
                    bessel: np.ndarray) -> np.ndarray:
-        """D_r(t) = int g0 exp(-i w t) / (w - r) dw for t > 0, shape (n, 8):
-        per time, the row exp(-i m t) j_k(h t) over (panel, k) times `coef`.
-        `bessel` (n, U, K) holds j_k(h t) for these times over `widths`.
+        """D_r(t) = int g0 exp(-i w t) / (w - r) dw for t > 0, shape (n, 8S),
+        columns as in `coef`: per time, the row exp(-i m t) j_k(h t) over
+        (panel, k) times `coef`.  `bessel` (n, U, K) holds j_k(h t) for
+        these times over `widths`.
         """
-        out = np.empty((times.size, 8), dtype=complex)
+        out = np.empty((times.size, self.coef.shape[1]), dtype=complex)
         for lo in range(0, times.size, _FILON_BLOCK):
             t = times[lo:lo + _FILON_BLOCK]
             phase = np.exp(-1j * np.outer(t, self.mids))[:, :, None]
@@ -384,62 +393,76 @@ class BathSpectrum:
         return out
 
 
+def _matsubara_poles(temperatures) -> tuple:
+    return tuple(s for T in temperatures for s in _matsubara_pole(T))
+
+
 def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
     """Spectral data of the baths with nonzero damping, one BathSpectrum per
-    distinct (cutoff, temperature).
+    distinct cutoff, carrying every distinct temperature on that cutoff.
 
     Filon panels: FILON_BASE_PANELS uniform ones on [0, numax], bisected
     until the poles +-Omega_k -+ i delta_k of g0 / (w - r) and the Matsubara
-    pole 2 pi i T of g0 lie outside each panel's Bernstein ellipse
-    BERNSTEIN_RHO.  Small-t layout: max(4, ceil(numax FILON_MIN_T / 4 pi))
-    uniform GL-16 panels, bisected for the Matsubara pole alone.  Logs each
-    spectrum's layout sizes at DEBUG level on the `duosc` logger.
+    pole 2 pi i T of each temperature lie outside each panel's Bernstein
+    ellipse BERNSTEIN_RHO.  Small-t layout: max(4, ceil(numax FILON_MIN_T /
+    4 pi)) uniform GL-16 panels, bisected for the Matsubara poles alone.
+    Logs each layout's temperatures and sizes at DEBUG level on the `duosc`
+    logger.
     """
-    groups = {}          # (numax, T) -> W
+    groups = {}          # numax -> {T -> W}, both in bath order
     for mass, gamma, T, numax, c in zip(
             (cfg.m1, cfg.m2), (cfg.gamma1, cfg.gamma2), (cfg.T1, cfg.T2),
             (cfg.numax1, cfg.numax2), component_weights(modes)):
         if gamma != 0.0:
             W = (2.0 * mass * gamma / math.pi) * np.outer(c, c)
-            groups[numax, T] = groups.get((numax, T), 0.0) + W
+            temps = groups.setdefault(numax, {})
+            temps[T] = temps.get(T, 0.0) + W
     if not groups:
         return ()
     poles = _mode_poles(modes)
     panels = [_graded_panels(numax, FILON_BASE_PANELS,
-                             tuple(poles) + _matsubara_pole(T))
-              for numax, T in groups]
-    # one sorted width array for all spectra: one Bessel table per call
+                             tuple(poles) + _matsubara_poles(temps))
+              for numax, temps in groups.items()]
+    # one sorted width array for all layouts: one Bessel table per call
     widths, width_of = np.unique(np.concatenate([h for _, h in panels]),
                                  return_inverse=True)
     gl_x, gl_w, to_legendre = _filon_rule()
     i_k = np.array([1.0, -1j, -1.0, 1j])[np.arange(FILON_ORDER) % 4]
     out = []
     start = 0
-    for ((numax, T), W), (mids, halfs) in zip(groups.items(), panels):
+    for (numax, temps), (mids, halfs) in zip(groups.items(), panels):
         nodes, wts = _panel_nodes(mids, halfs, (gl_x, gl_w))
-        # g0 / (w - p), (4, J*K); g0 / (w - conj p) is its conjugate, and so
-        # are its Legendre coefficients and integral
-        f = thermal_weight(nodes, T) / (nodes - poles[:, None])
-        c = f.reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
-        coef = (np.concatenate([c, c.conj()])
-                * (2.0 * halfs)[:, None] * i_k).reshape(8, -1)
-        C = f @ wts
         # at most two periods of exp(-i w t) per panel at t = FILON_MIN_T
         small = max(4, math.ceil(numax * FILON_MIN_T / (4.0 * math.pi)))
         s_nodes, s_wts = _panel_nodes(
-            *_graded_panels(numax, small, _matsubara_pole(T)), _GL16)
+            *_graded_panels(numax, small, _matsubara_poles(temps)), _GL16)
+        blocks = []          # (8, J, K) 2 h (-i)^k c_k per temperature
+        C = np.empty((len(temps), 8), dtype=complex)
+        small_weights = np.empty((len(temps), s_nodes.size))
+        for s, T in enumerate(temps):
+            # g0 / (w - p), (4, J*K); g0 / (w - conj p) is its conjugate, and
+            # so are its Legendre coefficients and integral
+            f = thermal_weight(nodes, T) / (nodes - poles[:, None])
+            c = f.reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
+            blocks.append(np.concatenate([c, c.conj()])
+                          * (2.0 * halfs)[:, None] * i_k)
+            C[s, :4] = f @ wts
+            C[s, 4:] = C[s, :4].conj()
+            small_weights[s] = s_wts * thermal_weight(s_nodes, T)
         w_of = width_of[start:start + halfs.size]
         start += halfs.size
         if log.isEnabledFor(logging.DEBUG):
-            log.debug("bath spectrum numax=%.6g T=%.6g: %d Filon panels, "
+            log.debug("bath layout numax=%.6g T=%s: %d Filon panels, "
                       "%d nodes, %d distinct widths; %d small-t nodes",
-                      numax, T, halfs.size, nodes.size, np.unique(w_of).size,
+                      numax, ", ".join(f"{T:.6g}" for T in temps),
+                      halfs.size, nodes.size, np.unique(w_of).size,
                       s_nodes.size)
         out.append(BathSpectrum(
-            W=W, small_nodes=s_nodes,
-            small_weights=s_wts * thermal_weight(s_nodes, T), mids=mids,
-            widths=widths, width_of=w_of, coef=np.ascontiguousarray(coef.T),
-            C=np.concatenate([C, C.conj()])))
+            temperatures=tuple(temps), W=np.array(list(temps.values())),
+            small_nodes=s_nodes, small_weights=small_weights, mids=mids,
+            widths=widths, width_of=w_of, coef=np.ascontiguousarray(
+                np.concatenate(blocks).reshape(8 * len(temps), -1).T),
+            C=C))
     return tuple(out)
 
 
@@ -462,8 +485,9 @@ def _sigma(poles: np.ndarray, C: np.ndarray, D: np.ndarray,
 def grid_noise(cfg: InternalConfig, modes: NormalModes, times,
                spectra: Optional[tuple] = None) -> np.ndarray:
     """Bath noise block R(t) at each time, (n, 4, 4): the sum over spectra
-    of Re M(t) . W, the phase's double integral over the anti-damped
-    elementary functions [sin1, cos1, sin2, cos2] before any endpoint map.
+    and their temperatures of Re M(t) . W, the phase's double integral over
+    the anti-damped elementary functions [sin1, cos1, sin2, cos2] before any
+    endpoint map.
 
     Production route: it is also the covariance the bath noise adds to the
     mode amplitudes of `modes.response_matrices`.  `spectra` (from
@@ -485,20 +509,24 @@ def grid_noise(cfg: InternalConfig, modes: NormalModes, times,
     poles = _mode_poles(modes)
     tf = times[filon]
     if filon.size and spectra:
-        # (n, U, K); the spectra share one width array, so one table
+        # (n, U, K); the layouts share one width array, so one table
         # serves them all
         bessel = np.moveaxis(spherical_jn_orders(
             np.outer(tf, spectra[0].widths)).reshape(
                 FILON_ORDER, tf.size, -1), 0, -1)
+    # each time is one branch, and its terms are added in bath order
     for sp in spectra:
         for lo in range(0, small.size, _FILON_BLOCK):
             idx = small[lo:lo + _FILON_BLOCK]
             F = _elementary_transforms(modes, times[idx], sp.small_nodes)
-            M = (F * sp.small_weights) @ np.swapaxes(F.conj(), 1, 2)
-            R[idx] += M.real * sp.W
+            Fh = np.swapaxes(F.conj(), 1, 2)
+            for wts, W in zip(sp.small_weights, sp.W):
+                R[idx] += ((F * wts) @ Fh).real * W
         if filon.size:
-            S = _sigma(poles, sp.C, sp.transforms(tf, bessel), tf)
-            R[filon] += (_E_TO_TRIG @ S @ _E_TO_TRIG.conj().T).real * sp.W
+            D = sp.transforms(tf, bessel)
+            for s, (C, W) in enumerate(zip(sp.C, sp.W)):
+                S = _sigma(poles, C, D[:, 8 * s:8 * s + 8], tf)
+                R[filon] += (_E_TO_TRIG @ S @ _E_TO_TRIG.conj().T).real * W
     return R
 
 

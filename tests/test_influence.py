@@ -11,10 +11,10 @@ from duosc.cli import preset_config
 from duosc.config import InternalForce, to_internal, validate_config
 from duosc.errors import ConfigError
 from duosc.influence import (BERNSTEIN_RHO, FILON_BASE_PANELS, FILON_MIN_T,
-                             _bernstein_rho, _graded_panels, _matsubara_pole,
-                             _mode_poles, bath_spectra, grid_quadratic,
-                             influence_form, spherical_jn_orders,
-                             thermal_weight)
+                             _FILON_BLOCK, _bernstein_rho, _graded_panels,
+                             _matsubara_pole, _mode_poles, bath_spectra,
+                             grid_noise, grid_quadratic, influence_form,
+                             spherical_jn_orders, thermal_weight)
 from duosc.modes import (basis_paths, check_caustic, component_weights,
                          solve_determinant, xi_coefficient_matrix)
 from duosc.oracle import (brute_double_integral, brute_square_form,
@@ -170,8 +170,9 @@ def test_triangle_trapezoid_agrees_at_its_own_order(ic_fig3, modes_fig3):
 _GL32 = np.polynomial.legendre.leggauss(32)
 
 
-def physical_ic(name="fig3", cutoff=None, kelvin=None):
-    """A preset with an optional cutoff (x omega01) and bath temperature."""
+def physical_ic(name="fig3", cutoff=None, kelvin=None, kelvin1=None):
+    """A preset with an optional cutoff (x omega01) and bath temperature;
+    `kelvin1` sets bath 1's temperature alone."""
     cfg = preset_config(name)
     b1, b2 = cfg.bath1, cfg.bath2
     if cutoff is not None:
@@ -180,6 +181,8 @@ def physical_ic(name="fig3", cutoff=None, kelvin=None):
     if kelvin is not None:
         b1 = replace(b1, temperature=kelvin)
         b2 = replace(b2, temperature=kelvin)
+    if kelvin1 is not None:
+        b1 = replace(b1, temperature=kelvin1)
     ic = to_internal(validate_config(replace(cfg, bath1=b1, bath2=b2)))
     return ic, solve_determinant(ic)
 
@@ -412,12 +415,13 @@ def test_graded_panels_match_the_looped_reference(name, kelvin):
 
 
 @pytest.mark.parametrize("name, kelvin", [
-    ("fig3", None), ("fig2", 0.0), ("fig2", 0.3)])
+    ("fig3", None), ("fig2", 0.0), ("fig2", 0.3), ("fig4", None)])
 def test_shared_spectrum_equals_the_bath_by_bath_sum(name, kelvin):
-    """Baths of one cutoff and temperature share one spectrum; the phase is
-    linear in the spectral density, so it must equal the sum of the two
-    one-bath phases (other bath's damping 0, so skipped), modes held fixed,
-    on both the small-t and the Filon branch."""
+    """Baths of one cutoff share one spectrum, of one temperature (fig2,
+    fig3) or two on one layout (fig4, 300 K and 900 K); the phase is linear
+    in the spectral density, so it must equal the sum of the two one-bath
+    phases (other bath's damping 0, so skipped), modes held fixed, on both
+    the small-t and the Filon branch."""
     ic, modes = physical_ic(name, kelvin=kelvin)
     times = np.array([1e-4, 0.02, 0.5, 0.999, FILON_MIN_T, 2.7, 9.1, 29.9])
     assert len(bath_spectra(ic, modes)) == 1
@@ -429,17 +433,23 @@ def test_shared_spectrum_equals_the_bath_by_bath_sum(name, kelvin):
 
 
 def test_one_spectrum_per_cutoff_and_temperature():
-    def count(name, cutoff1=None):
+    """One spectrum per distinct cutoff, carrying each distinct temperature
+    on that cutoff once."""
+    def temperatures(name, cutoff1=None):
         cfg = preset_config(name)
         if cutoff1 is not None:
             cfg = replace(cfg, bath1=replace(
                 cfg.bath1, cutoff=cutoff1 * cfg.osc1.eigenfrequency))
         ic = to_internal(validate_config(cfg))
-        return len(bath_spectra(ic, solve_determinant(ic)))
+        return [sp.temperatures
+                for sp in bath_spectra(ic, solve_determinant(ic))]
 
-    assert count("fig2") == 1 and count("fig3") == 1
-    assert count("fig4") == 2               # 300 K and 900 K
-    assert count("fig3", cutoff1=200.0) == 2
+    assert [len(T) for T in temperatures("fig2")] == [1]
+    assert [len(T) for T in temperatures("fig3")] == [1]
+    # 300 K and 900 K on one layout
+    ic = to_internal(validate_config(preset_config("fig4")))
+    assert temperatures("fig4") == [(ic.T1, ic.T2)]
+    assert [len(T) for T in temperatures("fig3", cutoff1=200.0)] == [1, 1]
 
 
 def test_grid_route_matches_square_rule_oracle(ic_fig3, modes_fig3):
@@ -458,11 +468,11 @@ def test_grid_route_is_batch_independent(ic_fig3, modes_fig3):
     for i, t in enumerate(times):
         alone = grid_quadratic(ic_fig3, modes_fig3, [t], spectra)[0]
         assert np.array_equal(alone, whole[i])
-    # two spectra (300 K and 900 K) sharing one Bessel table per call
+    # two temperatures (300 K and 900 K) on one layout
     ic, modes = physical_ic("fig4", 200.0)
     whole = grid_quadratic(ic, modes, times)
     spectra = bath_spectra(ic, modes)
-    assert len(spectra) == 2
+    assert len(spectra) == 1 and len(spectra[0].temperatures) == 2
     for i, t in enumerate(times):
         alone = grid_quadratic(ic, modes, [t], spectra)[0]
         assert np.array_equal(alone, whole[i])
@@ -470,11 +480,18 @@ def test_grid_route_is_batch_independent(ic_fig3, modes_fig3):
 
 def test_one_bessel_table_per_call(monkeypatch):
     """The spectra of one call share one width array, so `grid_quadratic`
-    evaluates the spherical Bessel functions once, however many spectra."""
-    ic, modes = physical_ic("fig4", 200.0)
-    spectra = bath_spectra(ic, modes)
-    assert len(spectra) == 2
-    assert all(sp.widths is spectra[0].widths for sp in spectra)
+    evaluates the spherical Bessel functions once, however many spectra
+    and temperatures: two temperatures on one layout (fig4), and one on
+    each of two layouts (fig3 with bath 1 at cutoff 200)."""
+    fig4 = physical_ic("fig4", 200.0)
+    spectra = bath_spectra(*fig4)
+    assert len(spectra) == 1 and len(spectra[0].temperatures) == 2
+    cfg = preset_config("fig3")
+    cfg = replace(cfg, bath1=replace(
+        cfg.bath1, cutoff=200.0 * cfg.osc1.eigenfrequency))
+    ic = to_internal(validate_config(cfg))
+    fig3 = ic, solve_determinant(ic)
+    assert len(bath_spectra(*fig3)) == 2
     calls = []
 
     def counted(z):
@@ -482,14 +499,62 @@ def test_one_bessel_table_per_call(monkeypatch):
         return spherical_jn_orders(z)
 
     monkeypatch.setattr(influence, "spherical_jn_orders", counted)
-    for times in ([0.5, 1.0, 2.2, 29.9], [7.5], np.linspace(1.0, 30.0, 64)):
+    for ic, modes in (fig4, fig3):
+        spectra = bath_spectra(ic, modes)
+        assert all(sp.widths is spectra[0].widths for sp in spectra)
+        for times in ([0.5, 1.0, 2.2, 29.9], [7.5],
+                      np.linspace(1.0, 30.0, 64)):
+            calls.clear()
+            grid_quadratic(ic, modes, times, spectra)
+            n_filon = np.count_nonzero(np.asarray(times) >= FILON_MIN_T)
+            assert calls == [n_filon * spectra[0].widths.size]
         calls.clear()
-        grid_quadratic(ic, modes, times, spectra)
-        n_filon = np.count_nonzero(np.asarray(times) >= FILON_MIN_T)
-        assert calls == [n_filon * spectra[0].widths.size]
-    calls.clear()
-    grid_quadratic(ic, modes, [1e-3, 0.5], spectra)   # small-t only
-    assert calls == []
+        grid_quadratic(ic, modes, [1e-3, 0.5], spectra)   # small-t only
+        assert calls == []
+
+
+def test_temperatures_on_a_cutoff_share_its_layout(monkeypatch):
+    """On fig4 (300 K and 900 K on one cutoff) a call grades one Filon and
+    one small-t layout, and `grid_noise` forms the small-t transforms once
+    per block of times for both temperatures."""
+    ic, modes = physical_ic("fig4")
+    calls = {"_graded_panels": 0, "_elementary_transforms": 0}
+
+    def counting(name):
+        real = getattr(influence, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(influence, name, counting(name))
+    spectra = bath_spectra(ic, modes)
+    assert calls["_graded_panels"] == 2
+    times = np.concatenate([np.geomspace(1e-4, 0.9, 2 * _FILON_BLOCK + 3),
+                            [1.0, 7.7]])
+    grid_noise(ic, modes, times, spectra)
+    assert calls["_elementary_transforms"] == 3
+    assert calls["_graded_panels"] == 2
+
+
+def test_mixed_temperatures_on_one_layout_against_dense_reference():
+    """Bath 1 at 0.3 K and bath 2 at 900 K on cutoff 200: the shared
+    layouts are graded to both Matsubara poles.  Below t = 1 the block
+    matches the 2x denser, deeper-graded reference to rounding, and from
+    t = 1 on the per-t route."""
+    ic, modes = physical_ic("fig4", 200.0, kelvin1=0.3)
+    (sp,) = bath_spectra(ic, modes)
+    assert sp.temperatures == (ic.T1, ic.T2) and ic.T1 != ic.T2
+    small = np.array([1e-5, 1e-3, 0.1, 0.5, 0.999])
+    for t, g in zip(small, grid_quadratic(ic, modes, small)):
+        ref = dense_quadratic(ic, modes, t, per_period=16, levels=80)
+        assert block_rel(g, ref) <= 1e-13
+    times = np.array([off_caustic(modes, t)
+                      for t in (1.0, 2.7, 7.7, 14.9, 29.9)])
+    for t, g in zip(times, grid_quadratic(ic, modes, times)):
+        assert block_rel(g, influence_form(ic, modes, t).quadratic) <= 1e-11
 
 
 @pytest.mark.parametrize("name, cutoff, small_nodes", [
@@ -506,13 +571,15 @@ def test_layout_sizes_stay_small(name, cutoff, small_nodes):
 
 
 def test_spectra_log_their_layouts(caplog, capsys):
-    """One DEBUG line per spectrum on the `duosc` logger, nothing printed."""
+    """One DEBUG line per layout on the `duosc` logger, naming its cutoff
+    and every temperature on it; nothing printed."""
     ic, modes = physical_ic("fig4")
     with caplog.at_level(logging.DEBUG, logger="duosc"):
         spectra = bath_spectra(ic, modes)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "duosc" and r.levelno == logging.DEBUG]
-    assert len(lines) == len(spectra) == 2
+    assert len(lines) == len(spectra) == 1
+    assert f"numax={ic.numax1:.6g} T={ic.T1:.6g}, {ic.T2:.6g}:" in lines[0]
     for line, sp in zip(lines, spectra):
         assert (f"{sp.mids.size} Filon panels, {sp.coef.shape[0]} nodes, "
                 f"{np.unique(sp.width_of).size} distinct widths; "

@@ -3,9 +3,9 @@
     python3 tools/bath_phase_ms.py [--stride 25]
 
 For the fig3 preset and the wideband configuration (fig4 baths, cutoff 200
-omega01, no forces) on their 2000-point grids, prints the number of bath
-spectra (one per distinct cutoff and temperature), the size of each
-spectrum's two omega layouts (Filon panels and nodes for t >= 1, nodes of
+omega01, no forces) on their 2000-point grids, prints one line per bath
+spectrum (one per distinct cutoff) with the temperatures that share its two
+omega layouts and their sizes (Filon panels and nodes for t >= 1, nodes of
 the direct sum below), and the wall time per point of
 
   per-t       influence.influence_form at every `stride`-th grid point: a
@@ -39,8 +39,9 @@ import numpy as np  # noqa: E402
 from duosc.cli import preset_config  # noqa: E402
 from duosc.config import ForceSpec, to_internal, validate_config  # noqa: E402
 from duosc.engine import CHUNK  # noqa: E402
-from duosc.influence import (bath_spectra, grid_noise,  # noqa: E402
-                             influence_form, spherical_jn_orders)
+from duosc.influence import (FILON_ORDER, bath_spectra,  # noqa: E402
+                             grid_noise, influence_form,
+                             spherical_jn_orders)
 from duosc.modes import solve_determinant  # noqa: E402
 
 
@@ -81,10 +82,11 @@ def main(argv=None) -> None:
             grid_noise(ic, modes, times[lo:lo + CHUNK], spectra)
         whole = (time.perf_counter() - start) / times.size
 
-        layouts = ", ".join(
-            f"{sp.mids.size} panels / {sp.coef.shape[0]} Filon nodes + "
-            f"{sp.small_nodes.size} small-t nodes" for sp in spectra)
-        print(f"{name:9s} {len(spectra)} spectra ({layouts})")
+        for sp in spectra:
+            temps = ", ".join(f"{T:.6g}" for T in sp.temperatures)
+            print(f"{name:9s} layout T = {temps}: {sp.mids.size} panels / "
+                  f"{sp.mids.size * FILON_ORDER} Filon nodes + "
+                  f"{sp.small_nodes.size} small-t nodes")
         print(f"{'':9s} "
               f"per-t {1e3 * per_t:8.3f} ms/point "
               f"({sample.size} points)   whole-grid {1e3 * whole:6.3f} "
