@@ -4,11 +4,13 @@ oscillators, each in contact with its own Ohmic heat bath.
 The engine builds each state from its phase-space moments: normal modes of
 the coupled damped pair, the bath noise block of the influence functional,
 the drive's mode moments, and a closed-form map from means and covariance
-to the density-matrix parameters.  The paper's boundary-value route
-(classical boundary paths, the bath phase over their endpoints, an exact
-Gaussian contraction with the initial state) stays as a cross-check, and
-an independent oracle (ODE means, fluctuation-dissipation spreads,
-brute-force kernel integrals) cross-validates every stage.
+to the density-matrix parameters.  An independent oracle (ODE means, the
+covariance by the resolvent of the Langevin drift, fluctuation-dissipation
+spreads, brute-force kernel integrals) cross-validates it.  The paper's
+boundary-value route (classical boundary paths, the bath phase over their
+endpoints, an exact Gaussian contraction with the initial state) lives in
+the test suite's `crosscheck` package; of it, the package keeps only the
+closed-form endpoint action that `duosc run --dump-action` writes.
 """
 
 from .config import (BathParams, ForceSpec, InternalConfig, OscillatorParams,
@@ -16,8 +18,7 @@ from .config import (BathParams, ForceSpec, InternalConfig, OscillatorParams,
                      to_internal, validate_config)
 from .engine import SimulationResult, simulate
 from .errors import (CausticTime, ConfigError, CouplingTooStrong,
-                     DegenerateModes, DuoscError, NonHermitianLarge,
-                     NotNormalizable, QuadratureNonConvergence)
+                     DegenerateModes, DuoscError, NotNormalizable)
 from .modes import NormalModes, solve_determinant
 from .observables import CovarianceReport, report
 from .reduction import GaussianStateParams, initial_state
@@ -27,9 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BathParams", "CausticTime", "ConfigError", "CouplingTooStrong",
     "CovarianceReport", "DegenerateModes", "DuoscError", "ForceSpec",
-    "GaussianStateParams", "InternalConfig", "NonHermitianLarge",
-    "NormalModes", "NotNormalizable", "OscillatorParams",
-    "QuadratureNonConvergence", "SimulationResult", "SystemConfig",
+    "GaussianStateParams", "InternalConfig", "NormalModes",
+    "NotNormalizable", "OscillatorParams", "SimulationResult", "SystemConfig",
     "TimeGrid", "config_from_dict", "initial_state", "load_config",
     "report", "simulate", "solve_determinant", "to_internal",
     "validate_config",

@@ -139,7 +139,7 @@ def _write_outputs(outdir: str, result, args, action=None) -> None:
 
 def _verify(outdir: str, result) -> int:
     """Oracle comparison and invariant suite; returns number of failures."""
-    from . import oracle   # scipy.integrate: load it only when verifying
+    from . import oracle   # scipy: load it only when verifying
 
     ic = result.config
     u = ic.units
@@ -154,8 +154,11 @@ def _verify(outdir: str, result) -> int:
                 np.max(np.abs(ex2 - traj.x2))) / scale_x
     dev_p = max(np.max(np.abs(ep1 - traj.p1)),
                 np.max(np.abs(ep2 - traj.p2))) / scale_p
-    herm = max(max(s.nonherm_quadratic, s.nonherm_linear_X,
-                   s.nonherm_linear_xi) for s in result.states)
+    # the covariance at the last grid time against the resolvent route
+    want = oracle.phase_space_covariance(ic, max(result.times[-1], 0.0))
+    scale = np.sqrt(np.diag(want))
+    cov_dev = float(np.max(np.abs(result.reports[-1].covariance_matrix - want)
+                           / np.outer(scale, scale)))
     rs_min = min(r.rs_min_eig for r in result.reports)
     # sampled numeric trace on a thinned subgrid (the closed form is exact
     # by construction; this re-derives it from rho directly)
@@ -168,7 +171,8 @@ def _verify(outdir: str, result) -> int:
     checks = [
         ("mean_x_vs_oracle", dev_x, 1e-3),
         ("mean_p_vs_oracle", dev_p, 1e-3),
-        ("nonhermitian_residual", herm, 1e-10),
+        # measured: <= 9.3e-14 on the presets, 2.6e-13 at t = 2000 on fig3
+        ("covariance_vs_oracle", cov_dev, 1e-11),
         ("sampled_hermiticity", herm_pts, 1e-10),
         ("numeric_trace", trace_err, 1e-6),
         ("uncertainty_min_eig", -rs_min, 1e-10),

@@ -15,8 +15,9 @@ transforms serve every temperature) and m(t) the drive's moments
 (`forcing.drive_amplitudes`).  `reduction.states_from_moments` maps the
 moments to the state parameters in closed form, and the moment table
 (`observables.report_table`) takes one pass over the whole grid.  No step
-divides by sin(Omega t), so no time is special.  The drive never enters
-the covariance (Feynman & Vernon 1963).
+divides by sin(Omega t), so no time is special; the paper's boundary-value
+route, which does, is a cross-check of the test suite.  The drive never
+enters the covariance (Feynman & Vernon 1963).
 
 Fixed-size chunks of times run as arrays from start to finish.  A state is
 a function of (cfg, t) alone, bit for bit: the chunking and the thread pool

@@ -9,15 +9,14 @@ its knots, zero outside them) per knot interval, summed over the intervals
 below t.
 
 Production route: `drive_amplitudes`, the moments of the mode-projected
-force.  Cross-check route: `force_moment_table` / `force_moments`, which
-add the endpoint coefficients lambda and phi of the boundary-value action
-(singular on the caustics).
+force.  Endpoint route: `force_moment_table`, which adds the endpoint
+coefficients lambda and phi of the boundary-value action (singular on the
+caustics) for `action.endpoint_action_arrays`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,13 +99,6 @@ def oscillatory_moments(f, Omega, delta, times: np.ndarray
     return val.imag, val.real
 
 
-def oscillatory_moment(f, Omega: float, delta: float, t: float
-                       ) -> tuple[float, float]:
-    """(M, N) = int_0^t f(tau) (sin, cos)(Omega tau) exp(delta tau) dtau."""
-    M, N = oscillatory_moments(f, Omega, delta, np.array([t]))
-    return float(M[0]), float(N[0])
-
-
 # Taylor coefficients of E1 / L = (exp(z) - 1) / z = sum z^k / (k+1)! and
 # E2 / L^2 = int_0^1 x exp(z x) dx = sum z^k / (k! (k+2)), as columns, highest
 # power first: 10 terms reach 1e-17 relative for |z| < _SERIES_Z, where the
@@ -183,34 +175,16 @@ def drive_amplitudes(modes: NormalModes, f1, f2,
     return out
 
 
-@dataclass(frozen=True)
-class ForceMoments:
-    """The eight mode-projected force integrals at time t, plus the
-    endpoint-linear combinations they enter the classical action through.
-
-    M1, N1, M2, N2 use force 1; the primed set uses force 2.  lambda1 and
-    lambda2 multiply the initial difference-variable endpoints; phi_f1 and
-    phi_f2 multiply the final ones.
-    """
-    t: float
-    M1: float
-    N1: float
-    M2: float
-    N2: float
-    M1p: float
-    N1p: float
-    M2p: float
-    N2p: float
-    lambda1: float
-    lambda2: float
-    phi_f1: float
-    phi_f2: float
-
-
 def force_moment_table(modes: NormalModes, f1, f2,
                        times: np.ndarray) -> np.ndarray:
-    """The ForceMoments fields after t at each time, as (n, 12) columns
-    (M1, N1, M2, N2, M1p, N1p, M2p, N2p, lambda1, lambda2, phi_f1, phi_f2).
+    """The eight mode-projected force integrals and the endpoint-linear
+    combinations they enter the classical action through, at each time, as
+    (n, 12) columns (M1, N1, M2, N2, M1p, N1p, M2p, N2p, lambda1, lambda2,
+    phi_f1, phi_f2).
+
+    M1, N1, M2, N2 use force 1 and the primed set force 2.  lambda1 and
+    lambda2 multiply the initial difference-variable endpoints; phi_f1 and
+    phi_f2 multiply the final ones.
     """
     times = np.ascontiguousarray(times, dtype=float)
     if not np.all(times > 0.0):
@@ -237,11 +211,3 @@ def force_moment_table(modes: NormalModes, f1, f2,
     phi_f2 = g2 - r2 * g1
     return np.stack([M1, N1, M2, N2, M1p, N1p, M2p, N2p,
                      lambda1, lambda2, phi_f1, phi_f2], axis=1)
-
-
-def force_moments(modes: NormalModes, f1, f2, t: float) -> ForceMoments:
-    """Assemble all force moments and their endpoint coefficients at time t."""
-    if t <= 0.0:
-        raise ConfigError(f"force_moments needs t > 0, got {t}")
-    row = force_moment_table(modes, f1, f2, np.array([t]))[0]
-    return ForceMoments(t, *row.tolist())

@@ -1,34 +1,26 @@
-"""Bath-induced phase functionals on classical difference-variable paths.
+"""The bath noise block of the influence functional, over whole time grids.
 
 Each bath contributes a real, positive phase
 
     phi = pref * int_0^numax dw w coth(w / 2T) *
           int_0^t dt' int_0^t' dt'' xi(t') cos[w (t'-t'')] xi(t'')
 
-with pref = 2*m*gamma/(hbar*pi), evaluated on the classical path of the
-oscillator that bath touches.  Since the cosine double integral over the
-triangle is half the symmetric square integral, it collapses to
+with pref = 2*m*gamma/(hbar*pi), evaluated on the difference-variable path
+of the oscillator that bath touches.  Since the cosine double integral over
+the triangle is half the symmetric square integral, it collapses to
 (1/2) * Re[F(w) * conj(F(w))] with F the finite-time Fourier transform of
-the path, which for the trig-times-exponential boundary paths is elementary.
-The endpoint quadratic form is extracted exactly from the four unit-endpoint
-basis paths.
+the path, which for the trig-times-exponential mode functions is
+elementary.  The drive never enters the bath phase (Feynman & Vernon 1963).
 
-Production route (`bath_spectra` + `grid_noise`): whole time grids at once,
-one spectrum per distinct cutoff, whose omega layouts the temperatures on
-that cutoff share.  `grid_noise` returns the double integral R(t) over the
-four anti-damped elementary functions, before any endpoint map; the engine
-uses it as the noise covariance of the mode amplitudes, which is regular at
-every t.  Partial fractions move all t-dependence of the omega integral
-into eight transforms, which Filon-Legendre quadrature on panels graded to
-the poles gives exactly in t as one matrix product per time; below t = 1
-the phase is summed directly on a small pole-free layout of its own
-(section at the end of this module).
-
-Cross-check routes, in the endpoint (boundary-value) form that is singular
-on the caustics: `grid_quadratic`, 1/2 V^T R V over the final and initial xi
-endpoints, and `influence_form`, one composite omega quadrature per time,
-resolving exp(-i w t) anew.  The drive never enters the bath phase
-(Feynman & Vernon 1963), so the phase has no linear or constant part.
+`bath_spectra` builds one spectrum per distinct cutoff, whose omega layouts
+the temperatures on that cutoff share.  `grid_noise` returns the double
+integral R(t) over the four anti-damped elementary functions, before any
+endpoint map; the engine uses it as the noise covariance of the mode
+amplitudes, which is regular at every t.  Partial fractions move all
+t-dependence of the omega integral into eight transforms, which
+Filon-Legendre quadrature on panels graded to the poles gives exactly in t
+as one matrix product per time; below t = 1 the phase is summed directly on
+a small pole-free layout of its own (section at the end of this module).
 """
 
 from __future__ import annotations
@@ -43,12 +35,11 @@ import numpy as np
 
 from .config import InternalConfig
 from .errors import ConfigError
-from .modes import (NormalModes, check_caustic, coefficient_matrices,
-                    component_weights, xi_coefficient_matrix)
+from .modes import NormalModes, component_weights
 
 log = logging.getLogger("duosc")
 
-_GL16 = np.polynomial.legendre.leggauss(16)
+_GL16 = np.polynomial.legendre.leggauss(16)    # the small-t layout's rule
 #: panels are bisected until every singularity of the integrand lies
 #: outside the panel's Bernstein ellipse of this parameter
 BERNSTEIN_RHO = 4.0
@@ -69,20 +60,6 @@ def thermal_weight(omega: np.ndarray, T: float) -> np.ndarray:
     out[small] = 2.0 * T * (1.0 + theta[small] ** 2 / 3.0)
     out[~small] = omega[~small] / np.tanh(theta[~small])
     return out
-
-
-# ---------------------------------------------------------------------------
-# frequency-domain evaluation of the endpoint form
-
-@dataclass(frozen=True)
-class InfluenceForm:
-    """Endpoint structure of the total bath phase at time t.
-
-    phi(e) = e^T quadratic e over e = (xi_f1, xi_f2, xi_i1, xi_i2); the
-    block is drive-independent and positive semidefinite.
-    """
-    t: float
-    quadratic: np.ndarray   # (4, 4) symmetric
 
 
 def _bernstein_rho(lo: np.ndarray, hi: np.ndarray,
@@ -148,24 +125,11 @@ def _panel_nodes(mids: np.ndarray, halfs: np.ndarray, rule) -> tuple:
     return nodes, wts
 
 
-def _omega_panels(numax: float, t: float, T: float):
-    """Composite GL-16 nodes resolving the O(2 pi / t) oscillation in w,
-    graded towards w = 0 down to the thermal scale 2 pi T.
-
-    Cross-check route only (`influence_form`).
-    """
-    panels = max(64, 4 * int(math.ceil(numax * t / (2.0 * math.pi))))
-    return _panel_nodes(*_graded_panels(numax, panels, _matsubara_pole(T)),
-                        _GL16)
-
-
 def _elementary_transforms(modes: NormalModes, times,
                            omega: np.ndarray) -> np.ndarray:
     """F_c(t, w) = int_0^t psi_c(tau) exp(-i w tau) dtau for the four
     anti-damped elementary functions [sin1, cos1, sin2, cos2]; (n, 4, N)
-    for n times and N frequencies.
-
-    Cross-check route, and the small-t branch of `grid_noise`."""
+    for n times and N frequencies: the small-t branch of `grid_noise`."""
     t = np.asarray(times, dtype=float).reshape(-1, 1)
     out = np.empty((t.shape[0], 4, omega.size), dtype=complex)
     for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
@@ -187,48 +151,15 @@ def _elementary_transforms(modes: NormalModes, times,
     return out
 
 
-def influence_form(cfg: InternalConfig, modes: NormalModes,
-                   t: float) -> InfluenceForm:
-    """Evaluate the total bath phase structure at time t.
-
-    Cross-check route: the engine uses `grid_noise`.
-    """
-    if t <= 0.0:
-        raise ConfigError(f"influence_form needs t > 0, got {t}")
-    check_caustic(modes, t)
-    V = xi_coefficient_matrix(modes, t)
-    c1, c2 = component_weights(modes)
-    baths = (
-        (cfg.m1, cfg.gamma1, cfg.T1, cfg.numax1, c1),
-        (cfg.m2, cfg.gamma2, cfg.T2, cfg.numax2, c2),
-    )
-    quadratic = np.zeros((4, 4))
-    for mass, gamma, T, numax, comp in baths:
-        if gamma == 0.0:
-            continue
-        omega, wts = _omega_panels(numax, t, T)
-        pref = 2.0 * mass * gamma / math.pi
-        chunk = 65536
-        for lo in range(0, omega.size, chunk):
-            om = omega[lo:lo + chunk]
-            wt = wts[lo:lo + chunk] * thermal_weight(om, T) * pref
-            psi = _elementary_transforms(modes, t, om)[0]
-            Fb = (V * comp[:, None]).T @ psi          # (4, n) basis transforms
-            Sq = np.real((Fb * wt) @ Fb.conj().T)     # symmetric square form
-            quadratic += 0.5 * Sq
-    quadratic = 0.5 * (quadratic + quadratic.T)
-    return InfluenceForm(t=t, quadratic=quadratic)
-
-
 # ---------------------------------------------------------------------------
 # whole-grid evaluation: t-independent spectral data, Filon quadrature in w
 #
 # The phase is linear in the spectral density, so baths of one cutoff and
-# temperature share one weight g0(w) = w coth(w / 2T): Q(t) = 1/2 V^T
-# (Re M(t) . W) V, V the xi coefficient matrix, W = sum_b (2 m_b gamma_b / pi)
-# c_b c_b^T over the baths' component weights, M = T Sigma T^H with T the map
-# from the mode exponentials E_a(w) = i (exp(-i (w - p_a) t) - 1) / (w - p_a),
-# p = +-Omega_k - i delta_k, to the transforms [sin1, cos1, sin2, cos2].
+# temperature share one weight g0(w) = w coth(w / 2T): R(t) = Re M(t) . W,
+# W = sum_b (2 m_b gamma_b / pi) c_b c_b^T over the baths' component
+# weights, M = T Sigma T^H with T the map from the mode exponentials
+# E_a(w) = i (exp(-i (w - p_a) t) - 1) / (w - p_a), p = +-Omega_k - i delta_k,
+# to the transforms [sin1, cos1, sin2, cos2].
 # Partial fractions put the t-dependence of Sigma_ab = int g0 E_a conj(E_b)
 # into C_r = int g0 / (w - r) and D_r(t) = int g0 exp(-i w t) / (w - r), r in
 # {p, conj p}.  With the Legendre coefficients c_k of g0 / (w - r) on a panel
@@ -489,9 +420,9 @@ def grid_noise(cfg: InternalConfig, modes: NormalModes, times,
     the anti-damped elementary functions [sin1, cos1, sin2, cos2] before any
     endpoint map.
 
-    Production route: it is also the covariance the bath noise adds to the
-    mode amplitudes of `modes.response_matrices`.  `spectra` (from
-    `bath_spectra`) may be passed to reuse them across calls.  Every time
+    It is also the covariance the bath noise adds to the mode amplitudes
+    of `modes.response_matrices`.  `spectra` (from `bath_spectra`) may be
+    passed to reuse them across calls.  Every time
     must be positive; the block is regular at every such time.  Each block
     is a function of (cfg, t) only, bit for bit, however the times are
     batched.
@@ -528,19 +459,3 @@ def grid_noise(cfg: InternalConfig, modes: NormalModes, times,
                 S = _sigma(poles, C, D[:, 8 * s:8 * s + 8], tf)
                 R[filon] += (_E_TO_TRIG @ S @ _E_TO_TRIG.conj().T).real * W
     return R
-
-
-def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
-                   spectra: Optional[tuple] = None) -> np.ndarray:
-    """Quadratic block of the total bath phase over the xi endpoints at each
-    time, (n, 4, 4): 1/2 V^T R V with R from `grid_noise` and V the xi
-    coefficient matrix.
-
-    Cross-check route (the endpoint form of the reduction): every time
-    must be off the caustics (CausticTime otherwise).
-    """
-    R = grid_noise(cfg, modes, times, spectra)
-    V = coefficient_matrices(modes, np.asarray(times, dtype=float).ravel(),
-                             sign=+1.0)
-    out = 0.5 * (np.swapaxes(V, 1, 2) @ R @ V)
-    return 0.5 * (out + np.swapaxes(out, 1, 2))

@@ -1,30 +1,30 @@
 """Normal modes of the coupled damped pair, the phase-space flow, and the
-classical boundary paths.
+endpoint map of the classical boundary paths.
 
-The characteristic (determinant) equation of the coupled linear system is the
-quartic  w^4 + i*a*w^3 + b*w^2 + i*c*w + d = 0  with real a, b, c, d.  For
-equal damping rates gamma its four roots pair up as  -+Omega1 - i*gamma  and
+For equal damping rates gamma the four roots of the characteristic
+(determinant) equation pair up as  -+Omega1 - i*gamma  and
 -+Omega2 - i*gamma, and `solve_determinant` gives them, and the amplitude
-ratios, in closed form.  The sum-variable (damped) sector evolves with
-envelopes exp(-delta*tau); the difference-variable sector is the
-time-reversed, anti-damped partner with envelopes exp(+delta*tau).
+ratios, in closed form.
 
 Production route (`response_matrices`, `initial_amplitude_map`): the
 phase-space point at time t is B(t) times mode amplitudes, with B regular at
 every t.
 
-Cross-check route (`coefficient_matrices`, `basis_paths` and the path
-helpers): boundary-value paths on the four elementary mode functions
-sin/cos(Omega_k tau) * exp(-+delta_k tau).  The coefficient solve is singular
-at the isolated "caustic" times where sin(Omega_k t) = 0, and raises
-CausticTime there (`check_caustic`).
+Endpoint route (`coefficient_matrices`, for `action.endpoint_action_arrays`
+and `duosc run --dump-action`): the coefficients, on the four elementary
+mode functions sin/cos(Omega_k tau) * exp(-+delta_k tau), of the classical
+path through given endpoints.  The sum-variable (damped) sector has
+envelopes exp(-delta*tau); the difference-variable sector is the
+time-reversed, anti-damped partner with envelopes exp(+delta*tau).  The
+solve is singular at the isolated "caustic" times where sin(Omega_k t) = 0,
+and raises CausticTime there (`check_caustic`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,33 +33,6 @@ from .errors import CausticTime, ConfigError, DegenerateModes
 
 CAUSTIC_TOL = 1e-8
 DEGENERACY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class QuarticCoefficients:
-    """Real coefficients of w^4 + i*a*w^3 + b*w^2 + i*c*w + d."""
-    a: float
-    b: float
-    c: float
-    d: float
-
-    @classmethod
-    def from_config(cls, cfg: InternalConfig) -> "QuarticCoefficients":
-        g1, g2 = cfg.gamma1, cfg.gamma2
-        w1sq, w2sq = cfg.w01 ** 2, cfg.w02 ** 2
-        return cls(
-            a=2.0 * (g1 + g2),
-            b=-(w1sq + w2sq + 4.0 * g1 * g2),
-            c=-2.0 * (g2 * w1sq + g1 * w2sq),
-            d=w1sq * w2sq - cfg.lam ** 2 / (cfg.m1 * cfg.m2),
-        )
-
-    def poly(self) -> np.ndarray:
-        return np.array([1.0, 1j * self.a, self.b, 1j * self.c, self.d],
-                        dtype=complex)
-
-    def value(self, w: complex) -> complex:
-        return np.polyval(self.poly(), w)
 
 
 @dataclass(frozen=True)
@@ -162,29 +135,7 @@ def check_caustic(modes: NormalModes, times, tol: float = CAUSTIC_TOL) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementary mode functions and endpoint-coefficient matrices
-
-def mode_functions(modes: NormalModes, tau: np.ndarray, sign: float
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Values and derivatives of the 4 elementary envelope-trig functions.
-
-    sign=-1 gives the damped (sum-variable) set exp(-delta*tau)*{sin, cos},
-    sign=+1 the anti-damped set.  Returns (phi, dphi), each of shape (4, n),
-    rows ordered [sin1, cos1, sin2, cos2].
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.empty((4, tau.size))
-    dout = np.empty((4, tau.size))
-    for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
-                                (modes.Omega2, modes.delta2))):
-        env = np.exp(sign * d * tau)
-        s, c = np.sin(O * tau), np.cos(O * tau)
-        out[2 * k] = s * env
-        out[2 * k + 1] = c * env
-        dout[2 * k] = (O * c + sign * d * s) * env
-        dout[2 * k + 1] = (-O * s + sign * d * c) * env
-    return out, dout
-
+# endpoint-coefficient matrices (endpoint route)
 
 def coefficient_matrices(modes: NormalModes, times: np.ndarray,
                          sign: float) -> np.ndarray:
@@ -222,16 +173,6 @@ def coefficient_matrices(modes: NormalModes, times: np.ndarray,
     return W
 
 
-def x_coefficient_matrix(modes: NormalModes, t: float) -> np.ndarray:
-    """Endpoint (X_f1, X_f2, X_i1, X_i2) -> damped-sector coefficients."""
-    return coefficient_matrices(modes, np.array([t]), sign=-1.0)[0]
-
-
-def xi_coefficient_matrix(modes: NormalModes, t: float) -> np.ndarray:
-    """Endpoint (xi_f1, xi_f2, xi_i1, xi_i2) -> anti-damped coefficients."""
-    return coefficient_matrices(modes, np.array([t]), sign=+1.0)[0]
-
-
 # row weights turning elementary-function coefficients into the two
 # oscillator components: component 1 uses [1, 1, r2, r2], component 2
 # uses [r1, r1, 1, 1]
@@ -239,24 +180,6 @@ def component_weights(modes: NormalModes) -> Tuple[np.ndarray, np.ndarray]:
     c1 = np.array([1.0, 1.0, modes.r2, modes.r2])
     c2 = np.array([modes.r1, modes.r1, 1.0, 1.0])
     return c1, c2
-
-
-def basis_paths(modes: NormalModes, t: float, tau: np.ndarray, sign: float
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Paths (and derivatives) for the four unit endpoint basis vectors.
-
-    Returns (P1, P2, dP1, dP2), each of shape (4, n): row j is the
-    oscillator-1 (resp. 2) component of the classical path whose endpoint
-    vector is the j-th unit vector in (f1, f2, i1, i2) order.
-    """
-    W = coefficient_matrices(modes, np.array([t]), sign)[0]
-    phi, dphi = mode_functions(modes, tau, sign)
-    c1, c2 = component_weights(modes)
-    P1 = (W * c1[:, None]).T @ phi
-    P2 = (W * c2[:, None]).T @ phi
-    dP1 = (W * c1[:, None]).T @ dphi
-    dP2 = (W * c2[:, None]).T @ dphi
-    return P1, P2, dP1, dP2
 
 
 # ---------------------------------------------------------------------------
@@ -317,34 +240,3 @@ def _mode_weights(modes: NormalModes) -> Tuple[np.ndarray, np.ndarray]:
     """u (2, 4) with u_k[i] in the columns of mode k, and M u."""
     u = np.stack(component_weights(modes))
     return u, np.array([[modes.m1], [modes.m2]]) * u
-
-
-# ---------------------------------------------------------------------------
-# user-facing path evaluation
-
-def homogeneous_xi_paths(modes: NormalModes,
-                         endpoints: Tuple[float, float, float, float],
-                         partials: Optional[Tuple[Callable, Callable]],
-                         t: float, tau) -> Tuple[np.ndarray, np.ndarray]:
-    """Anti-damped-sector path through the given endpoints.
-
-    endpoints = (xi_i1, xi_i2, xi_f1, xi_f2).  partials, if given, are two
-    callables for the driven particular solution; they must vanish at both
-    tau=0 and tau=t so the endpoint conditions stay exact.
-    """
-    xi_i1, xi_i2, xi_f1, xi_f2 = endpoints
-    e = np.array([xi_f1, xi_f2, xi_i1, xi_i2])
-    tau = np.asarray(tau, dtype=float)
-    P1, P2, _, _ = basis_paths(modes, t, tau, sign=+1.0)
-    xi1, xi2 = e @ P1, e @ P2
-    if partials is not None:
-        xi1 = xi1 + partials[0](tau)
-        xi2 = xi2 + partials[1](tau)
-    return xi1, xi2
-
-
-def decoupled_reference(cfg: InternalConfig) -> Tuple[float, float, float, float]:
-    """Closed-form mode data at zero coupling, for continuity checks."""
-    O1 = math.sqrt(cfg.w01 ** 2 - cfg.gamma1 ** 2)
-    O2 = math.sqrt(cfg.w02 ** 2 - cfg.gamma2 ** 2)
-    return O1, O2, cfg.gamma1, cfg.gamma2

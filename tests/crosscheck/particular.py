@@ -23,14 +23,20 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .config import InternalForce
-from .errors import CausticTime, ConfigError, QuadratureNonConvergence
-from .forcing import force_value
-from .modes import NormalModes, check_caustic, homogeneous_xi_paths
+from duosc.config import InternalForce
+from duosc.errors import ConfigError, DuoscError
+from duosc.forcing import force_value
+from duosc.modes import NormalModes, check_caustic
+
+from .modes import homogeneous_xi_paths
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 DEFAULT_GRID_POINTS = 8192
+
+
+class QuadratureNonConvergence(DuoscError):
+    """Two independent quadrature routes disagree beyond tolerance."""
 
 
 def _cumulative_oscillatory(f: InternalForce, rate: float, omega: float,
@@ -121,7 +127,7 @@ def particular_solution(modes: NormalModes, f1: InternalForce,
                         n_grid: int = DEFAULT_GRID_POINTS
                         ) -> ParticularSolution:
     """Build the endpoint-vanishing particular solution on [0, t]."""
-    from scipy.interpolate import CubicSpline   # kept off `import duosc`
+    from scipy.interpolate import CubicSpline
 
     if t <= 0.0:
         raise ConfigError(f"particular_solution needs t > 0, got {t}")

@@ -14,18 +14,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from duosc.action import classical_action_form
 from duosc.config import InternalForce
 from duosc.engine import simulate
-from duosc.forcing import force_moments
-from duosc.influence import influence_form
-from duosc.modes import (QuarticCoefficients, decoupled_reference,
-                         solve_determinant)
+from duosc.modes import solve_determinant
 from duosc.observables import hermiticity_error, numeric_trace
 from duosc.oracle import fdt_stationary_variance, mean_ode
-from duosc.particular import particular_solution, verify_fourier_route
-from duosc.reduction import reduce_to_state
 
+from crosscheck.action import classical_action_form
+from crosscheck.forcing import force_moments
+from crosscheck.influence import influence_form
+from crosscheck.modes import QuarticCoefficients, decoupled_reference
+from crosscheck.particular import particular_solution, verify_fourier_route
 from test_influence import brute_quadratic
 from test_modes import make_ic
 from test_particular import fd_residual

@@ -4,14 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from duosc.action import (classical_action_form, endpoint_action_form,
-                          force_breakpoints, quadrature_nodes)
+from duosc.action import endpoint_action_form
 from duosc.config import InternalForce
 from duosc.errors import ConfigError
-from duosc.forcing import force_moments, force_value
-from duosc.modes import homogeneous_xi_paths, solve_determinant
-from duosc.particular import particular_solution
+from duosc.forcing import force_value
+from duosc.modes import solve_determinant
 
+from crosscheck.action import (classical_action_form, force_breakpoints,
+                               quadrature_nodes)
+from crosscheck.forcing import force_moments
+from crosscheck.modes import homogeneous_xi_paths
+from crosscheck.particular import particular_solution
 from test_modes import homogeneous_X_paths, make_ic
 
 ZERO = InternalForce(kind="zero")

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 
 from duosc import engine
-from duosc.action import endpoint_action_arrays
+from duosc.action import endpoint_action_arrays, endpoint_action_form
 from duosc.config import InternalForce
 from duosc.engine import simulate
 from duosc.errors import CausticTime, ConfigError
-from duosc.influence import bath_spectra, grid_quadratic
+from duosc.influence import bath_spectra
 from duosc.modes import (CAUSTIC_TOL, check_caustic, coefficient_matrices,
                          solve_determinant)
 from duosc.observables import CovarianceReport, report_table
-from duosc.reduction import (GaussianStateParams, initial_state,
-                             reduce_to_states)
+from duosc.reduction import GaussianStateParams, initial_state
 
+from crosscheck.influence import grid_quadratic
+from crosscheck.reduction import reduce_to_states
 from test_modes import make_ic
 
 
@@ -234,11 +235,11 @@ def test_simulate_never_calls_the_endpoint_route(monkeypatch, ic_fig3):
     for name, module in list(sys.modules.items()):
         if name == "duosc" or name.startswith("duosc."):
             for attr in ("coefficient_matrices", "endpoint_action_arrays",
-                         "reduce_to_states", "check_caustic"):
+                         "check_caustic"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, endpoint_route)
     with pytest.raises(AssertionError):
-        grid_quadratic(ic_fig3, solve_determinant(ic_fig3), [2.0])
+        endpoint_action_form(ic_fig3, solve_determinant(ic_fig3), 2.0)
     for ic in (ic_fig3, _sampled(ic_fig3)):
         res = simulate(ic, times=np.linspace(0.0, ic.t_end, 300))
         assert np.all(np.isfinite(res.report_array))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from duosc.action import classical_action_form
 from duosc.config import InternalForce
-from duosc.forcing import (default_amplitude_internal, force_moments,
-                           force_value, oscillatory_moment,
+from duosc.forcing import (default_amplitude_internal, force_value,
                            oscillatory_moments)
-from duosc.particular import particular_solution
+
+from crosscheck.action import classical_action_form
+from crosscheck.forcing import force_moments, oscillatory_moment
+from crosscheck.particular import particular_solution
 
 STEP = InternalForce(kind="exponential_step", f0=0.078, t0=1.0, decay=0.1)
 ZERO = InternalForce(kind="zero")

@@ -13,13 +13,13 @@ from duosc.errors import ConfigError
 from duosc.influence import (BERNSTEIN_RHO, FILON_BASE_PANELS, FILON_MIN_T,
                              _FILON_BLOCK, _bernstein_rho, _graded_panels,
                              _matsubara_pole, _mode_poles, bath_spectra,
-                             grid_noise, grid_quadratic, influence_form,
-                             spherical_jn_orders, thermal_weight)
-from duosc.modes import (basis_paths, check_caustic, component_weights,
-                         solve_determinant, xi_coefficient_matrix)
+                             grid_noise, spherical_jn_orders, thermal_weight)
+from duosc.modes import check_caustic, component_weights, solve_determinant
 from duosc.oracle import (brute_double_integral, brute_square_form,
                           clenshaw_curtis)
 
+from crosscheck.influence import grid_quadratic, influence_form
+from crosscheck.modes import basis_paths, xi_coefficient_matrix
 from test_modes import make_ic
 
 

@@ -1,5 +1,7 @@
 """The oracle must stay an independent check: it may share the config
-types with the engine but none of the computational machinery."""
+types with the engine but none of the computational machinery.  The
+package must stand without the test suite: nothing in it imports the
+cross-check route or any other test module."""
 
 import ast
 import os
@@ -32,3 +34,28 @@ def test_package_public_api():
     import duosc
     for name in duosc.__all__:
         assert hasattr(duosc, name), name
+
+
+def _imported_modules(path):
+    """Absolute names of the modules a source file imports."""
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, ast.ImportFrom):
+            # a relative import stays inside the package
+            yield "duosc" if node.level else node.module
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_package_imports_no_test_modules():
+    root = os.path.dirname(duosc.__file__)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    test_names = {"tests"} | {
+        os.path.splitext(name)[0] for name in os.listdir(tests)}
+    offenders = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            for mod in _imported_modules(os.path.join(root, name)):
+                if mod.split(".")[0] in test_names:
+                    offenders.append(f"{name}: {mod}")
+    assert "crosscheck" in test_names
+    assert not offenders, f"the package imports test modules: {offenders}"

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from duosc.config import InternalConfig, InternalForce
 from duosc.errors import CausticTime, ConfigError, DegenerateModes
-from duosc.modes import (QuarticCoefficients, basis_paths, check_caustic,
-                         decoupled_reference, homogeneous_xi_paths,
-                         initial_amplitude_map, mode_functions,
-                         response_matrices, solve_determinant,
-                         x_coefficient_matrix, xi_coefficient_matrix)
+from duosc.modes import (check_caustic, initial_amplitude_map,
+                         response_matrices, solve_determinant)
+
+from crosscheck.modes import (QuarticCoefficients, basis_paths,
+                              decoupled_reference, homogeneous_xi_paths,
+                              mode_functions, x_coefficient_matrix,
+                              xi_coefficient_matrix)
 
 ZERO = InternalForce(kind="zero")
 

@@ -5,8 +5,10 @@ import pytest
 
 from duosc.engine import simulate
 from duosc.observables import (hermiticity_error, numeric_trace, report,
-                               robertson_schrodinger_min_eig, verify_state)
+                               robertson_schrodinger_min_eig)
 from duosc.reduction import initial_state
+
+from crosscheck.observables import verify_state
 
 
 def test_initial_moments(ic_fig3):

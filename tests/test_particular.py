@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from duosc.config import InternalForce
-from duosc.errors import QuadratureNonConvergence
 from duosc.forcing import force_value
 from duosc.modes import solve_determinant
-from duosc.particular import (fourier_route, particular_solution,
-                              verify_fourier_route)
 
+from crosscheck.particular import (QuadratureNonConvergence, fourier_route,
+                                   particular_solution, verify_fourier_route)
 from test_modes import make_ic
 
 

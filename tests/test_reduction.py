@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from duosc.action import classical_action_form, endpoint_action_arrays
+from duosc.action import endpoint_action_arrays
 from duosc.engine import simulate
-from duosc.errors import NonHermitianLarge, NotNormalizable
-from duosc.influence import grid_quadratic, influence_form
+from duosc.errors import NotNormalizable
 from duosc.modes import solve_determinant
-from duosc.particular import particular_solution
 from duosc.observables import REPORT_FIELDS, report_table
-from duosc.reduction import (GaussianStateParams, initial_state,
-                             propagator_exponent, reduce_to_state,
-                             reduce_to_states, states_from_moments)
+from duosc.reduction import initial_state, states_from_moments
 
+from crosscheck.action import classical_action_form
+from crosscheck.influence import grid_quadratic, influence_form
+from crosscheck.particular import particular_solution
+from crosscheck.reduction import (NonHermitianLarge, propagator_exponent,
+                                  reduce_to_state, reduce_to_states)
 from test_action import x_value
 from test_modes import make_ic
 
