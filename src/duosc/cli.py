@@ -24,8 +24,9 @@ from .action import endpoint_action_form
 from .config import (BathParams, ForceSpec, OscillatorParams, SystemConfig,
                      TimeGrid, load_config, to_internal, validate_config)
 from .errors import DuoscError
-from .forcing import default_amplitude
+from .forcing import default_amplitude, force_value
 from .modes import solve_determinant
+from .reduction import STATE_FIELDS
 
 SCENARIOS = ("fig2", "fig3", "fig4", "custom")
 
@@ -77,15 +78,14 @@ def _apply_overrides(cfg: SystemConfig, args) -> SystemConfig:
     return replace(cfg, time_grid=tg)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+def _write_csv(path: str, header, table: np.ndarray) -> None:
+    np.savetxt(path, table, fmt="%.12e", delimiter=",",
+               header=",".join(header), comments="")
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+_STATE_CSV = ("t", "g1", "g2", "g12", "gp1", "gp2", "gp12",
+              "gpp11", "gpp12", "gpp21", "gpp22",
+              "mx1", "mx2", "mp1", "mp2", "log_norm")
 
 
 def _write_outputs(outdir: str, result, args, action=None) -> None:
@@ -93,48 +93,39 @@ def _write_outputs(outdir: str, result, args, action=None) -> None:
     u = ic.units
     ts = result.times * u.time_unit
     L, P = u.length_unit, u.momentum_unit
-
-    rows = []
-    for t, r, s in zip(ts, result.reports, result.states):
-        herm = max(s.nonherm_quadratic, s.nonherm_linear_X,
-                   s.nonherm_linear_xi)
-        rows.append((t, r.mean_x1 * L, r.mean_x2 * L,
-                     r.mean_p1 * P, r.mean_p2 * P,
-                     r.var_x1 * L * L, r.var_x2 * L * L,
-                     r.var_p1 * P * P, r.var_p2 * P * P,
-                     r.cov_x1x2 * L * L,
-                     r.cov_x1p1 * L * P, r.cov_x2p2 * L * P, herm))
+    r = result.column
     _write_csv(os.path.join(outdir, "report.csv"),
                ["t", "x1_mean", "x2_mean", "p1_mean", "p2_mean",
                 "var_x1", "var_x2", "var_p1", "var_p2", "cov_x1x2",
-                "sym_xp1", "sym_xp2", "herm_residual"], rows)
+                "sym_xp1", "sym_xp2"],
+               np.column_stack([ts, r("mean_x1") * L, r("mean_x2") * L,
+                                r("mean_p1") * P, r("mean_p2") * P,
+                                r("var_x1") * L * L, r("var_x2") * L * L,
+                                r("var_p1") * P * P, r("var_p2") * P * P,
+                                r("cov_x1x2") * L * L,
+                                r("cov_x1p1") * L * P,
+                                r("cov_x2p2") * L * P]))
 
     s1, s2 = math.sqrt(ic.sigma01_sq), math.sqrt(ic.sigma02_sq)
     _write_csv(os.path.join(outdir, "means_normalized.csv"),
                ["t", "x1_mean_over_sigma01", "x2_mean_over_sigma02"],
-               [(t, r.mean_x1 / s1, r.mean_x2 / s2)
-                for t, r in zip(ts, result.reports)])
+               np.column_stack([ts, r("mean_x1") / s1, r("mean_x2") / s2]))
 
-    from .forcing import force_value
-    _write_csv(os.path.join(outdir, "forces.csv"),
-               ["t", "f1", "f2"],
-               [(tp, force_value(ic.force1, ti) * u.force_unit,
-                 force_value(ic.force2, ti) * u.force_unit)
-                for tp, ti in zip(ts, result.times)])
+    _write_csv(os.path.join(outdir, "forces.csv"), ["t", "f1", "f2"],
+               np.column_stack([ts] + [force_value(f, result.times)
+                                       * u.force_unit
+                                       for f in (ic.force1, ic.force2)]))
 
     if args.dump_state:
-        fields = ("t", "g1", "g2", "g12", "gp1", "gp2", "gp12",
-                  "gpp11", "gpp12", "gpp21", "gpp22",
-                  "mx1", "mx2", "mp1", "mp2", "log_norm")
-        _write_csv(os.path.join(outdir, "state_params.csv"), list(fields),
-                   [tuple(getattr(s, f) for f in fields)
-                    for s in result.states])
+        _write_csv(os.path.join(outdir, "state_params.csv"), _STATE_CSV,
+                   result.state_array[:, [STATE_FIELDS.index(name)
+                                          for name in _STATE_CSV]])
 
     if action is not None:
         with open(os.path.join(outdir, "action_form.csv"), "w") as fh:
             fh.write("slot,value\n")
             for name, val in action.labeled_entries():
-                fh.write(f"{name},{_fmt(val)}\n")
+                fh.write(f"{name},{val:.12e}\n")
 
 
 def _verify(outdir: str, result) -> int:
@@ -186,10 +177,11 @@ def _verify(outdir: str, result) -> int:
                      f"{'PASS' if ok else 'FAIL'}")
     _write_csv(os.path.join(outdir, "oracle_means.csv"),
                ["t", "x1_mean", "x2_mean", "p1_mean", "p2_mean"],
-               [(t * u.time_unit, x1 * u.length_unit, x2 * u.length_unit,
-                 p1 * u.momentum_unit, p2 * u.momentum_unit)
-                for t, x1, x2, p1, p2 in zip(result.times, traj.x1, traj.x2,
-                                             traj.p1, traj.p2)])
+               np.column_stack([result.times * u.time_unit,
+                                traj.x1 * u.length_unit,
+                                traj.x2 * u.length_unit,
+                                traj.p1 * u.momentum_unit,
+                                traj.p2 * u.momentum_unit]))
     with open(os.path.join(outdir, "verify_summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     for line in lines:

@@ -23,6 +23,10 @@ KB = 1.380649e-16       # erg / K
 
 #: default bath cutoff, as a multiple of omega01
 DEFAULT_CUTOFF_MULTIPLE = 50.0
+#: largest accepted bath cutoff, as a multiple of omega01: the small-t
+#: layout grows linearly with it, and a 64-time call at this cutoff already
+#: peaks at about 0.1 GB
+MAX_CUTOFF_MULTIPLE = 1e5
 
 
 def _require_finite(**fields) -> None:
@@ -256,6 +260,13 @@ def validate_config(cfg: SystemConfig) -> ValidatedConfig:
             f"coupling_dimensionless = {lt} >= 1: the bilinear-coupling model "
             "breaks down (quartic constant term d would be non-positive)")
     o1, o2 = cfg.osc1, cfg.osc2
+    for name, bath in (("bath1", cfg.bath1), ("bath2", cfg.bath2)):
+        if bath.cutoff is not None \
+                and bath.cutoff > MAX_CUTOFF_MULTIPLE * o1.eigenfrequency:
+            raise ConfigError(
+                f"{name} cutoff is {bath.cutoff / o1.eigenfrequency:.6g} "
+                f"omega01; at most {MAX_CUTOFF_MULTIPLE:g} omega01 is "
+                "supported")
     if not math.isclose(o1.damping_rate, o2.damping_rate, rel_tol=1e-12):
         raise ConfigError(
             "damping rates must be equal (got "

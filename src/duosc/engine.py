@@ -12,9 +12,10 @@ layout: per time t >= 1 one Filon product in omega on pole-graded panels
 for all those temperatures, with one Bessel table per chunk for all
 spectra; below t = 1 a direct sum on 64-256 pole-free nodes, whose
 transforms serve every temperature) and m(t) the drive's moments
-(`forcing.drive_amplitudes`).  `reduction.states_from_moments` maps the
-moments to the state parameters in closed form, and the moment table
-(`observables.report_table`) takes one pass over the whole grid.  No step
+(`forcing.drive_amplitudes`).  From the same (means, cov)
+`reduction.states_from_moments` builds the state parameters in closed form
+and `observables.reports_from_moments` lays out the report rows; the times
+t <= 0 take the initial packets, zero means and C0.  No step
 divides by sin(Omega t), so no time is special; the paper's boundary-value
 route, which does, is a cross-check of the test suite.  The drive never
 enters the covariance (Feynman & Vernon 1963).
@@ -39,31 +40,34 @@ from .forcing import drive_amplitudes
 from .influence import bath_spectra, grid_noise
 from .modes import (NormalModes, initial_amplitude_map, response_matrices,
                     solve_determinant)
-from .observables import REPORT_FIELDS, CovarianceReport, report_table
+from .observables import (REPORT_FIELDS, CovarianceReport,
+                          reports_from_moments)
 from .reduction import (GaussianStateParams, initial_state, state_row,
                         states_from_moments)
 
 CHUNK = 64      # times per chunk: one array pass and one thread-pool task
 
 
-def _initial_amplitudes(cfg: InternalConfig, modes: NormalModes) -> np.ndarray:
-    """A0 = K0 C0 K0^T: the initial wave packets' covariance, carried to the
-    mode amplitudes; C0 = diag(sigma01^2, sigma02^2, hbar^2 / 4 sigma01^2,
-    hbar^2 / 4 sigma02^2) over (x1, x2, p1, p2)."""
+def _initial_variances(cfg: InternalConfig) -> np.ndarray:
+    """The diagonal of C0, the initial wave packets' covariance over
+    (x1, x2, p1, p2): (sigma01^2, sigma02^2, hbar^2 / 4 sigma01^2,
+    hbar^2 / 4 sigma02^2)."""
     var = np.array([cfg.sigma01_sq, cfg.sigma02_sq])
-    K0 = initial_amplitude_map(modes)
-    return (K0 * np.concatenate([var, 0.25 * cfg.hbar ** 2 / var])) @ K0.T
+    return np.concatenate([var, 0.25 * cfg.hbar ** 2 / var])
 
 
-def _chunk_states(cfg: InternalConfig, modes: NormalModes, spectra: tuple,
-                  A0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """State table (n, 19) at positive times."""
+def _chunk(cfg: InternalConfig, modes: NormalModes, spectra: tuple,
+           A0: np.ndarray, times: np.ndarray) -> tuple:
+    """State table (n, 19) and report table (n, 16) at positive times, both
+    from the moments (means, cov)."""
     B = response_matrices(modes, times)
     cov = B @ (A0 + grid_noise(cfg, modes, times, spectra)) \
         @ np.swapaxes(B, 1, 2)
-    means = B @ drive_amplitudes(modes, cfg.force1, cfg.force2,
-                                 times)[:, :, None]
-    return states_from_moments(times, means[:, :, 0], cov, cfg.hbar)
+    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    means = (B @ drive_amplitudes(modes, cfg.force1, cfg.force2,
+                                  times)[:, :, None])[:, :, 0]
+    return (states_from_moments(times, means, cov, cfg.hbar),
+            reports_from_moments(times, means, cov, cfg.hbar))
 
 
 class _Rows(SequenceABC):
@@ -121,10 +125,12 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
         raise ConfigError("simulate needs finite times")
     modes = solve_determinant(cfg)
     spectra = bath_spectra(cfg, modes)
-    A0 = _initial_amplitudes(cfg, modes)
+    c0 = _initial_variances(cfg)
+    K0 = initial_amplitude_map(modes)
+    A0 = (K0 * c0) @ K0.T           # C0 carried to the mode amplitudes
 
-    def run(idx: np.ndarray) -> np.ndarray:
-        return _chunk_states(cfg, modes, spectra, A0, times[idx])
+    def run(idx: np.ndarray) -> tuple:
+        return _chunk(cfg, modes, spectra, A0, times[idx])
 
     positive = np.flatnonzero(times > 0.0)
     chunks = [positive[lo:lo + CHUNK]
@@ -135,13 +141,15 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     else:
         done = [run(idx) for idx in chunks]
 
+    # the rows at t <= 0 hold the initial state
     states = np.repeat(state_row(initial_state(cfg))[None], times.size,
                        axis=0)
-    for idx, s in zip(chunks, done):
+    reports = np.repeat(reports_from_moments(
+        np.zeros(1), np.zeros((1, 4)), np.diag(c0)[None], cfg.hbar),
+        times.size, axis=0)
+    for idx, (s, r) in zip(chunks, done):
         states[idx] = s
-    # one pass over every row, the start rows included: each report row is
-    # a function of its state row alone
-    reports = report_table(states, hbar=cfg.hbar)
+        reports[idx] = r
     states.flags.writeable = False
     reports.flags.writeable = False
     return SimulationResult(config=cfg, times=times, state_array=states,

@@ -1,7 +1,13 @@
 """Physical moments of the reduced two-oscillator Gaussian state.
 
-All first and second moments follow from the Hermitian state parameters by
-Gaussian algebra.  With G the 2x2 quadratic form of the diagonal (X1, X2)
+A report row holds the state's first and second moments: its means and
+the elements of its covariance matrix over (x1, x2, p1, p2), plus the
+smallest eigenvalue of the Robertson-Schrodinger matrix.  The engine
+computes those moments directly, and `reports_from_moments` lays them out
+as rows (the Gaussian moment map; Weedbrook et al., RMP 84, 621 (2012)).
+
+From the Hermitian state parameters the same moments follow by Gaussian
+algebra.  With G the 2x2 quadratic form of the diagonal (X1, X2)
 distribution, h its linear term, Gamma the X-xi phase couplings and
 Gp the xi-xi quadratic block,
 
@@ -13,11 +19,11 @@ Gp the xi-xi quadratic block,
 
 Derivatives with respect to the difference variables hit the density matrix
 on its diagonal; total-X derivatives integrate away, which is what makes the
-closed forms this short.  `report_table` evaluates them for a chunk of
-states at once, as stacked 2x2 algebra and one stacked eigvalsh; `report`
-is its one-row call.  `numeric_trace` and `hermiticity_error` re-derive the
-unit trace and the Hermiticity straight from rho(x, y), for `duosc run
---verify`.
+closed forms this short.  `report_table` evaluates them for a table of
+states as stacked 2x2 algebra and lays the rows out with
+`reports_from_moments`; `report` is its one-row call.  `numeric_trace` and
+`hermiticity_error` re-derive the unit trace and the Hermiticity straight
+from rho(x, y), for `duosc run --verify`.
 """
 
 from __future__ import annotations
@@ -104,6 +110,25 @@ def _mat2(a, b, c, d) -> np.ndarray:
     return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
 
+# the (i, j) element of the covariance over (x1, x2, p1, p2) behind each
+# second-moment field of CovarianceReport, in field order
+_ROW, _COL = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3),
+                       (0, 2), (1, 3), (0, 3), (1, 2)]).T
+
+
+def reports_from_moments(times: np.ndarray, means: np.ndarray,
+                         cov: np.ndarray, hbar: float = 1.0) -> np.ndarray:
+    """Report table (n, 16), columns REPORT_FIELDS, of the states with the
+    given means (n, 4) and covariance matrices (n, 4, 4) over
+    (x1, x2, p1, p2); the second moments are read off the upper triangle."""
+    out = np.empty((times.size, len(REPORT_FIELDS)))
+    out[:, 0] = times
+    out[:, 1:5] = means
+    out[:, 5:15] = cov[:, _ROW, _COL]
+    out[:, 15] = _rs_min_eigs(out[:, _COV_INDEX], hbar)      # rs_min_eig
+    return out
+
+
 def report_table(states: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     """All first and second moments of each row of a state table,
     (n, 19) -> (n, 16), columns REPORT_FIELDS."""
@@ -117,18 +142,13 @@ def report_table(states: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     Ginv = np.linalg.inv(G)
     Xbar = Ginv @ h
     pbar = hbar * ((GammaT @ Xbar)[:, :, 0] + mp)
-    Xbar = Xbar[:, :, 0]
     Cxx = 0.25 * Ginv
     Cxp = 0.5 * hbar * Ginv @ Gamma
     Cpp = hbar * hbar * (Gp + GammaT @ Ginv @ Gamma)
-    out = np.stack([
-        s["t"], 0.5 * Xbar[:, 0], 0.5 * Xbar[:, 1], pbar[:, 0], pbar[:, 1],
-        Cxx[:, 0, 0], Cxx[:, 1, 1], Cpp[:, 0, 0], Cpp[:, 1, 1],
-        Cxx[:, 0, 1], Cpp[:, 0, 1],
-        Cxp[:, 0, 0], Cxp[:, 1, 1], Cxp[:, 0, 1], Cxp[:, 1, 0],
-        np.zeros(states.shape[0])], axis=1)
-    out[:, -1] = _rs_min_eigs(out[:, _COV_INDEX], hbar)      # rs_min_eig
-    return out
+    cov = np.block([[Cxx, Cxp], [np.swapaxes(Cxp, 1, 2), Cpp]])
+    return reports_from_moments(
+        s["t"], np.concatenate([0.5 * Xbar[:, :, 0], pbar], axis=1), cov,
+        hbar)
 
 
 def report(state: GaussianStateParams, hbar: float = 1.0) -> CovarianceReport:

@@ -45,8 +45,8 @@ def _breakpoints(cfg: InternalConfig, t_end: float) -> list:
         if f.kind == "exponential_step" and 0.0 < f.t0 < t_end:
             pts.append(f.t0)
         elif f.kind == "sampled":
-            pts.extend(x for x in (f.times[0], f.times[-1])
-                       if 0.0 < x < t_end)
+            # every knot is a kink of the interpolated force
+            pts.extend(float(x) for x in f.times if 0.0 < x < t_end)
     return sorted(set(pts))
 
 

@@ -4,8 +4,8 @@ phase-space moments.
 A Gaussian state is fixed by its means and its coordinate-momentum
 covariance matrix, so the 19 `GaussianStateParams` of a chunk of times
 follow from those moments in closed form, as stacked 2x2 algebra
-(`states_from_moments`); it inverts `observables.report_table`.  The state
-is Hermitian by construction, so its anti-Hermitian residues read 0.
+(`states_from_moments`).  The state is Hermitian by construction, so its
+anti-Hermitian residues read 0.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _check_normalizable(times, g1, g2, delta) -> None:
 def states_from_moments(times: np.ndarray, means: np.ndarray,
                         cov: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     """State table (n, 19), columns STATE_FIELDS, of the Gaussian states with
-    the given means (n, 4) and covariance matrices (n, 4, 4) over
+    the given means (n, 4) and symmetric covariance matrices (n, 4, 4) over
     (x1, x2, p1, p2).
 
     With the blocks Cxx, Cxp, Cpp and the means xbar, pbar:
@@ -150,7 +150,6 @@ def states_from_moments(times: np.ndarray, means: np.ndarray,
     2 g2) and (2 gp1, gp12, 2 gp2).  NotNormalizable for the first time at
     which Cxx is not positive definite.
     """
-    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
     Cxp, Cpp = cov[:, :2, 2:], cov[:, 2:, 2:]
     det = a * c - b * b

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_run_fig2_writes_artifacts(tmp_path):
     header = list(rows[0].keys())
     assert header == ["t", "x1_mean", "x2_mean", "p1_mean", "p2_mean",
                       "var_x1", "var_x2", "var_p1", "var_p2", "cov_x1x2",
-                      "sym_xp1", "sym_xp2", "herm_residual"]
+                      "sym_xp1", "sym_xp2"]
     # physical CGS magnitudes: var_x1 starts at hbar/(2 m omega) ~ 5e-18
     assert math.isclose(float(rows[0]["var_x1"]),
                         1.0545718e-27 / (2 * 1e-23 * 1e13), rel_tol=1e-3)
@@ -64,6 +65,76 @@ def test_run_fig2_writes_artifacts(tmp_path):
     for r in rows:
         if float(r["t"]) < 0.9e-12:
             assert abs(float(r["x2_mean"])) < 1e-30
+
+
+def _sampled_config_file(tmp_path):
+    """A custom config with a sampled force on oscillator 1 (CGS)."""
+    t_end = 2e-12
+    ts = np.linspace(0.0, t_end, 41)
+    samples = tmp_path / "f1.csv"
+    np.savetxt(samples, np.column_stack(
+        [ts, 3e-10 * np.sin(2.1e13 * ts) * np.sin(math.pi * ts / t_end)]),
+        delimiter=",")
+    cfgd = {
+        "m1": 1e-23, "m2": 5e-23, "omega01": 1e13, "omega02": 3e13,
+        "gamma1": 1e11, "gamma2": 1e11, "lambda_tilde": 0.3,
+        "T1": 300.0, "T2": 600.0, "t_end": t_end, "n_points": 40,
+        "f1_kind": "sampled", "f1_samples": str(samples),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfgd))
+    return str(path)
+
+
+@pytest.mark.parametrize("scenario", ["fig3", "custom"])
+def test_csvs_hold_the_result_arrays_in_physical_units(tmp_path, scenario):
+    """report.csv, forces.csv and state_params.csv are `simulate`'s arrays
+    times their unit factors, column by column, to the printed 13 digits."""
+    from duosc.config import load_config, to_internal, validate_config
+    from duosc.forcing import force_value
+    from duosc.reduction import STATE_FIELDS
+    if scenario == "custom":
+        path = _sampled_config_file(tmp_path)
+        args = ["--config", path]
+        cfg = load_config(path)
+    else:
+        args = ["--grid", "40"]
+        cfg = preset_config("fig3")
+        cfg = replace(cfg, time_grid=replace(cfg.time_grid, n_points=40))
+    out = tmp_path / "run"
+    assert run_cli(["run", scenario, str(out), "--dump-state"] + args) == 0
+    ic = to_internal(validate_config(cfg))
+    res = engine.simulate(ic)
+    u = ic.units
+    L, P, F = u.length_unit, u.momentum_unit, u.force_unit
+    ts = res.times * u.time_unit
+    col = res.column
+    want = {
+        "report.csv": {
+            "t": ts, "x1_mean": col("mean_x1") * L,
+            "x2_mean": col("mean_x2") * L, "p1_mean": col("mean_p1") * P,
+            "p2_mean": col("mean_p2") * P, "var_x1": col("var_x1") * L * L,
+            "var_x2": col("var_x2") * L * L, "var_p1": col("var_p1") * P * P,
+            "var_p2": col("var_p2") * P * P,
+            "cov_x1x2": col("cov_x1x2") * L * L,
+            "sym_xp1": col("cov_x1p1") * L * P,
+            "sym_xp2": col("cov_x2p2") * L * P},
+        "forces.csv": {"t": ts, "f1": force_value(ic.force1, res.times) * F,
+                       "f2": force_value(ic.force2, res.times) * F},
+        "state_params.csv": {
+            name: res.state_array[:, STATE_FIELDS.index(name)]
+            for name in STATE_FIELDS[:STATE_FIELDS.index("log_norm") + 1]},
+    }
+    assert np.any(want["forces.csv"]["f1"] != 0.0)
+    for name, columns in want.items():
+        with open(out / name) as fh:
+            header = fh.readline().strip().split(",")
+        assert header == list(columns), name
+        got = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert got.shape == (40, len(columns))
+        for k, (key, value) in enumerate(columns.items()):
+            np.testing.assert_allclose(got[:, k], value, rtol=5e-13, atol=0,
+                                       err_msg=f"{name}:{key}")
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -204,6 +275,17 @@ def test_engine_error_exit_code(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: beta determinant")
     assert not (tmp_path / "o").exists()
+
+
+def test_oversized_cutoff_exit_code(tmp_path, capsys):
+    """A cutoff just above the cap is a configuration error (exit 2), found
+    before the engine runs."""
+    from duosc.config import MAX_CUTOFF_MULTIPLE
+    out = tmp_path / "o"
+    cutoff = repr(MAX_CUTOFF_MULTIPLE * (1.0 + 1e-9))
+    assert run_cli(["run", "fig3", str(out), "--cutoff", cutoff]) == 2
+    assert capsys.readouterr().err.startswith("error: bath1 cutoff")
+    assert not out.exists()
 
 
 def test_dump_action_on_a_caustic_exit_code(tmp_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duosc.config import (HBAR, KB, BathParams, ForceSpec, InternalConfig,
-                          InternalForce, OscillatorParams, SystemConfig,
+from duosc.config import (HBAR, KB, MAX_CUTOFF_MULTIPLE, BathParams,
+                          ForceSpec, InternalConfig, InternalForce,
+                          OscillatorParams, SystemConfig,
                           TimeGrid, config_from_dict, load_config,
                           to_internal, validate_config)
 from duosc.errors import ConfigError, CouplingTooStrong
@@ -250,3 +251,17 @@ def test_unequal_damping_rejected_at_validation():
                                          damping_rate=2e11))
     with pytest.raises(ConfigError, match="damping"):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("bath", ["bath1", "bath2"])
+def test_bath_cutoff_above_the_cap_is_rejected_at_validation(bath):
+    """A cutoff above MAX_CUTOFF_MULTIPLE omega01 would ask the small-t
+    layout for gigabytes; validation refuses it and accepts the cap."""
+    w = make_cfg().osc1.eigenfrequency
+    at_cap = MAX_CUTOFF_MULTIPLE * w
+    ok = make_cfg(**{bath: BathParams(temperature=300.0, cutoff=at_cap)})
+    assert to_internal(validate_config(ok)).numax1 > 0
+    over = make_cfg(**{bath: BathParams(temperature=300.0,
+                                        cutoff=at_cap * (1.0 + 1e-12))})
+    with pytest.raises(ConfigError, match=f"{bath} cutoff"):
+        validate_config(over)

@@ -14,7 +14,8 @@ from duosc.errors import CausticTime, ConfigError
 from duosc.influence import bath_spectra
 from duosc.modes import (CAUSTIC_TOL, check_caustic, coefficient_matrices,
                          solve_determinant)
-from duosc.observables import CovarianceReport, report_table
+from duosc.observables import (REPORT_FIELDS, CovarianceReport,
+                               report_table, reports_from_moments)
 from duosc.reduction import GaussianStateParams, initial_state
 
 from crosscheck.influence import grid_quadratic
@@ -126,31 +127,30 @@ def _sampled(ic_fig3):
 
 @pytest.mark.parametrize("which", ["fig3", "wideband", "sampled"])
 def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
-    """All 19 state fields are bit-identical however a time is batched:
-    alone, in a 3-point grid, in the full grid, with a thread pool, and in
-    a grid longer than one chunk."""
+    """All 19 state fields and all 16 report fields are bit-identical
+    however a time is batched: alone, in a 3-point grid, in the full grid,
+    with a thread pool, and in a grid longer than one chunk."""
     ic = {"fig3": ic_fig3, "wideband": _wideband(ic_fig4),
           "sampled": _sampled(ic_fig3)}[which]
     full = np.linspace(0.0, ic.t_end, 2000)
     probe = [1, 40, 77, 1300, 1999]     # t < 1 (direct branch) and Filon
-    names = [f.name for f in fields(GaussianStateParams)]
-    assert len(names) == 19
+    assert len(fields(GaussianStateParams)) == 19
+    assert len(REPORT_FIELDS) == 16
 
-    def values(state):
-        return [getattr(state, n) for n in names]
+    def values(res, k):
+        return (res.state_array[k].tolist(), res.report_array[k].tolist())
 
-    want = [values(simulate(ic, times=[full[i]]).states[0]) for i in probe]
-    runs = [simulate(ic, times=full[[i, 5, 1000]]).states[0] for i in probe]
+    want = [values(simulate(ic, times=[full[i]]), 0) for i in probe]
+    runs = [simulate(ic, times=full[[i, 5, 1000]]) for i in probe]
     serial = simulate(ic, times=full)
     pooled = simulate(ic, times=full, threads=4)
     # a grid longer than one chunk
-    longer = full[np.r_[probe, 2:2 + engine.CHUNK]]
-    longer_states = simulate(ic, times=longer).states
+    longer = simulate(ic, times=full[np.r_[probe, 2:2 + engine.CHUNK]])
     for k, i in enumerate(probe):
-        assert values(runs[k]) == want[k]
-        assert values(serial.states[i]) == want[k]
-        assert values(pooled.states[i]) == want[k]
-        assert values(longer_states[k]) == want[k]
+        assert values(runs[k], 0) == want[k]
+        assert values(serial, i) == want[k]
+        assert values(pooled, i) == want[k]
+        assert values(longer, k) == want[k]
 
 
 def test_nonfinite_times_are_rejected(ic_fig3):
@@ -202,13 +202,23 @@ def test_result_views_read_the_tables(ic_fig3):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_reports_are_one_pass_over_the_state_table(ic_fig3, threads):
-    """The report table is `report_table` of the finished state table, bit
-    for bit: start rows (t <= 0) and several chunks included."""
+    """The report table and the state table hold the same moments: the
+    state table's `report_table` agrees with the report table to 1e-12 of
+    each column's scale, start rows (t <= 0) and several chunks included.
+    The start rows are the report of zero means and the initial packets'
+    covariance C0."""
     times = np.concatenate([[0.0, -1.0], np.linspace(0.0, 29.0, 150)])
     res = simulate(ic_fig3, times=times, threads=threads)
     assert np.count_nonzero(times > 0.0) > engine.CHUNK
     want = report_table(res.state_array, hbar=ic_fig3.hbar)
-    assert np.array_equal(res.report_array, want)
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(res.report_array - want) <= 1e-12 * scale)
+    var = np.array([ic_fig3.sigma01_sq, ic_fig3.sigma02_sq])
+    C0 = np.diag(np.concatenate([var, 0.25 * ic_fig3.hbar ** 2 / var]))
+    start = reports_from_moments(np.zeros(1), np.zeros((1, 4)), C0[None],
+                                 ic_fig3.hbar)
+    for i in np.flatnonzero(times <= 0.0):
+        assert np.array_equal(res.report_array[i], start[0])
 
 
 @pytest.mark.parametrize("mode, half_periods", [(1, 3), (2, 5)])

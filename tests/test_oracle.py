@@ -174,3 +174,22 @@ def test_phase_space_covariance_starts_at_the_packets(ic_fig3):
     want = np.diag([ic_fig3.sigma01_sq, 0.25 / ic_fig3.sigma01_sq,
                     ic_fig3.sigma02_sq, 0.25 / ic_fig3.sigma02_sq])
     np.testing.assert_array_equal(phase_space_covariance(ic_fig3, 0.0), want)
+
+
+def test_sampled_force_means_match_simulate_at_every_knot(ic_fig3):
+    """A sampled force is linear between its knots and kinked at each one;
+    integrated knot interval by knot interval, the oracle means agree with
+    `simulate` to 1e-12 of each column's scale."""
+    knots = np.linspace(0.0, ic_fig3.t_end, 257)
+    values = (0.5 * np.sin(0.8 * knots)
+              * np.sin(math.pi * knots / ic_fig3.t_end) ** 2)
+    ic = replace(ic_fig3, force1=InternalForce(kind="sampled", times=knots,
+                                               values=values),
+                 force2=InternalForce(kind="zero"))
+    times = np.linspace(0.0, ic.t_end, 512)
+    res = simulate(ic, times=times)
+    tr = mean_ode(ic, times)
+    for name, want in (("mean_x1", tr.x1), ("mean_x2", tr.x2),
+                       ("mean_p1", tr.p1), ("mean_p2", tr.p2)):
+        dev = np.max(np.abs(res.column(name) - want))
+        assert dev <= 1e-12 * np.max(np.abs(want)), name
