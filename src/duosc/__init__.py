@@ -10,7 +10,8 @@ spreads, brute-force kernel integrals) cross-validates it.  The paper's
 boundary-value route (classical boundary paths, the bath phase over their
 endpoints, an exact Gaussian contraction with the initial state) lives in
 the test suite's `crosscheck` package; of it, the package keeps only the
-closed-form endpoint action that `duosc run --dump-action` writes.
+endpoint action that `duosc run --dump-action` writes, built on the same
+phase-space flow as the states.
 """
 
 from .config import (BathParams, ForceSpec, InternalConfig, OscillatorParams,

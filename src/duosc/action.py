@@ -1,4 +1,4 @@
-"""The classical action's endpoint form, in closed form.
+"""The classical action's endpoint form, from the phase-space flow.
 
 The classical Lagrangian of the sum/difference variables is strictly
 bilinear in (X-path, xi-path) plus a term linear in xi (the drive), so the
@@ -7,14 +7,17 @@ endpoint variables, up to a constant that a trace-1 normalization absorbs.
 
 On a classical X path, integrating the kinetic term by parts leaves
 -1/2 xi.(damped equation of motion of X), which vanishes, plus the boundary
-term sum_k m_k/2 [dX_k xi_k]_0^t.  The bilinear block is therefore eight
-endpoint derivatives of the X basis paths, and the xi-linear drive terms
-are the closed-form force moments of `forcing.force_moment_table`.
+term sum_k m_k/2 [dX_k xi_k]_0^t.  The bilinear block is therefore half the
+endpoint momenta of the classical path through given endpoints: the
+boundary-value map of the damped flow B(t) K0 (`modes`) that `engine`
+evaluates.  The xi-linear drive terms are the endpoint momenta of the
+driven path that vanishes at both ends, from the same flow and the drive's
+amplitudes (`forcing.drive_amplitudes`).
 
 The engine does not use this module: it builds each state from its
-phase-space moments (`engine`), which are regular at every time.  The form
-is the paper's boundary-value quantity, which `duosc run --dump-action`
-writes; it raises CausticTime where sin(Omega_k t) = 0.
+phase-space moments, which are regular at every time.  The form is the
+paper's boundary-value quantity, which `duosc run --dump-action` writes;
+it raises CausticTime where sin(Omega_k t) = 0.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ import numpy as np
 
 from .config import InternalConfig
 from .errors import ConfigError
-from .forcing import force_moment_table
-from .modes import NormalModes, coefficient_matrices, component_weights
+from .forcing import drive_amplitudes
+from .modes import (NormalModes, check_caustic, initial_amplitude_map,
+                    response_matrices)
 
 X_LABELS = ("Xf1", "Xf2", "Xi1", "Xi2")
 XI_LABELS = ("xif1", "xif2", "xii1", "xii2")
@@ -76,42 +80,38 @@ class ActionForm:
 
 def endpoint_action_arrays(cfg: InternalConfig, modes: NormalModes,
                            times: np.ndarray) -> tuple:
-    """Endpoint structure of the action at each time, in closed form:
-    (bilinear (n, 4, 4), linear_xi (n, 4)).
+    """Endpoint structure of the action at each time, from the phase-space
+    flow: (bilinear (n, 4, 4), linear_xi (n, 4)).
 
-    bilinear[a, f_k] = m_k/2 dX_k^a(t) and bilinear[a, i_k] = -m_k/2
-    dX_k^a(0), where X^a is the X basis path of endpoint slot a; the
-    xi-linear terms are (phi_f1, phi_f2, lambda1, lambda2) of the force
-    moments.  The X-linear block vanishes by the same integration by
-    parts.
+    With the free flow Phi = B(t) K0 in (x, p) blocks, the boundary path
+    through (X_f, X_i) starts with P_0 = Phi_xp^-1 (X_f - Phi_xx X_i) and
+    ends with P_t = Phi_px X_i + Phi_pp P_0; its row of the bilinear block
+    is 1/2 (P_t, -P_0).  The drive's path from rest, (x_d, p_d) = B(t) m(t),
+    is pulled back to zero at t by p_0 = -Phi_xp^-1 x_d, which ends at p_t
+    = Phi_pp p_0 + p_d, and linear_xi = (p_t, -p_0).  det Phi_xp is
+    proportional to sin(Omega1 t) sin(Omega2 t): CausticTime on a caustic.
     """
     times = np.ascontiguousarray(times, dtype=float)
     if not np.all(times > 0.0):
         raise ConfigError("endpoint_action_form needs t > 0")
-    W = coefficient_matrices(modes, times, sign=-1.0)
-    # derivatives of the damped [sin1, cos1, sin2, cos2] at tau = 0 and t
-    dphi = np.empty((times.size, 4, 2))
-    for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
-                                (modes.Omega2, modes.delta2))):
-        env = np.exp(-d * times)
-        s, c = np.sin(O * times), np.cos(O * times)
-        dphi[:, 2 * k, 0] = O
-        dphi[:, 2 * k + 1, 0] = -d
-        dphi[:, 2 * k, 1] = (O * c - d * s) * env
-        dphi[:, 2 * k + 1, 1] = (-O * s - d * c) * env
-    c1, c2 = component_weights(modes)
-    # endpoint derivatives of the X basis paths, (n, slot, tau)
-    dX1 = np.swapaxes(W * c1[:, None], 1, 2) @ dphi
-    dX2 = np.swapaxes(W * c2[:, None], 1, 2) @ dphi
-    bilinear = np.empty((times.size, 4, 4))
-    bilinear[:, :, 0] = 0.5 * cfg.m1 * dX1[:, :, 1]
-    bilinear[:, :, 1] = 0.5 * cfg.m2 * dX2[:, :, 1]
-    bilinear[:, :, 2] = -0.5 * cfg.m1 * dX1[:, :, 0]
-    bilinear[:, :, 3] = -0.5 * cfg.m2 * dX2[:, :, 0]
+    check_caustic(modes, times)
+    B = response_matrices(modes, times)
+    flow = B @ initial_amplitude_map(modes)
+    xx, xp = flow[:, :2, :2], flow[:, :2, 2:]
+    px, pp = flow[:, 2:, :2], flow[:, 2:, 2:]
+    # P_0 and P_t as maps of (X_f1, X_f2, X_i1, X_i2), (n, 2, 4) each
+    eye = np.broadcast_to(np.eye(2), xx.shape)
+    p0 = np.linalg.solve(xp, np.concatenate([eye, -xx], axis=2))
+    pt = pp @ p0
+    pt[:, :, 2:] += px
+    bilinear = 0.5 * np.swapaxes(np.concatenate([pt, -p0], axis=1), 1, 2)
     linear_xi = np.zeros((times.size, 4))
     if not (cfg.force1.is_zero and cfg.force2.is_zero):
-        table = force_moment_table(modes, cfg.force1, cfg.force2, times)
-        linear_xi = table[:, [10, 11, 8, 9]]
+        drive = B @ drive_amplitudes(modes, cfg.force1, cfg.force2, times
+                                     )[:, :, None]
+        p0 = -np.linalg.solve(xp, drive[:, :2])
+        pt = pp @ p0 + drive[:, 2:]
+        linear_xi = np.concatenate([pt, -p0], axis=1)[:, :, 0]
     return bilinear, linear_xi
 
 

@@ -351,9 +351,6 @@ def to_internal(v: ValidatedConfig) -> InternalConfig:
 # ---------------------------------------------------------------------------
 # flat key-value config files (JSON-compatible, CGS units)
 
-_FORCE_KEYS = ("kind", "amplitude", "onset", "decay", "samples")
-
-
 def _force_from_dict(d: dict, prefix: str) -> ForceSpec:
     kind = d.get(f"{prefix}_kind", "zero")
     if kind == "zero":

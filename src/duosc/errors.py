@@ -20,8 +20,10 @@ class DegenerateModes(DuoscError):
 class CausticTime(DuoscError):
     """sin(Omega*t) is too close to zero; the boundary-value form is singular.
 
-    Raised only by the endpoint (boundary-value) route, which `duosc run
-    --dump-action` evaluates; `engine.simulate` evaluates every time as
+    Raised only where the endpoint form of the action inverts the flow's
+    position-momentum block (determinant proportional to sin(Omega1 t)
+    sin(Omega2 t)), which `duosc run --dump-action` evaluates, and by the
+    test suite's cross-checks; `engine.simulate` evaluates every time as
     requested.
     """
 

@@ -2,16 +2,14 @@
 
 The driven sector of the dynamics only ever sees the forces through eight
 weighted integrals of the form  int_0^t f(tau) {sin,cos}(Omega_k tau)
-exp(delta_k tau) dtau  and the linear-in-endpoint combinations built from
-them.  Both force kinds have elementary antiderivatives, evaluated here in
+exp(delta_k tau) dtau.  Both force kinds have elementary antiderivatives, evaluated here in
 closed form: an exponential step directly, a sampled force (linear between
 its knots, zero outside them) per knot interval, summed over the intervals
 below t.
 
-Production route: `drive_amplitudes`, the moments of the mode-projected
-force.  Endpoint route: `force_moment_table`, which adds the endpoint
-coefficients lambda and phi of the boundary-value action (singular on the
-caustics) for `action.endpoint_action_arrays`.
+`drive_amplitudes` turns the moments of the mode-projected force into the
+drive's amplitudes on the phase-space flow (`modes.response_matrices`),
+which `engine.simulate` and `action.endpoint_action_arrays` both use.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 
 from .config import InternalForce, ForceSpec, OscillatorParams
 from .errors import ConfigError
-from .modes import NormalModes, check_caustic, component_weights
+from .modes import NormalModes, component_weights
 
 
 def force_value(f, tau):
@@ -162,8 +160,8 @@ def _sampled_moments(f, alpha: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def drive_amplitudes(modes: NormalModes, f1, f2,
                      times: np.ndarray) -> np.ndarray:
-    """m(t), (n, 4): the drive's amplitudes on [sin1, cos1, sin2, cos2] in
-    the production route (`modes.response_matrices`): the moments (M, N)
+    """m(t), (n, 4): the drive's amplitudes on [sin1, cos1, sin2, cos2] of
+    the phase-space flow (`modes.response_matrices`): the moments (M, N)
     of u_k . F, M in the sin columns and N in the cos columns."""
     times = np.ascontiguousarray(times, dtype=float)
     Omega = np.array([modes.Omega1, modes.Omega2])
@@ -174,40 +172,3 @@ def drive_amplitudes(modes: NormalModes, f1, f2,
         out += u * np.stack([M[0], N[0], M[1], N[1]], axis=1)
     return out
 
-
-def force_moment_table(modes: NormalModes, f1, f2,
-                       times: np.ndarray) -> np.ndarray:
-    """The eight mode-projected force integrals and the endpoint-linear
-    combinations they enter the classical action through, at each time, as
-    (n, 12) columns (M1, N1, M2, N2, M1p, N1p, M2p, N2p, lambda1, lambda2,
-    phi_f1, phi_f2).
-
-    M1, N1, M2, N2 use force 1 and the primed set force 2.  lambda1 and
-    lambda2 multiply the initial difference-variable endpoints; phi_f1 and
-    phi_f2 multiply the final ones.
-    """
-    times = np.ascontiguousarray(times, dtype=float)
-    if not np.all(times > 0.0):
-        raise ConfigError("force moments need t > 0")
-    check_caustic(modes, times)
-    O1, O2 = modes.Omega1, modes.Omega2
-    d1, d2 = modes.delta1, modes.delta2
-    Omega, delta = np.array([O1, O2]), np.array([d1, d2])
-    (M1, M2), (N1, N2) = oscillatory_moments(f1, Omega, delta, times)
-    (M1p, M2p), (N1p, N2p) = oscillatory_moments(f2, Omega, delta, times)
-    r1, r2 = modes.r1, modes.r2
-    q = modes.one_minus_r1r2
-    S1, S2 = np.sin(O1 * times), np.sin(O2 * times)
-    cot1 = np.cos(O1 * times) / S1
-    cot2 = np.cos(O2 * times) / S2
-    lambda1 = ((-cot1 * M1 + N1 + r1 * r2 * cot2 * M2 - r1 * r2 * N2)
-               + (-r1 * cot1 * M1p + r1 * N1p + r1 * cot2 * M2p - r1 * N2p)) / q
-    lambda2 = ((r2 * cot1 * M1 - r2 * N1 - r2 * cot2 * M2 + r2 * N2)
-               + (r1 * r2 * cot1 * M1p - r1 * r2 * N1p - cot2 * M2p + N2p)) / q
-    # final-endpoint coefficients of the driven linear action term
-    g1 = (M1 + r1 * M1p) * np.exp(-d1 * times) / (q * S1)
-    g2 = (M2p + r2 * M2) * np.exp(-d2 * times) / (q * S2)
-    phi_f1 = g1 - r1 * g2
-    phi_f2 = g2 - r2 * g1
-    return np.stack([M1, N1, M2, N2, M1p, N1p, M2p, N2p,
-                     lambda1, lambda2, phi_f1, phi_f2], axis=1)

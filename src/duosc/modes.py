@@ -1,23 +1,18 @@
-"""Normal modes of the coupled damped pair, the phase-space flow, and the
-endpoint map of the classical boundary paths.
+"""Normal modes of the coupled damped pair and its phase-space flow.
 
 For equal damping rates gamma the four roots of the characteristic
 (determinant) equation pair up as  -+Omega1 - i*gamma  and
 -+Omega2 - i*gamma, and `solve_determinant` gives them, and the amplitude
 ratios, in closed form.
 
-Production route (`response_matrices`, `initial_amplitude_map`): the
-phase-space point at time t is B(t) times mode amplitudes, with B regular at
-every t.
-
-Endpoint route (`coefficient_matrices`, for `action.endpoint_action_arrays`
-and `duosc run --dump-action`): the coefficients, on the four elementary
-mode functions sin/cos(Omega_k tau) * exp(-+delta_k tau), of the classical
-path through given endpoints.  The sum-variable (damped) sector has
-envelopes exp(-delta*tau); the difference-variable sector is the
-time-reversed, anti-damped partner with envelopes exp(+delta*tau).  The
-solve is singular at the isolated "caustic" times where sin(Omega_k t) = 0,
-and raises CausticTime there (`check_caustic`).
+The phase-space point at time t is B(t) times mode amplitudes
+(`response_matrices`), with B regular at every t, and the free flow is
+B(t) K0 (`initial_amplitude_map`).  Both `engine.simulate` and the action's
+endpoint form (`action.endpoint_action_arrays`) are built on it.  The
+endpoint form inverts the flow's position-momentum block, whose
+determinant is proportional to sin(Omega1 t) sin(Omega2 t); it is singular
+at those isolated "caustic" times and raises CausticTime there
+(`check_caustic`).
 """
 
 from __future__ import annotations
@@ -134,45 +129,6 @@ def check_caustic(modes: NormalModes, times, tol: float = CAUSTIC_TOL) -> None:
             "singular here")
 
 
-# ---------------------------------------------------------------------------
-# endpoint-coefficient matrices (endpoint route)
-
-def coefficient_matrices(modes: NormalModes, times: np.ndarray,
-                         sign: float) -> np.ndarray:
-    """(n, 4, 4) matrices mapping endpoints -> elementary-function
-    coefficients, one per time (CausticTime if any time is on a caustic).
-
-    Endpoint order is (final_1, final_2, initial_1, initial_2).  sign=-1 is
-    the damped sector (envelope exp(-delta*tau)), sign=+1 the anti-damped one;
-    the final-value rows carry the compensating exp(+-delta*t) factors.
-    """
-    times = np.ascontiguousarray(times, dtype=float)
-    check_caustic(modes, times)
-    r1, r2 = modes.r1, modes.r2
-    q = modes.one_minus_r1r2
-    W = np.zeros((times.size, 4, 4))
-    S1, C1 = np.sin(modes.Omega1 * times), np.cos(modes.Omega1 * times)
-    S2, C2 = np.sin(modes.Omega2 * times), np.cos(modes.Omega2 * times)
-    E1 = np.exp(-sign * modes.delta1 * times)
-    E2 = np.exp(-sign * modes.delta2 * times)
-    # coefficient of sin(Omega1 tau): from finals and the cot correction
-    W[:, 0, 0] = E1 / (q * S1)
-    W[:, 0, 1] = -r2 * E1 / (q * S1)
-    W[:, 0, 2] = -(C1 / S1) / q
-    W[:, 0, 3] = r2 * (C1 / S1) / q
-    # coefficient of cos(Omega1 tau): initial values only
-    W[:, 1, 2] = 1.0 / q
-    W[:, 1, 3] = -r2 / q
-    # mode 2
-    W[:, 2, 1] = E2 / (q * S2)
-    W[:, 2, 0] = -r1 * E2 / (q * S2)
-    W[:, 2, 3] = -(C2 / S2) / q
-    W[:, 2, 2] = r1 * (C2 / S2) / q
-    W[:, 3, 3] = 1.0 / q
-    W[:, 3, 2] = -r1 / q
-    return W
-
-
 # row weights turning elementary-function coefficients into the two
 # oscillator components: component 1 uses [1, 1, r2, r2], component 2
 # uses [r1, r1, 1, 1]
@@ -183,7 +139,7 @@ def component_weights(modes: NormalModes) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# phase-space flow (production route)
+# phase-space flow
 #
 # Every solution of the damped pair under a force F is x = sum_k u_k q_k with
 # u_1 = (1, r1), u_2 = (r2, 1) and q_k'' + 2 delta_k q_k' + w_k^2 q_k =

@@ -1,14 +1,16 @@
-"""Force moments at one time: one row of `duosc.forcing.force_moment_table`
-as named fields, and the scalar moment of `oscillatory_moments`."""
+"""The drive's endpoint coefficients at one time, as named fields of the
+package's endpoint form, and the scalar moment of `oscillatory_moments`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from duosc.action import endpoint_action_form
 from duosc.errors import ConfigError
-from duosc.forcing import force_moment_table, oscillatory_moments
+from duosc.forcing import oscillatory_moments
 from duosc.modes import NormalModes
 
 
@@ -21,22 +23,10 @@ def oscillatory_moment(f, Omega: float, delta: float, t: float
 
 @dataclass(frozen=True)
 class ForceMoments:
-    """The eight mode-projected force integrals at time t, plus the
-    endpoint-linear combinations they enter the classical action through.
-
-    M1, N1, M2, N2 use force 1; the primed set uses force 2.  lambda1 and
-    lambda2 multiply the initial difference-variable endpoints; phi_f1 and
-    phi_f2 multiply the final ones.
-    """
+    """The endpoint-linear coefficients the forces enter the classical
+    action through at time t: lambda1 and lambda2 multiply the initial
+    difference-variable endpoints, phi_f1 and phi_f2 the final ones."""
     t: float
-    M1: float
-    N1: float
-    M2: float
-    N2: float
-    M1p: float
-    N1p: float
-    M2p: float
-    N2p: float
     lambda1: float
     lambda2: float
     phi_f1: float
@@ -44,8 +34,12 @@ class ForceMoments:
 
 
 def force_moments(modes: NormalModes, f1, f2, t: float) -> ForceMoments:
-    """Assemble all force moments and their endpoint coefficients at time t."""
+    """The drive's endpoint coefficients at time t, from
+    `duosc.action.endpoint_action_form` (CausticTime on a caustic)."""
     if t <= 0.0:
         raise ConfigError(f"force_moments needs t > 0, got {t}")
-    row = force_moment_table(modes, f1, f2, np.array([t]))[0]
-    return ForceMoments(t, *row.tolist())
+    # the endpoint form reads nothing of its config but the two forces
+    form = endpoint_action_form(SimpleNamespace(force1=f1, force2=f2),
+                                modes, t)
+    return ForceMoments(t, form.lambda1, form.lambda2,
+                        form.phi_f1, form.phi_f2)

@@ -34,10 +34,9 @@ from duosc.errors import ConfigError
 from duosc.influence import (_GL16, _elementary_transforms, _graded_panels,
                              _matsubara_pole, _panel_nodes, grid_noise,
                              thermal_weight)
-from duosc.modes import (NormalModes, check_caustic, coefficient_matrices,
-                         component_weights)
+from duosc.modes import NormalModes, check_caustic, component_weights
 
-from .modes import xi_coefficient_matrix
+from .modes import coefficient_matrices, xi_coefficient_matrix
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 the mode data.
 
 Boundary-value paths on the four elementary mode functions
-sin/cos(Omega_k tau) * exp(-+delta_k tau): `duosc.modes.coefficient_matrices`
-maps the endpoints to their coefficients, and raises CausticTime at the
-isolated times where sin(Omega_k t) = 0.  The sum-variable (damped) sector
+sin/cos(Omega_k tau) * exp(-+delta_k tau): `coefficient_matrices` maps the
+endpoints to their coefficients, and raises CausticTime at the isolated
+times where sin(Omega_k t) = 0.  The sum-variable (damped) sector
 has envelopes exp(-delta*tau); the difference-variable sector is the
 time-reversed, anti-damped partner with envelopes exp(+delta*tau).
 
@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from duosc.config import InternalConfig
-from duosc.modes import NormalModes, coefficient_matrices, component_weights
+from duosc.modes import NormalModes, check_caustic, component_weights
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,42 @@ def mode_functions(modes: NormalModes, tau: np.ndarray, sign: float
         dout[2 * k] = (O * c + sign * d * s) * env
         dout[2 * k + 1] = (-O * s + sign * d * c) * env
     return out, dout
+
+
+def coefficient_matrices(modes: NormalModes, times: np.ndarray,
+                         sign: float) -> np.ndarray:
+    """(n, 4, 4) matrices mapping endpoints -> elementary-function
+    coefficients, one per time (CausticTime if any time is on a caustic).
+
+    Endpoint order is (final_1, final_2, initial_1, initial_2).  sign=-1 is
+    the damped sector (envelope exp(-delta*tau)), sign=+1 the anti-damped one;
+    the final-value rows carry the compensating exp(+-delta*t) factors.
+    """
+    times = np.ascontiguousarray(times, dtype=float)
+    check_caustic(modes, times)
+    r1, r2 = modes.r1, modes.r2
+    q = modes.one_minus_r1r2
+    W = np.zeros((times.size, 4, 4))
+    S1, C1 = np.sin(modes.Omega1 * times), np.cos(modes.Omega1 * times)
+    S2, C2 = np.sin(modes.Omega2 * times), np.cos(modes.Omega2 * times)
+    E1 = np.exp(-sign * modes.delta1 * times)
+    E2 = np.exp(-sign * modes.delta2 * times)
+    # coefficient of sin(Omega1 tau): from finals and the cot correction
+    W[:, 0, 0] = E1 / (q * S1)
+    W[:, 0, 1] = -r2 * E1 / (q * S1)
+    W[:, 0, 2] = -(C1 / S1) / q
+    W[:, 0, 3] = r2 * (C1 / S1) / q
+    # coefficient of cos(Omega1 tau): initial values only
+    W[:, 1, 2] = 1.0 / q
+    W[:, 1, 3] = -r2 / q
+    # mode 2
+    W[:, 2, 1] = E2 / (q * S2)
+    W[:, 2, 0] = -r1 * E2 / (q * S2)
+    W[:, 2, 3] = -(C2 / S2) / q
+    W[:, 2, 2] = r1 * (C2 / S2) / q
+    W[:, 3, 3] = 1.0 / q
+    W[:, 3, 2] = -r1 / q
+    return W
 
 
 def x_coefficient_matrix(modes: NormalModes, t: float) -> np.ndarray:

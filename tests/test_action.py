@@ -179,20 +179,29 @@ def test_labeled_entries_cover_all_slots(ic_fig2, modes_fig2):
     assert len(set(names)) == len(names)
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "sampled"])
 def test_endpoint_form_matches_quadrature(name, request):
-    """The closed-form bilinear block (endpoint derivatives of the X basis
-    paths) and drive terms (force moments) equal the polarization-quadrature
-    ones."""
-    ic = request.getfixturevalue(f"ic_{name}")
+    """The bilinear block and drive terms from the phase-space flow equal
+    the polarization-quadrature ones, also 1e-3 off the first caustic of
+    mode 2.  Near a caustic the quadrature cancels O(1/sin^2) integrands
+    down to an O(1/sin) result: there it is the limit, measured at 6.2e-13
+    of scale on fig3 and at up to 2.8e-12 off later caustics."""
+    if name == "sampled":
+        ic = request.getfixturevalue("ic_fig3")
+        ic = replace(ic, force1=_sampled_drive(ic.t_end), force2=ZERO)
+    else:
+        ic = request.getfixturevalue(f"ic_{name}")
     modes = solve_determinant(ic)
-    for t in (0.00111, 1.3, 7.7, 21.1, 29.5):
+    near = (math.pi + 1e-3) / modes.Omega2
+    sines = np.sin(np.array([modes.Omega1, modes.Omega2]) * near)
+    assert math.isclose(np.min(np.abs(sines)), 1e-3, rel_tol=1e-6)
+    for t in (0.00111, 1.3, 7.7, 21.1, 29.5, near):
         ep = endpoint_action_form(ic, modes, t)
         quad = classical_action_form(ic, modes, None, t)
         for got, want in ((ep.bilinear, quad.bilinear),
                           (ep.linear_xi, quad.linear_xi)):
             scale = np.max(np.abs(want))
-            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, t
 
 
 def test_endpoint_form_undriven_has_no_linear_terms():

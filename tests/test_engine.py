@@ -12,13 +12,13 @@ from duosc.config import InternalForce
 from duosc.engine import simulate
 from duosc.errors import CausticTime, ConfigError
 from duosc.influence import bath_spectra
-from duosc.modes import (CAUSTIC_TOL, check_caustic, coefficient_matrices,
-                         solve_determinant)
+from duosc.modes import CAUSTIC_TOL, check_caustic, solve_determinant
 from duosc.observables import (REPORT_FIELDS, CovarianceReport,
                                report_table, reports_from_moments)
 from duosc.reduction import GaussianStateParams, initial_state
 
 from crosscheck.influence import grid_quadratic
+from crosscheck.modes import coefficient_matrices
 from crosscheck.reduction import reduce_to_states
 from test_modes import make_ic
 

@@ -193,3 +193,22 @@ def test_sampled_force_means_match_simulate_at_every_knot(ic_fig3):
                        ("mean_p1", tr.p1), ("mean_p2", tr.p2)):
         dev = np.max(np.abs(res.column(name) - want))
         assert dev <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_random_sampled_forces_means_match_simulate_at_the_defaults(ic_fig3):
+    """A coarse random sampled force on each oscillator leaves the
+    integrator long steps between kinks; at its default tolerances the
+    oracle still agrees with `simulate` to 1e-11 of each column's scale."""
+    rng = np.random.default_rng(7)
+    knots = np.linspace(0.0, ic_fig3.t_end, 31)
+    f1, f2 = (InternalForce(kind="sampled", times=knots,
+                            values=0.05 * rng.standard_normal(knots.size))
+              for _ in range(2))
+    ic = replace(ic_fig3, force1=f1, force2=f2)
+    times = np.linspace(0.0, ic.t_end, 300)
+    res = simulate(ic, times=times)
+    tr = mean_ode(ic, times)
+    for name, want in (("mean_x1", tr.x1), ("mean_x2", tr.x2),
+                       ("mean_p1", tr.p1), ("mean_p2", tr.p2)):
+        dev = np.max(np.abs(res.column(name) - want))
+        assert dev <= 1e-11 * np.max(np.abs(want)), name
