@@ -6,12 +6,12 @@ the coupled damped pair, the bath noise block of the influence functional,
 the drive's mode moments, and a closed-form map from means and covariance
 to the density-matrix parameters.  An independent oracle (ODE means, the
 covariance by the resolvent of the Langevin drift, fluctuation-dissipation
-spreads, brute-force kernel integrals) cross-validates it.  The paper's
-boundary-value route (classical boundary paths, the bath phase over their
-endpoints, an exact Gaussian contraction with the initial state) lives in
-the test suite's `crosscheck` package; of it, the package keeps only the
-endpoint action that `duosc run --dump-action` writes, built on the same
-phase-space flow as the states.
+spreads) cross-validates it.  The paper's boundary-value route (classical
+boundary paths, the bath phase over their endpoints, an exact Gaussian
+contraction with the initial state) and brute-force kernel integrals live
+in the test suite's `crosscheck` package; of the route, the package keeps
+only the endpoint action that `duosc run --dump-action` writes, built on
+the same phase-space flow as the states.
 """
 
 from .config import (BathParams, ForceSpec, InternalConfig, OscillatorParams,

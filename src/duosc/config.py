@@ -27,6 +27,12 @@ DEFAULT_CUTOFF_MULTIPLE = 50.0
 #: layout grows linearly with it, and a 64-time call at this cutoff already
 #: peaks at about 0.1 GB
 MAX_CUTOFF_MULTIPLE = 1e5
+#: largest supported damping rate times time.  The bath noise carries
+#: exp(2 gamma t), the flow exp(-gamma t), and a sampled force's knots and
+#: an exponential step's onset exp(gamma t); near gamma t = 350 they leave
+#: the float range.  Every cutoff up to the cap runs clean at this limit,
+#: where the state has long been stationary.
+MAX_GAMMA_T = 300.0
 
 
 def _require_finite(**fields) -> None:
@@ -277,11 +283,21 @@ def validate_config(cfg: SystemConfig) -> ValidatedConfig:
     d = (o1.eigenfrequency * o2.eigenfrequency) ** 2 - lam ** 2 / (o1.mass * o2.mass)
     if not (d > 0):
         raise CouplingTooStrong(f"quartic constant term d = {d} <= 0")
-    for spec in (cfg.force1, cfg.force2):
+    gamma = max(o1.damping_rate, o2.damping_rate)
+    horizons = [("t_end", cfg.time_grid.t_end)]
+    for name, spec in (("force1", cfg.force1), ("force2", cfg.force2)):
         if spec.kind == "sampled":
             if spec.times[0] > 0.0 or spec.times[-1] < cfg.time_grid.t_end:
                 raise ConfigError(
                     "sampled force grid must cover [0, t_end]")
+            horizons.append((f"{name}'s last sample time", spec.times[-1]))
+        elif spec.kind == "exponential_step":
+            horizons.append((f"{name}'s onset", spec.onset))
+    for name, t in horizons:
+        if gamma * t > MAX_GAMMA_T:
+            raise ConfigError(
+                f"{name} is {t:.6g} s, gamma t = {gamma * t:.6g}; at most "
+                f"gamma t = {MAX_GAMMA_T:g} is supported")
     units = InternalUnits.for_reference(o1.mass, o1.eigenfrequency)
     return ValidatedConfig(cfg=cfg, coupling=lam, units=units)
 

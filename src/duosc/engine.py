@@ -12,13 +12,13 @@ layout: per time t >= 1 one Filon product in omega on pole-graded panels
 for all those temperatures, with one Bessel table per chunk for all
 spectra; below t = 1 a direct sum on 64-256 pole-free nodes, whose
 transforms serve every temperature) and m(t) the drive's moments
-(`forcing.drive_amplitudes`).  From the same (means, cov)
-`reduction.states_from_moments` builds the state parameters in closed form
-and `observables.reports_from_moments` lays out the report rows; the times
-t <= 0 take the initial packets, zero means and C0.  No step
-divides by sin(Omega t), so no time is special; the paper's boundary-value
-route, which does, is a cross-check of the test suite.  The drive never
-enters the covariance (Feynman & Vernon 1963).
+(`forcing.drive_amplitudes`); the times t <= 0 keep zero means and C0.
+Those moments are the result, and they fix the Gaussian state: its table
+(`reduction.states_from_moments`) and the report table
+(`observables.reports_from_moments`) are built from them on first read.
+No step divides by sin(Omega t), so no time is special; the paper's
+boundary-value route, which does, is a cross-check of the test suite.  The
+drive never enters the covariance (Feynman & Vernon 1963).
 
 Fixed-size chunks of times run as arrays from start to finish.  A state is
 a function of (cfg, t) alone, bit for bit: the chunking and the thread pool
@@ -30,44 +30,22 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import InternalConfig
+from .config import MAX_GAMMA_T, InternalConfig
 from .errors import ConfigError
 from .forcing import drive_amplitudes
 from .influence import bath_spectra, grid_noise
-from .modes import (NormalModes, initial_amplitude_map, response_matrices,
-                    solve_determinant)
+from .modes import initial_amplitude_map, response_matrices, solve_determinant
 from .observables import (REPORT_FIELDS, CovarianceReport,
                           reports_from_moments)
-from .reduction import (GaussianStateParams, initial_state, state_row,
-                        states_from_moments)
+from .reduction import (GaussianStateParams, initial_variances,
+                        position_form, states_from_moments)
 
 CHUNK = 64      # times per chunk: one array pass and one thread-pool task
-
-
-def _initial_variances(cfg: InternalConfig) -> np.ndarray:
-    """The diagonal of C0, the initial wave packets' covariance over
-    (x1, x2, p1, p2): (sigma01^2, sigma02^2, hbar^2 / 4 sigma01^2,
-    hbar^2 / 4 sigma02^2)."""
-    var = np.array([cfg.sigma01_sq, cfg.sigma02_sq])
-    return np.concatenate([var, 0.25 * cfg.hbar ** 2 / var])
-
-
-def _chunk(cfg: InternalConfig, modes: NormalModes, spectra: tuple,
-           A0: np.ndarray, times: np.ndarray) -> tuple:
-    """State table (n, 19) and report table (n, 16) at positive times, both
-    from the moments (means, cov)."""
-    B = response_matrices(modes, times)
-    cov = B @ (A0 + grid_noise(cfg, modes, times, spectra)) \
-        @ np.swapaxes(B, 1, 2)
-    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-    means = (B @ drive_amplitudes(modes, cfg.force1, cfg.force2,
-                                  times)[:, :, None])[:, :, 0]
-    return (states_from_moments(times, means, cov, cfg.hbar),
-            reports_from_moments(times, means, cov, cfg.hbar))
 
 
 class _Rows(SequenceABC):
@@ -88,19 +66,36 @@ class _Rows(SequenceABC):
         return self._cls(*self._table[i].tolist())
 
 
+def _table(build, res: "SimulationResult") -> np.ndarray:
+    """A read-only table of the result's moments; t <= 0 reads as 0."""
+    table = build(np.where(res.times > 0.0, res.times, 0.0), res.means,
+                  res.cov, res.config.hbar)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class SimulationResult:
-    """States and moment reports over the requested time grid.
+    """The state's moments over the requested time grid, read-only and one
+    row per time: `means` (n, 4) and `cov` (n, 4, 4) over (x1, x2, p1, p2).
 
-    Held as read-only tables, one row per grid time: `state_array` with the
-    GaussianStateParams fields as columns, `report_array` with the
+    Tables built from them on first read: `state_array` (n, 19) with the
+    GaussianStateParams fields as columns, `report_array` (n, 16) with the
     CovarianceReport fields.  `states` and `reports` read them as
     sequences of those dataclasses.
     """
     config: InternalConfig
     times: np.ndarray
-    state_array: np.ndarray      # (n, 19)
-    report_array: np.ndarray     # (n, 16)
+    means: np.ndarray
+    cov: np.ndarray
+
+    @cached_property
+    def state_array(self) -> np.ndarray:
+        return _table(states_from_moments, self)
+
+    @cached_property
+    def report_array(self) -> np.ndarray:
+        return _table(reports_from_moments, self)
 
     @property
     def states(self) -> Sequence[GaussianStateParams]:
@@ -120,37 +115,41 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     """Evaluate the state on a time grid (default: the configured grid)."""
     if times is None:
         times = np.linspace(0.0, cfg.t_end, cfg.n_points)
-    times = np.asarray(times, dtype=float)
+    times = np.array(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ConfigError("simulate needs finite times")
+    gamma_t = max(cfg.gamma1, cfg.gamma2) * np.max(times, initial=0.0)
+    if gamma_t > MAX_GAMMA_T:
+        raise ConfigError(
+            f"simulate got gamma t = {gamma_t:.6g}; at most "
+            f"{MAX_GAMMA_T:g} is supported")
     modes = solve_determinant(cfg)
     spectra = bath_spectra(cfg, modes)
-    c0 = _initial_variances(cfg)
+    c0 = initial_variances(cfg)
     K0 = initial_amplitude_map(modes)
     A0 = (K0 * c0) @ K0.T           # C0 carried to the mode amplitudes
+    means = np.zeros((times.size, 4))
+    cov = np.tile(np.diag(c0), (times.size, 1, 1))     # t <= 0 keeps C0
 
-    def run(idx: np.ndarray) -> tuple:
-        return _chunk(cfg, modes, spectra, A0, times[idx])
+    def run(idx: np.ndarray) -> None:
+        t = times[idx]
+        B = response_matrices(modes, t)
+        C = B @ (A0 + grid_noise(cfg, modes, t, spectra)) \
+            @ np.swapaxes(B, 1, 2)
+        cov[idx] = 0.5 * (C + np.swapaxes(C, 1, 2))
+        means[idx] = (B @ drive_amplitudes(modes, cfg.force1, cfg.force2,
+                                           t)[:, :, None])[:, :, 0]
 
     positive = np.flatnonzero(times > 0.0)
     chunks = [positive[lo:lo + CHUNK]
               for lo in range(0, positive.size, CHUNK)]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            done = list(ex.map(run, chunks))
+            list(ex.map(run, chunks))     # re-raises a chunk's error
     else:
-        done = [run(idx) for idx in chunks]
-
-    # the rows at t <= 0 hold the initial state
-    states = np.repeat(state_row(initial_state(cfg))[None], times.size,
-                       axis=0)
-    reports = np.repeat(reports_from_moments(
-        np.zeros(1), np.zeros((1, 4)), np.diag(c0)[None], cfg.hbar),
-        times.size, axis=0)
-    for idx, (s, r) in zip(chunks, done):
-        states[idx] = s
-        reports[idx] = r
-    states.flags.writeable = False
-    reports.flags.writeable = False
-    return SimulationResult(config=cfg, times=times, state_array=states,
-                            report_array=reports)
+        for idx in chunks:
+            run(idx)
+    position_form(times, cov)   # NotNormalizable for the first bad time
+    for array in (times, means, cov):
+        array.flags.writeable = False
+    return SimulationResult(config=cfg, times=times, means=means, cov=cov)

@@ -29,11 +29,11 @@ from rho(x, y), for `duosc run --verify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .reduction import STATE_FIELDS, GaussianStateParams, state_row
+from .reduction import STATE_FIELDS, GaussianStateParams
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(48)
 
@@ -155,7 +155,7 @@ def report(state: GaussianStateParams, hbar: float = 1.0) -> CovarianceReport:
     """Assemble all first and second moments of the state: one row of
     `report_table`."""
     return CovarianceReport(
-        *report_table(state_row(state)[None], hbar)[0].tolist())
+        *report_table(np.array([astuple(state)]), hbar)[0].tolist())
 
 
 # ---------------------------------------------------------------------------

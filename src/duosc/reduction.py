@@ -2,7 +2,7 @@
 phase-space moments.
 
 A Gaussian state is fixed by its means and its coordinate-momentum
-covariance matrix, so the 19 `GaussianStateParams` of a chunk of times
+covariance matrix, so the 19 `GaussianStateParams` of a grid of times
 follow from those moments in closed form, as stacked 2x2 algebra
 (`states_from_moments`).  The state is Hermitian by construction, so its
 anti-Hermitian residues read 0.
@@ -90,27 +90,22 @@ class GaussianStateParams:
         return np.exp(self.log_rho(x1, x2, y1, y2))
 
 
+def initial_variances(cfg: InternalConfig) -> np.ndarray:
+    """The diagonal of C0, the initial wave packets' minimum-uncertainty
+    covariance over (x1, x2, p1, p2)."""
+    var = np.array([cfg.sigma01_sq, cfg.sigma02_sq])
+    return np.concatenate([var, 0.25 * cfg.hbar ** 2 / var])
+
+
 def initial_state(cfg: InternalConfig) -> GaussianStateParams:
-    """The exact t = 0 product state of the two wave packets."""
-    g1 = 1.0 / (8.0 * cfg.sigma01_sq)
-    g2 = 1.0 / (8.0 * cfg.sigma02_sq)
-    # trace = 1 fixes the norm of the two decoupled Gaussians
-    beta11, beta22 = 8.0 * g1, 8.0 * g2
-    log_norm = 0.5 * math.log(beta11 * beta22) - math.log(2.0 * math.pi)
-    return GaussianStateParams(
-        t=0.0, g1=g1, g2=g2, g12=0.0, gp1=g1, gp2=g2, gp12=0.0,
-        gpp11=0.0, gpp12=0.0, gpp21=0.0, gpp22=0.0,
-        mx1=0.0, mx2=0.0, mp1=0.0, mp2=0.0, log_norm=log_norm,
-        nonherm_quadratic=0.0, nonherm_linear_X=0.0, nonherm_linear_xi=0.0)
+    """The t = 0 product state of the two wave packets: zero means, C0."""
+    return GaussianStateParams(*states_from_moments(
+        np.zeros(1), np.zeros((1, 4)), np.diag(initial_variances(cfg))[None],
+        cfg.hbar)[0].tolist())
 
 
 #: the `GaussianStateParams` fields, in order: the columns of a state table
 STATE_FIELDS = tuple(f.name for f in fields(GaussianStateParams))
-
-
-def state_row(state: GaussianStateParams) -> np.ndarray:
-    """The state's fields as one row of a state table, (19,)."""
-    return np.array([getattr(state, name) for name in STATE_FIELDS])
 
 
 def _log_norm(g1, g2, g12, mx1, mx2) -> tuple:
@@ -137,6 +132,22 @@ def _check_normalizable(times, g1, g2, delta) -> None:
             f"det={delta[i]:.3e}")
 
 
+def position_form(times: np.ndarray, cov: np.ndarray) -> tuple:
+    """(Cxx^-1, g1, g2, g12) of covariance matrices (n, 4, 4), G = Cxx^-1 / 4
+    holding (2 g1, g12, 2 g2); NotNormalizable for the first time at which
+    G is not positive definite."""
+    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    det = a * c - b * b
+    # Cxx^-1 = [[c, -b], [-b, a]] / det, exactly symmetric
+    inv = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2) \
+        / det[:, None, None]
+    G = 0.25 * inv
+    g1, g2, g12 = 0.5 * G[:, 0, 0], 0.5 * G[:, 1, 1], G[:, 0, 1]
+    _check_normalizable(times, g1, g2, (8.0 * g1) * (8.0 * g2)
+                        - (4.0 * g12) ** 2)
+    return inv, g1, g2, g12
+
+
 def states_from_moments(times: np.ndarray, means: np.ndarray,
                         cov: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     """State table (n, 19), columns STATE_FIELDS, of the Gaussian states with
@@ -150,21 +161,15 @@ def states_from_moments(times: np.ndarray, means: np.ndarray,
     2 g2) and (2 gp1, gp12, 2 gp2).  NotNormalizable for the first time at
     which Cxx is not positive definite.
     """
-    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    inv, g1, g2, g12 = position_form(times, cov)
     Cxp, Cpp = cov[:, :2, 2:], cov[:, 2:, 2:]
-    det = a * c - b * b
-    # Cxx^-1 = [[c, -b], [-b, a]] / det, exactly symmetric
-    inv = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2) \
-        / det[:, None, None]
     G = 0.25 * inv
     Gamma = (2.0 / hbar) * G @ Cxp
     Gp = (Cpp - np.swapaxes(Cxp, 1, 2) @ inv @ Cxp) / hbar ** 2
     xbar, pbar = means[:, :2, None], means[:, 2:]
     h = 2.0 * (G @ xbar)[:, :, 0]
     mp = pbar / hbar - 2.0 * (np.swapaxes(Gamma, 1, 2) @ xbar)[:, :, 0]
-    g1, g2, g12 = 0.5 * G[:, 0, 0], 0.5 * G[:, 1, 1], G[:, 0, 1]
-    log_norm, delta = _log_norm(g1, g2, g12, h[:, 0], h[:, 1])
-    _check_normalizable(times, g1, g2, delta)
+    log_norm = _log_norm(g1, g2, g12, h[:, 0], h[:, 1])[0]
     zero = np.zeros(times.size)
     return np.stack([times, g1, g2, g12,
                      0.5 * Gp[:, 0, 0], 0.5 * Gp[:, 1, 1],

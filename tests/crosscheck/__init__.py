@@ -15,9 +15,10 @@ hold the paper's own construction, which the tests compare it with:
   quadrature and over a grid from `duosc.influence.grid_noise`;
 - `reduction`: the Gaussian contraction of propagator and initial state
   over the eight endpoints;
-- `observables`: moments by finite differences of rho(x, y).
+- `observables`: moments by finite differences of rho(x, y);
+- `brute`: brute-force double integrals of the bath phase functionals.
 
-Every path here divides by sin(Omega_k t) and raises CausticTime where it
-vanishes.  These modules import `duosc`; nothing in `duosc` imports them
-(`tests/test_layering.py`).
+Every path here but `brute` divides by sin(Omega_k t) and raises
+CausticTime where it vanishes.  These modules import `duosc`; nothing in
+`duosc` imports them (`tests/test_layering.py`).
 """

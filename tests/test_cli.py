@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +286,22 @@ def test_oversized_cutoff_exit_code(tmp_path, capsys):
     cutoff = repr(MAX_CUTOFF_MULTIPLE * (1.0 + 1e-9))
     assert run_cli(["run", "fig3", str(out), "--cutoff", cutoff]) == 2
     assert capsys.readouterr().err.startswith("error: bath1 cutoff")
+    assert not out.exists()
+
+
+def test_horizon_past_the_supported_gamma_t_exit_code(tmp_path, capsys):
+    """gamma t_end = 400 would overflow exp(2 gamma t) in the bath noise:
+    validation refuses it (exit 2) with one error line, before any float
+    warning can arise."""
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["run", "fig3", str(out), "--t-end", "4e-9",
+                      "--grid", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end") and err.count("\n") == 1
+    assert "at most gamma t = 300" in err
     assert not out.exists()
 
 

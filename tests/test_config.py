@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duosc.config import (HBAR, KB, MAX_CUTOFF_MULTIPLE, BathParams,
+from duosc.config import (HBAR, KB, MAX_CUTOFF_MULTIPLE, MAX_GAMMA_T,
+                          BathParams,
                           ForceSpec, InternalConfig, InternalForce,
                           OscillatorParams, SystemConfig,
                           TimeGrid, config_from_dict, load_config,
@@ -265,3 +266,25 @@ def test_bath_cutoff_above_the_cap_is_rejected_at_validation(bath):
                                         cutoff=at_cap * (1.0 + 1e-12))})
     with pytest.raises(ConfigError, match=f"{bath} cutoff"):
         validate_config(over)
+
+
+@pytest.mark.parametrize("horizon", ["t_end", "sampled", "onset"])
+def test_horizon_past_max_gamma_t_is_rejected_at_validation(horizon):
+    """exp(gamma t) leaves the float range near gamma t = 350: a grid end,
+    a sampled force's last sample or a step's onset past MAX_GAMMA_T is a
+    ConfigError naming the limit, and one at the limit is accepted."""
+    limit = MAX_GAMMA_T / make_cfg().osc1.damping_rate
+
+    def cfg(t):
+        if horizon == "t_end":
+            return make_cfg(time_grid=TimeGrid(t_end=t, n_points=5))
+        if horizon == "sampled":
+            return make_cfg(force1=ForceSpec(kind="sampled", times=(0.0, t),
+                                             values=(0.0, 1e-10)))
+        return make_cfg(force1=ForceSpec(kind="exponential_step",
+                                         amplitude=1e-10, onset=t))
+
+    validate_config(cfg(limit))
+    with pytest.raises(ConfigError,
+                       match=f"at most gamma t = {MAX_GAMMA_T:g} is"):
+        validate_config(cfg(limit * (1.0 + 1e-9)))

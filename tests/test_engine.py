@@ -1,6 +1,7 @@
 import logging
 import math
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 
 from duosc import engine
 from duosc.action import endpoint_action_arrays, endpoint_action_form
-from duosc.config import InternalForce
+from duosc.config import MAX_GAMMA_T, InternalForce
 from duosc.engine import simulate
-from duosc.errors import CausticTime, ConfigError
-from duosc.influence import bath_spectra
+from duosc.errors import CausticTime, ConfigError, NotNormalizable
+from duosc.influence import bath_spectra, grid_noise
 from duosc.modes import CAUSTIC_TOL, check_caustic, solve_determinant
 from duosc.observables import (REPORT_FIELDS, CovarianceReport,
                                report_table, reports_from_moments)
+from duosc.oracle import fdt_stationary_variance
 from duosc.reduction import GaussianStateParams, initial_state
 
 from crosscheck.influence import grid_quadratic
@@ -156,6 +158,71 @@ def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
 def test_nonfinite_times_are_rejected(ic_fig3):
     with pytest.raises(ConfigError):
         simulate(ic_fig3, times=np.array([1.0, float("nan")]))
+
+
+def test_stationary_state_at_the_longest_supported_time(ic_fig3):
+    """At gamma t = MAX_GAMMA_T fig3 (equal bath temperatures) holds the
+    stationary spreads of the fluctuation-dissipation integral, with no
+    float warning; a time past it is a ConfigError naming the limit."""
+    t = MAX_GAMMA_T / ic_fig3.gamma1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate(ic_fig3, times=[t])
+    want = fdt_stationary_variance(ic_fig3)
+    for name in ("var_x1", "var_x2", "var_p1", "var_p2"):
+        assert math.isclose(res.column(name)[0], want[name], rel_tol=1e-12)
+    with pytest.raises(ConfigError, match=f"at most {MAX_GAMMA_T:g} is"):
+        simulate(ic_fig3, times=[1.0, t * (1.0 + 1e-9)])
+
+
+def test_simulate_builds_no_table(monkeypatch, ic_fig3):
+    """The result is the moments: `simulate` builds neither table, the
+    first read of each builds it in one call over the grid, and later
+    reads reuse it.  The builders are counted wherever the package holds
+    them."""
+    calls = {}
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "duosc" or name.startswith("duosc."):
+            for attr in ("states_from_moments", "reports_from_moments"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr,
+                                        counted(attr, getattr(module, attr)))
+
+    res = simulate(ic_fig3, times=np.linspace(-1.0, 9.0, 11))
+    assert calls == {}
+    assert [f.name for f in fields(res)] == ["config", "times", "means",
+                                             "cov"]
+    assert res.means.shape == (11, 4) and res.cov.shape == (11, 4, 4)
+    for array in (res.times, res.means, res.cov):
+        assert not array.flags.writeable
+    assert res.states[3] == GaussianStateParams(*res.state_array[3])
+    assert calls == {"states_from_moments": 1}
+    assert res.reports[2].var_x1 == res.column("var_x1")[2]
+    assert res.report_array.shape == (11, 16)
+    assert calls == {"states_from_moments": 1, "reports_from_moments": 1}
+
+
+def test_simulate_raises_not_normalizable_eagerly(monkeypatch, ic_fig3):
+    """A covariance whose position block is not positive definite makes
+    `simulate` itself raise, naming the first such time, before any table
+    is read."""
+    def broken(cfg, modes, times, spectra):
+        R = grid_noise(cfg, modes, times, spectra)
+        R[times == 5.0] -= 1e6 * np.eye(4)
+        return R
+
+    monkeypatch.setattr(engine, "grid_noise", broken)
+    with pytest.raises(NotNormalizable,
+                       match="^position quadratic form not positive "
+                             "definite at t=5.0:"):
+        simulate(ic_fig3, times=[2.0, 5.0, 9.0])
 
 
 def test_caustic_inside_a_batch_names_its_time(ic_fig3, modes_fig3):

@@ -15,9 +15,9 @@ from duosc.influence import (BERNSTEIN_RHO, FILON_BASE_PANELS, FILON_MIN_T,
                              _matsubara_pole, _mode_poles, bath_spectra,
                              grid_noise, spherical_jn_orders, thermal_weight)
 from duosc.modes import check_caustic, component_weights, solve_determinant
-from duosc.oracle import (brute_double_integral, brute_square_form,
-                          clenshaw_curtis)
 
+from crosscheck.brute import (brute_double_integral, brute_square_form,
+                              clenshaw_curtis)
 from crosscheck.influence import grid_quadratic, influence_form
 from crosscheck.modes import basis_paths, xi_coefficient_matrix
 from test_modes import make_ic

@@ -8,10 +8,10 @@ import pytest
 from duosc.cli import preset_config
 from duosc.config import InternalForce, to_internal, validate_config
 from duosc.engine import simulate
-from duosc.oracle import (brute_double_integral, brute_square_form,
-                          fdt_stationary_variance, mean_ode,
+from duosc.oracle import (fdt_stationary_variance, mean_ode,
                           phase_space_covariance, susceptibility)
 
+from crosscheck.brute import brute_double_integral, brute_square_form
 from test_modes import make_ic
 
 
