@@ -2,8 +2,8 @@
 
 Builds the state of the driven pair at a single time and walks through
 what the library actually produces: the quadratic/linear parameters of
-the two-oscillator density matrix, the physical moments derived from
-them, the built-in self-checks (unit trace, Hermiticity, and the
+the two-oscillator density matrix, the physical moments they are built
+from, the built-in self-checks (unit trace, Hermiticity, and the
 Robertson-Schrodinger uncertainty bound that certifies the state is a
 valid quantum state), and the covariance against an independent oracle.
 """
@@ -13,14 +13,15 @@ import numpy as np
 from duosc.cli import preset_config
 from duosc.config import to_internal, validate_config
 from duosc.engine import simulate
-from duosc.observables import hermiticity_error, numeric_trace, report
+from duosc.observables import hermiticity_error, numeric_trace
 from duosc.oracle import phase_space_covariance
 
 
 def main():
     ic = to_internal(validate_config(preset_config("fig3")))
     t = 12.3
-    s = simulate(ic, times=[t]).states[0]
+    res = simulate(ic, times=[t])
+    s = res.states[0]
 
     print(f"reduced state of the driven pair at internal time t = {t}")
     print()
@@ -32,7 +33,7 @@ def main():
         print(f"  {name:8s} = {getattr(s, name):+.6e}")
     print()
 
-    rep = report(s, hbar=ic.hbar)
+    rep = res.reports[0]
     print("physical moments (internal units):")
     print(f"  mean x   = ({rep.mean_x1:+.4f}, {rep.mean_x2:+.4f})")
     print(f"  mean p   = ({rep.mean_p1:+.4f}, {rep.mean_p2:+.4f})")

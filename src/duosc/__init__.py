@@ -21,7 +21,7 @@ from .engine import SimulationResult, simulate
 from .errors import (CausticTime, ConfigError, CouplingTooStrong,
                      DegenerateModes, DuoscError, NotNormalizable)
 from .modes import NormalModes, solve_determinant
-from .observables import CovarianceReport, report
+from .observables import CovarianceReport
 from .reduction import GaussianStateParams, initial_state
 
 __version__ = "0.1.0"
@@ -32,6 +32,5 @@ __all__ = [
     "GaussianStateParams", "InternalConfig", "NormalModes",
     "NotNormalizable", "OscillatorParams", "SimulationResult", "SystemConfig",
     "TimeGrid", "config_from_dict", "initial_state", "load_config",
-    "report", "simulate", "solve_determinant", "to_internal",
-    "validate_config",
+    "simulate", "solve_determinant", "to_internal", "validate_config",
 ]

@@ -109,7 +109,8 @@ class ForceSpec:
     kind = "exponential_step": f(tau) = f0 * theta(tau - t0) * exp(-decay*tau),
                                amplitudes in dyn, times in s, decay in rad/s.
                                amplitude = None picks the impulse heuristic
-                               (see forcing.default_amplitude).
+                               (`default_amplitude`), which
+                               `validate_config` fills in.
     kind = "sampled":          linear interpolation of (times, values) samples;
                                zero outside the sampled range.
     """
@@ -137,6 +138,32 @@ class ForceSpec:
                 raise ConfigError("sampled force needs >= 2 (time, value) pairs")
             if any(b <= a for a, b in zip(self.times, self.times[1:])):
                 raise ConfigError("sampled force times must increase strictly")
+
+
+def default_amplitude(osc: OscillatorParams, force: ForceSpec) -> float:
+    """Amplitude (dyn) making the integrated impulse of an exponential step
+    equal the oscillator's momentum scale.
+
+    The impulse is approximately f0 * exp(-decay*t0) / decay; setting it to
+    mass*w0*sigma0 gives f0 = decay * exp(decay*t0) * mass * w0 * sigma0.
+    (The heuristic as printed in the source material equates a force
+    amplitude with length*rate, which is dimensionally short one
+    mass*frequency factor; this is the impulse reading of it.  An explicit
+    amplitude bypasses the heuristic entirely.)  ConfigError unless the
+    decay rate is positive and the amplitude a finite float.
+    """
+    if not (force.decay > 0):
+        raise ConfigError("amplitude heuristic needs a positive decay rate")
+    try:
+        amp = (force.decay * math.exp(force.decay * force.onset)
+               * osc.mass * osc.eigenfrequency * math.sqrt(osc.sigma0_sq))
+    except OverflowError:
+        amp = math.inf
+    if not math.isfinite(amp):
+        raise ConfigError(
+            "amplitude heuristic overflows at decay*onset = "
+            f"{force.decay * force.onset:.6g}; give an explicit amplitude")
+    return amp
 
 
 @dataclass(frozen=True)
@@ -202,8 +229,9 @@ class InternalUnits:
 
 @dataclass(frozen=True)
 class ValidatedConfig:
-    """A SystemConfig whose invariants have been checked, with the physical
-    coupling constant and unit scales attached."""
+    """A SystemConfig whose invariants have been checked and whose heuristic
+    force amplitudes are filled in, with the physical coupling constant and
+    unit scales attached."""
     cfg: SystemConfig
     coupling: float        # lambda, CGS (dyn/cm = g/s^2)
     units: InternalUnits
@@ -256,7 +284,8 @@ class InternalConfig:
 
 
 def validate_config(cfg: SystemConfig) -> ValidatedConfig:
-    """Check all invariants and compute the physical coupling constant."""
+    """Check all invariants, resolve every heuristic force amplitude and
+    compute the physical coupling constant."""
     lt = cfg.coupling_dimensionless
     _require_finite(coupling_dimensionless=lt)
     if not (0.0 <= lt):
@@ -298,6 +327,14 @@ def validate_config(cfg: SystemConfig) -> ValidatedConfig:
             raise ConfigError(
                 f"{name} is {t:.6g} s, gamma t = {gamma * t:.6g}; at most "
                 f"gamma t = {MAX_GAMMA_T:g} is supported")
+    for name, osc in (("force1", o1), ("force2", o2)):
+        spec = getattr(cfg, name)
+        if spec.kind == "exponential_step" and spec.amplitude is None:
+            try:
+                amp = default_amplitude(osc, spec)
+            except ConfigError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+            cfg = replace(cfg, **{name: replace(spec, amplitude=amp)})
     units = InternalUnits.for_reference(o1.mass, o1.eigenfrequency)
     return ValidatedConfig(cfg=cfg, coupling=lam, units=units)
 
@@ -306,10 +343,9 @@ def _force_to_internal(spec: ForceSpec, units: InternalUnits) -> InternalForce:
     if spec.kind == "zero":
         return InternalForce(kind="zero")
     if spec.kind == "exponential_step":
-        f0 = None if spec.amplitude is None else spec.amplitude / units.force_unit
         return InternalForce(
             kind="exponential_step",
-            f0=f0,
+            f0=spec.amplitude / units.force_unit,
             t0=spec.onset / units.time_unit,
             decay=spec.decay * units.time_unit,
         )
@@ -319,20 +355,15 @@ def _force_to_internal(spec: ForceSpec, units: InternalUnits) -> InternalForce:
 
 
 def to_internal(v: ValidatedConfig) -> InternalConfig:
-    """Rescale a validated config to hbar = M1 = omega01 = 1 units.
-
-    Amplitude heuristics (force amplitude = None) are resolved here so that
-    the downstream numerics only ever see concrete numbers.
-    """
-    from .forcing import default_amplitude_internal
-
+    """Rescale a validated config to hbar = M1 = omega01 = 1 units; every
+    force amplitude is a number by then (`validate_config`)."""
     cfg, units = v.cfg, v.units
     o1, o2, b1, b2 = cfg.osc1, cfg.osc2, cfg.bath1, cfg.bath2
     w = units.frequency_unit
     m = units.mass_unit
     numax1 = (b1.cutoff / w) if b1.cutoff is not None else DEFAULT_CUTOFF_MULTIPLE
     numax2 = (b2.cutoff / w) if b2.cutoff is not None else DEFAULT_CUTOFF_MULTIPLE
-    ic = InternalConfig(
+    return InternalConfig(
         m1=o1.mass / m,
         m2=o2.mass / m,
         w01=o1.eigenfrequency / w,
@@ -353,15 +384,6 @@ def to_internal(v: ValidatedConfig) -> InternalConfig:
         n_points=cfg.time_grid.n_points,
         units=units,
     )
-    # resolve amplitude heuristics
-    f1, f2 = ic.force1, ic.force2
-    if f1.kind == "exponential_step" and f1.f0 is None:
-        f1 = replace(f1, f0=default_amplitude_internal(
-            ic.m1, ic.w01, math.sqrt(ic.sigma01_sq), f1))
-    if f2.kind == "exponential_step" and f2.f0 is None:
-        f2 = replace(f2, f0=default_amplitude_internal(
-            ic.m2, ic.w02, math.sqrt(ic.sigma02_sq), f2))
-    return replace(ic, force1=f1, force2=f2)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     def run(idx: np.ndarray) -> None:
         t = times[idx]
         B = response_matrices(modes, t)
-        C = B @ (A0 + grid_noise(cfg, modes, t, spectra)) \
+        C = B @ (A0 + grid_noise(modes, t, spectra)) \
             @ np.swapaxes(B, 1, 2)
         cov[idx] = 0.5 * (C + np.swapaxes(C, 1, 2))
         means[idx] = (B @ drive_amplitudes(modes, cfg.force1, cfg.force2,

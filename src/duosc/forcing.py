@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 
-from .config import InternalForce, ForceSpec, OscillatorParams
 from .errors import ConfigError
 from .modes import NormalModes, component_weights
 
@@ -40,32 +39,6 @@ def force_value(f, tau):
     if np.isscalar(tau) or np.ndim(tau) == 0:
         return float(out[0])
     return out
-
-
-def default_amplitude_internal(mass: float, w0: float, sigma0: float,
-                               f: InternalForce) -> float:
-    """Amplitude making the integrated impulse equal the momentum scale.
-
-    The impulse of an exponential-step force is approximately
-    f0 * exp(-decay*t0) / decay; setting it to mass*w0*sigma0 gives
-    f0 = decay * exp(decay*t0) * mass * w0 * sigma0.  (The heuristic as
-    printed in the source material equates a force amplitude with
-    length*rate, which is dimensionally short one mass*frequency factor;
-    this is the impulse reading of it.  An explicit amplitude bypasses
-    the heuristic entirely.)
-    """
-    if f.decay <= 0:
-        raise ConfigError("amplitude heuristic needs a positive decay rate")
-    return f.decay * math.exp(f.decay * f.t0) * mass * w0 * sigma0
-
-
-def default_amplitude(osc: OscillatorParams, force: ForceSpec) -> float:
-    """CGS counterpart of default_amplitude_internal."""
-    if force.decay <= 0:
-        raise ConfigError("amplitude heuristic needs a positive decay rate")
-    sigma0 = math.sqrt(osc.sigma0_sq)
-    return (force.decay * math.exp(force.decay * force.onset)
-            * osc.mass * osc.eigenfrequency * sigma0)
 
 
 def oscillatory_moments(f, Omega, delta, times: np.ndarray

@@ -29,7 +29,6 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -413,19 +412,17 @@ def _sigma(poles: np.ndarray, C: np.ndarray, D: np.ndarray,
             - np.exp(-1j * pc * tt) * dDc) / den
 
 
-def grid_noise(cfg: InternalConfig, modes: NormalModes, times,
-               spectra: Optional[tuple] = None) -> np.ndarray:
+def grid_noise(modes: NormalModes, times, spectra: tuple) -> np.ndarray:
     """Bath noise block R(t) at each time, (n, 4, 4): the sum over spectra
     and their temperatures of Re M(t) . W, the phase's double integral over
     the anti-damped elementary functions [sin1, cos1, sin2, cos2] before any
     endpoint map.
 
     It is also the covariance the bath noise adds to the mode amplitudes
-    of `modes.response_matrices`.  `spectra` (from `bath_spectra`) may be
-    passed to reuse them across calls.  Every time
-    must be positive; the block is regular at every such time.  Each block
-    is a function of (cfg, t) only, bit for bit, however the times are
-    batched.
+    of `modes.response_matrices`.  `spectra` come from `bath_spectra` of
+    the same config and modes.  Every time must be positive; the block is
+    regular at every such time.  Each block is a function of (cfg, t) only,
+    bit for bit, however the times are batched.
     """
     times = np.asarray(times, dtype=float).ravel()
     if not np.all(np.isfinite(times) & (times > 0.0)):
@@ -433,8 +430,6 @@ def grid_noise(cfg: InternalConfig, modes: NormalModes, times,
     R = np.zeros((times.size, 4, 4))
     if times.size == 0:
         return R
-    if spectra is None:
-        spectra = bath_spectra(cfg, modes)
     small = np.flatnonzero(times < FILON_MIN_T)
     filon = np.flatnonzero(times >= FILON_MIN_T)
     poles = _mode_poles(modes)

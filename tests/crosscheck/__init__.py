@@ -15,7 +15,8 @@ hold the paper's own construction, which the tests compare it with:
   quadrature and over a grid from `duosc.influence.grid_noise`;
 - `reduction`: the Gaussian contraction of propagator and initial state
   over the eight endpoints;
-- `observables`: moments by finite differences of rho(x, y);
+- `observables`: the moments of a state by the paper's Gaussian algebra
+  (`report_table`, `report`), and by finite differences of rho(x, y);
 - `brute`: brute-force double integrals of the bath phase functionals.
 
 Every path here but `brute` divides by sin(Omega_k t) and raises

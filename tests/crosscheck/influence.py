@@ -32,8 +32,8 @@ import numpy as np
 from duosc.config import InternalConfig
 from duosc.errors import ConfigError
 from duosc.influence import (_GL16, _elementary_transforms, _graded_panels,
-                             _matsubara_pole, _panel_nodes, grid_noise,
-                             thermal_weight)
+                             _matsubara_pole, _panel_nodes, bath_spectra,
+                             grid_noise, thermal_weight)
 from duosc.modes import NormalModes, check_caustic, component_weights
 
 from .modes import coefficient_matrices, xi_coefficient_matrix
@@ -95,7 +95,9 @@ def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
     coefficient matrix.  Every time must be off the caustics (CausticTime
     otherwise).
     """
-    R = grid_noise(cfg, modes, times, spectra)
+    if spectra is None:
+        spectra = bath_spectra(cfg, modes)
+    R = grid_noise(modes, times, spectra)
     V = coefficient_matrices(modes, np.asarray(times, dtype=float).ravel(),
                              sign=+1.0)
     out = 0.5 * (np.swapaxes(V, 1, 2) @ R @ V)

@@ -1,24 +1,83 @@
-"""Moments straight from rho(x, y): positions by Gauss-Hermite quadrature
-on the diagonal distribution, momenta by finite differences in the
-off-diagonal direction.  Slow; the independent check of
-`duosc.observables.report`."""
+"""The paper's moments of a state, and the same moments straight from
+rho(x, y).
+
+The paper reads the means and covariances off the Hermitian state
+parameters by Gaussian algebra.  With G the 2x2 quadratic form of the
+diagonal (X1, X2) distribution, h its linear term, Gamma the X-xi phase
+couplings and Gp the xi-xi quadratic block,
+
+    <x>      = G^-1 h / 2
+    <p>      = hbar (Gamma^T G^-1 h + m_p)
+    Cov(x,x) = G^-1 / 4
+    Cov(x,p) = (hbar / 2) G^-1 Gamma          (symmetrized)
+    Cov(p,p) = hbar^2 (Gp + Gamma^T G^-1 Gamma)
+
+Derivatives with respect to the difference variables hit the density matrix
+on its diagonal; total-X derivatives integrate away, which is what makes the
+closed forms this short.  `report_table` evaluates them for a table of
+states as stacked 2x2 algebra and lays the rows out with
+`duosc.observables.reports_from_moments`; `report` is its one-row call.
+This inverts `duosc.reduction.states_from_moments`, which builds the
+production states from the engine's moments.
+
+`finite_difference_moments` takes the moments straight from rho(x, y):
+positions by Gauss-Hermite quadrature on the diagonal distribution, momenta
+by finite differences in the off-diagonal direction.  Slow; the independent
+check of `report`.
+"""
 
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 
-from duosc.observables import (_GH_NODES, _GH_WEIGHTS, _blocks,
-                               hermiticity_error, report)
-from duosc.reduction import GaussianStateParams
+from duosc.observables import (_GH_NODES, _GH_WEIGHTS, CovarianceReport,
+                               _blocks, hermiticity_error,
+                               reports_from_moments)
+from duosc.reduction import STATE_FIELDS, GaussianStateParams
+
+
+def _mat2(a, b, c, d) -> np.ndarray:
+    """Stacked 2x2 matrices [[a, b], [c, d]] from four (n,) columns."""
+    return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
+
+
+def report_table(states: np.ndarray, hbar: float = 1.0) -> np.ndarray:
+    """All first and second moments of each row of a state table,
+    (n, 19) -> (n, 16), columns REPORT_FIELDS."""
+    s = dict(zip(STATE_FIELDS, states.T))
+    G = _mat2(2.0 * s["g1"], s["g12"], s["g12"], 2.0 * s["g2"])
+    Gp = _mat2(2.0 * s["gp1"], s["gp12"], s["gp12"], 2.0 * s["gp2"])
+    Gamma = _mat2(s["gpp11"], s["gpp12"], s["gpp21"], s["gpp22"])
+    GammaT = np.swapaxes(Gamma, 1, 2)
+    h = np.stack([s["mx1"], s["mx2"]], axis=-1)[:, :, None]
+    mp = np.stack([s["mp1"], s["mp2"]], axis=-1)
+    Ginv = np.linalg.inv(G)
+    Xbar = Ginv @ h
+    pbar = hbar * ((GammaT @ Xbar)[:, :, 0] + mp)
+    Cxx = 0.25 * Ginv
+    Cxp = 0.5 * hbar * Ginv @ Gamma
+    Cpp = hbar * hbar * (Gp + GammaT @ Ginv @ Gamma)
+    cov = np.block([[Cxx, Cxp], [np.swapaxes(Cxp, 1, 2), Cpp]])
+    return reports_from_moments(
+        s["t"], np.concatenate([0.5 * Xbar[:, :, 0], pbar], axis=1), cov,
+        hbar)
+
+
+def report(state: GaussianStateParams, hbar: float = 1.0) -> CovarianceReport:
+    """Assemble all first and second moments of the state: one row of
+    `report_table`."""
+    return CovarianceReport(
+        *report_table(np.array([astuple(state)]), hbar)[0].tolist())
 
 
 def finite_difference_moments(state: GaussianStateParams,
                               hbar: float = 1.0) -> dict:
     """Momentum moments by finite differences of rho in the off-diagonal
     direction, positions by quadrature."""
-    G, _, _, h, _ = _blocks(state)
+    G, h = _blocks(state)
     Ginv = np.linalg.inv(G)
     Xbar = Ginv @ h
     Lc = np.linalg.cholesky(Ginv)

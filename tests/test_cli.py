@@ -198,6 +198,18 @@ def test_verify_small_grid(tmp_path, capsys):
     assert (out / "oracle_means.csv").exists()
 
 
+def test_verify_coarse_grid_after_the_means_decayed(tmp_path):
+    """All grid times but t = 0 lie where the means have decayed by e^-40
+    and more: the mean checks take their scale from the oracle over
+    [0, t_end], not from the grid times alone, and pass."""
+    out = tmp_path / "v"
+    rc = run_cli(["run", "fig3", str(out), "--t-end", "8e-10", "--grid",
+                  "3", "--verify"])
+    assert rc == 0
+    assert "FAIL" not in (out / "verify_summary.txt").read_text()
+    assert len(read_csv(out / "oracle_means.csv")) == 3
+
+
 def test_grid_and_tend_overrides(tmp_path):
     out = tmp_path / "o"
     rc = run_cli(["run", "fig2", str(out), "--grid", "5",
@@ -252,6 +264,29 @@ def test_nonfinite_config_exit_code(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: amplitude")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("decay, onset", [(1e15, 1e-9), (0.0, 1e-13)])
+def test_amplitude_heuristic_exit_code(tmp_path, capsys, decay, onset):
+    """A heuristic step amplitude that overflows (decay*onset = 1e6) or has
+    no positive decay rate is a configuration error: exit 2 with one error
+    line and nothing written.  An explicit amplitude runs."""
+    cfgd = {
+        "m1": 1e-23, "m2": 5e-23, "omega01": 1e13, "omega02": 3e13,
+        "gamma1": 1e11, "gamma2": 1e11, "lambda_tilde": 0.3,
+        "T1": 300.0, "T2": 300.0, "t_end": 3e-12, "n_points": 6,
+        "f1_kind": "exponential_step", "f1_onset": onset, "f1_decay": decay,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfgd))
+    out = tmp_path / "o"
+    assert run_cli(["run", "custom", str(out), "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: force1: amplitude heuristic")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    p.write_text(json.dumps(dict(cfgd, f1_amplitude=1e-6)))
+    assert run_cli(["run", "custom", str(out), "--config", str(p)]) == 0
 
 
 def test_fractional_n_points_exit_code(tmp_path, capsys):

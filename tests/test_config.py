@@ -11,8 +11,8 @@ from duosc.config import (HBAR, KB, MAX_CUTOFF_MULTIPLE, MAX_GAMMA_T,
                           BathParams,
                           ForceSpec, InternalConfig, InternalForce,
                           OscillatorParams, SystemConfig,
-                          TimeGrid, config_from_dict, load_config,
-                          to_internal, validate_config)
+                          TimeGrid, config_from_dict, default_amplitude,
+                          load_config, to_internal, validate_config)
 from duosc.errors import ConfigError, CouplingTooStrong
 
 
@@ -129,6 +129,38 @@ def test_amplitude_heuristic_internal_value():
     expected = 0.1 * math.exp(0.1) * 1.0 * 1.0 * math.sqrt(0.5)
     assert math.isclose(ic.force1.f0, expected, rel_tol=1e-12)
     assert math.isclose(ic.force1.f0, 0.07814738505414529, rel_tol=1e-12)
+
+
+def test_heuristic_amplitude_is_resolved_at_validation():
+    """validate_config fills an amplitude = None step with the impulse
+    heuristic and keeps an explicit one; to_internal only rescales."""
+    step = ForceSpec(kind="exponential_step", onset=1e-13, decay=1e12)
+    explicit = replace(step, amplitude=-2e-6)
+    cfg = make_cfg(force1=step, force2=explicit)
+    vc = validate_config(cfg)
+    assert vc.cfg.force1.amplitude == default_amplitude(cfg.osc1, step)
+    assert vc.cfg.force2 == explicit
+    assert replace(vc.cfg, force1=step) == cfg
+    ic = to_internal(vc)
+    assert ic.force1.f0 == vc.cfg.force1.amplitude / vc.units.force_unit
+    assert ic.force2.f0 == -2e-6 / vc.units.force_unit
+
+
+@pytest.mark.parametrize("decay, onset, message", [
+    (1e15, 1e-9, "overflows at decay\\*onset = 1e\\+06;"),
+    (1e13, 7e-11, "overflows at decay\\*onset = 700;"),   # exp is finite
+    (0.0, 1e-13, "needs a positive decay rate"),
+])
+def test_heuristic_amplitude_is_rejected_at_validation(decay, onset,
+                                                        message):
+    """A heuristic amplitude that is not a finite float, or that has no
+    positive decay rate, is a ConfigError naming the force; an explicit
+    amplitude is accepted."""
+    step = ForceSpec(kind="exponential_step", onset=onset, decay=decay)
+    with pytest.raises(ConfigError,
+                       match=f"^force2: amplitude heuristic {message}"):
+        validate_config(make_cfg(force2=step))
+    validate_config(make_cfg(force2=replace(step, amplitude=1e-6)))
 
 
 def test_round_trip_internal_physical():

@@ -15,12 +15,13 @@ from duosc.errors import CausticTime, ConfigError, NotNormalizable
 from duosc.influence import bath_spectra, grid_noise
 from duosc.modes import CAUSTIC_TOL, check_caustic, solve_determinant
 from duosc.observables import (REPORT_FIELDS, CovarianceReport,
-                               report_table, reports_from_moments)
+                               reports_from_moments)
 from duosc.oracle import fdt_stationary_variance
 from duosc.reduction import GaussianStateParams, initial_state
 
 from crosscheck.influence import grid_quadratic
 from crosscheck.modes import coefficient_matrices
+from crosscheck.observables import report_table
 from crosscheck.reduction import reduce_to_states
 from test_modes import make_ic
 
@@ -213,8 +214,8 @@ def test_simulate_raises_not_normalizable_eagerly(monkeypatch, ic_fig3):
     """A covariance whose position block is not positive definite makes
     `simulate` itself raise, naming the first such time, before any table
     is read."""
-    def broken(cfg, modes, times, spectra):
-        R = grid_noise(cfg, modes, times, spectra)
+    def broken(modes, times, spectra):
+        R = grid_noise(modes, times, spectra)
         R[times == 5.0] -= 1e6 * np.eye(4)
         return R
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from duosc.config import InternalForce
-from duosc.forcing import (default_amplitude_internal, force_value,
-                           oscillatory_moments)
+from duosc.config import (ForceSpec, InternalForce, OscillatorParams,
+                          default_amplitude)
+from duosc.forcing import force_value, oscillatory_moments
 
 from crosscheck.action import classical_action_form
 from crosscheck.forcing import force_moments, oscillatory_moment
@@ -82,8 +82,10 @@ def test_sampled_moments_match_closed_form():
 
 def test_amplitude_heuristic_impulse():
     # the integrated impulse of the heuristic amplitude equals m*w0*sigma0
-    f = InternalForce(kind="exponential_step", t0=1.0, decay=0.1)
-    f0 = default_amplitude_internal(2.0, 1.5, 0.7, f)
+    osc = OscillatorParams(mass=2.0, eigenfrequency=1.5, damping_rate=0.0,
+                           initial_variance=0.7 ** 2)
+    f = ForceSpec(kind="exponential_step", onset=1.0, decay=0.1)
+    f0 = default_amplitude(osc, f)
     impulse = quad(lambda s: f0 * math.exp(-0.1 * s), 1.0, np.inf)[0]
     assert math.isclose(impulse, 2.0 * 1.5 * 0.7, rel_tol=1e-10)
 

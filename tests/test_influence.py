@@ -534,7 +534,7 @@ def test_temperatures_on_a_cutoff_share_its_layout(monkeypatch):
     assert calls["_graded_panels"] == 2
     times = np.concatenate([np.geomspace(1e-4, 0.9, 2 * _FILON_BLOCK + 3),
                             [1.0, 7.7]])
-    grid_noise(ic, modes, times, spectra)
+    grid_noise(modes, times, spectra)
     assert calls["_elementary_transforms"] == 3
     assert calls["_graded_panels"] == 2
 

@@ -5,6 +5,8 @@ cross-check route or any other test module."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import duosc.oracle
 
@@ -59,3 +61,19 @@ def test_package_imports_no_test_modules():
                     offenders.append(f"{name}: {mod}")
     assert "crosscheck" in test_names
     assert not offenders, f"the package imports test modules: {offenders}"
+
+
+def test_import_loads_no_scipy():
+    """A fresh interpreter that imports the package and its CLI loads no
+    scipy module and not the oracle: only `oracle` imports scipy, and only
+    `duosc run --verify` loads it."""
+    src = os.path.dirname(os.path.dirname(duosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, duosc, duosc.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'\n"
+            "             or m == 'duosc.oracle'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

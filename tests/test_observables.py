@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from duosc.engine import simulate
-from duosc.observables import (hermiticity_error, numeric_trace, report,
+from duosc.observables import (hermiticity_error, numeric_trace,
                                robertson_schrodinger_min_eig)
 from duosc.reduction import initial_state
 
-from crosscheck.observables import verify_state
+from crosscheck.observables import report, verify_state
 
 
 def test_initial_moments(ic_fig3):
@@ -68,7 +68,7 @@ def _mixed_moments_fd(state, j, hbar):
     Tr(rho p x) = i hbar int dx  x_j d/dy_j rho(x,y)|_{y=x}.
     """
     from duosc.observables import _GH_NODES, _GH_WEIGHTS, _blocks
-    G, _, _, h, _ = _blocks(state)
+    G, h = _blocks(state)
     Ginv = np.linalg.inv(G)
     Lc = np.linalg.cholesky(Ginv)
     U1, U2 = np.meshgrid(_GH_NODES, _GH_NODES, indexing="ij")

@@ -7,11 +7,12 @@ from duosc.action import endpoint_action_arrays
 from duosc.engine import simulate
 from duosc.errors import NotNormalizable
 from duosc.modes import solve_determinant
-from duosc.observables import REPORT_FIELDS, report_table
+from duosc.observables import REPORT_FIELDS
 from duosc.reduction import initial_state, states_from_moments
 
 from crosscheck.action import classical_action_form
 from crosscheck.influence import grid_quadratic, influence_form
+from crosscheck.observables import report_table
 from crosscheck.particular import particular_solution
 from crosscheck.reduction import (NonHermitianLarge, propagator_exponent,
                                   reduce_to_state, reduce_to_states)

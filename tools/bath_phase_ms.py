@@ -61,7 +61,7 @@ def main() -> None:
         start = time.perf_counter()
         spectra = bath_spectra(ic, modes)
         for lo in range(0, times.size, CHUNK):
-            grid_noise(ic, modes, times[lo:lo + CHUNK], spectra)
+            grid_noise(modes, times[lo:lo + CHUNK], spectra)
         whole = (time.perf_counter() - start) / times.size
 
         for sp in spectra:
