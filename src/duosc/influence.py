@@ -89,21 +89,26 @@ def _graded_panels(numax: float, panels: int, singular) -> tuple:
     that of a uniform panel, so panels of one depth share one float however
     their edges round.  The layout depends on its arguments only.
     """
-    edges = np.linspace(0.0, numax, panels + 1)
-    singular = np.asarray(singular, dtype=complex)[:, None]
+    edges = np.linspace(0.0, numax, panels + 1).tolist()
+    singular = [complex(s) for s in singular]
     # a panel that passes for every singularity keeps its halves passing
     # (the ellipse of a sub-panel lies inside its parent's), so each round
-    # tests only the halves made in the round before
-    lo, hi = edges[:-1], edges[1:]
-    new = [edges]
-    while lo.size:
-        bad = (np.abs(singular - lo) + np.abs(singular - hi)
-               < _FOCAL_SUM * (hi - lo)).any(0)
-        lo, hi = lo[bad], hi[bad]
-        mid = 0.5 * (lo + hi)
-        new.append(mid)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    edges = np.sort(np.concatenate(new))
+    # tests only the halves made in the round before.  A round holds a few
+    # panels, so they are tested as Python numbers: a round of array calls
+    # costs more than the arithmetic
+    todo = list(zip(edges[:-1], edges[1:]))
+    while todo:
+        halves = []
+        for lo, hi in todo:
+            limit = _FOCAL_SUM * (hi - lo)
+            for s in singular:
+                if abs(s - lo) + abs(s - hi) < limit:
+                    mid = 0.5 * (lo + hi)
+                    edges.append(mid)
+                    halves += ((lo, mid), (mid, hi))
+                    break
+        todo = halves
+    edges = np.sort(edges)
     # a panel of depth d spans 2 h0 / 2^d up to rounding, so 3 h0 / width
     # is 0.75 * 2^(d+1) and its binary exponent is d + 1
     h0 = 0.5 * numax / panels
@@ -184,7 +189,13 @@ def _elementary_transforms(modes: NormalModes, times,
 FILON_ORDER = 24           # GL nodes per panel = Legendre orders kept
 FILON_BASE_PANELS = 8      # uniform panels on [0, numax] before grading
 FILON_MIN_T = 1.0          # below: direct sum on the small-t layout
-_FILON_BLOCK = 8           # times per block: bounds the (block, J*K) temps
+# Times per Filon product: bounds the (block, J*K) complex rows to about
+# 130 KB on fig3.  One product per 64-time chunk gives the same numbers and
+# runs faster back to back, but its 1 MB of rows is faulted in afresh on
+# every call once the caller's own work has run in between: the
+# fig3-driven benchmark ran 14.5k-15.2k against 18.3k-19.2k points/s
+# (two seeds, 6 s runs, 2-vCPU host)
+_FILON_BLOCK = 8
 # Miller's start: its truncation error falls about 1000-fold per 4 steps and
 # reaches 1e-16 at 2n - 4 for z <= n; 2n + 8 leaves a margin of 12 steps.
 # From T = 1 at the start a step grows |T| at most (2 start + 1) / z + 1 <=
@@ -195,11 +206,13 @@ _SERIES_TERMS = 10         # power series of j_k below z = 1: 1e-17 relative
 
 @functools.lru_cache(maxsize=None)
 def _filon_rule():
-    """GL-K nodes and weights on [-1, 1], and the (K, K) matrix taking
-    node values to Legendre coefficients; built on first use, not import."""
+    """GL-K nodes and weights on [-1, 1], the (K, K) matrix taking node
+    values to Legendre coefficients, and (-i)^k, (K,); built on first use,
+    not import."""
     x, w = np.polynomial.legendre.leggauss(FILON_ORDER)
     vander = np.polynomial.legendre.legvander(x, FILON_ORDER - 1)
-    return x, w, (np.arange(FILON_ORDER) + 0.5)[:, None] * vander.T * w
+    i_k = np.array([1.0, -1j, -1.0, 1j])[np.arange(FILON_ORDER) % 4]
+    return x, w, (np.arange(FILON_ORDER) + 0.5)[:, None] * vander.T * w, i_k
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,49 +240,64 @@ def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
     of j_0, j_1 (stable for k < z).  Each value is a function of its own z
     only, whatever else is in the array.
     """
-    n = FILON_ORDER
     z = np.asarray(z, dtype=float).ravel()
-    out = np.empty((n, z.size))
-    series, odd = _bessel_tables()
+    out = np.empty((FILON_ORDER, z.size))
     low = z < 1.0
-    if low.any():
-        zl = z[low]
-        z2 = zl * zl
-        acc = series[0] * z2
-        for c in series[1:-1]:
-            acc += c
-            acc *= z2
-        acc += series[-1]
-        out[:, low] = acc * zl ** np.arange(n)[:, None]
-    up = z > n
-    mid = ~(low | up)
-    if mid.any():
-        zm = z[mid]
-        # started positive at k = start with j_{start+1} = 0, the recurrence
-        # is a positive multiple of j_k (the Wronskian with y_{start+1} < 0)
-        c = list(odd / zm)
-        T = np.empty((_MILLER_START + 1, zm.size))
-        rows = list(T)
-        T[-1] = 1.0
-        np.multiply(c[-1], rows[-1], out=rows[-2])
-        for k in range(_MILLER_START - 1, 0, -1):
-            np.multiply(c[k], rows[k], out=rows[k - 1])
-            np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
-        # the sum runs along rows, in one order for any number of columns
-        acc = np.ascontiguousarray((odd * T * T).T).sum(axis=1)
-        out[:, mid] = T[:n] / np.sqrt(acc)
-    if up.any():
-        zu = z[up]
-        c = list(odd[:n] / zu)
-        tab = np.empty((n, zu.size))
-        rows = list(tab)
-        np.divide(np.sin(zu), zu, out=rows[0])
-        np.divide(rows[0] - np.cos(zu), zu, out=rows[1])
-        for k in range(1, n - 1):
-            np.multiply(c[k], rows[k], out=rows[k + 1])
-            np.subtract(rows[k + 1], rows[k - 1], out=rows[k + 1])
-        out[:, up] = tab
+    up = z > FILON_ORDER
+    # one function per branch: its temporaries are freed before the next
+    for branch, on in ((_jn_series, low), (_jn_miller, ~(low | up)),
+                       (_jn_upward, up)):
+        if on.any():
+            out[:, on] = branch(z[on])
     return out
+
+
+def _jn_series(z: np.ndarray) -> np.ndarray:
+    series, _ = _bessel_tables()
+    z2 = z * z
+    acc = series[0] * z2
+    for c in series[1:-1]:
+        acc += c
+        acc *= z2
+    acc += series[-1]
+    acc *= z ** np.arange(FILON_ORDER)[:, None]
+    return acc
+
+
+def _jn_miller(z: np.ndarray) -> np.ndarray:
+    _, odd = _bessel_tables()
+    # started positive at k = start with j_{start+1} = 0, the recurrence
+    # is a positive multiple of j_k (the Wronskian with y_{start+1} < 0)
+    c = list(odd / z)
+    T = np.empty((_MILLER_START + 1, z.size))
+    rows = list(T)
+    T[-1] = 1.0
+    np.multiply(c[-1], rows[-1], out=rows[-2])
+    for k in range(_MILLER_START - 1, 0, -1):
+        np.multiply(c[k], rows[k], out=rows[k - 1])
+        np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
+    del c                   # freed before the normalization's buffer
+    # the sum runs along rows, in one order for any number of columns
+    terms = np.empty((z.size, _MILLER_START + 1))
+    np.multiply(odd.T, T.T, out=terms)
+    np.multiply(terms, T.T, out=terms)
+    j = T[:FILON_ORDER]
+    np.divide(j, np.sqrt(terms.sum(axis=1)), out=j)
+    return j
+
+
+def _jn_upward(z: np.ndarray) -> np.ndarray:
+    _, odd = _bessel_tables()
+    n = FILON_ORDER
+    c = list(odd[:n] / z)
+    tab = np.empty((n, z.size))
+    rows = list(tab)
+    np.divide(np.sin(z), z, out=rows[0])
+    np.divide(rows[0] - np.cos(z), z, out=rows[1])
+    for k in range(1, n - 1):
+        np.multiply(c[k], rows[k], out=rows[k + 1])
+        np.subtract(rows[k + 1], rows[k - 1], out=rows[k + 1])
+    return tab
 
 
 def _mode_poles(modes: NormalModes) -> np.ndarray:
@@ -289,14 +317,13 @@ _E_TO_TRIG = np.array([[-0.5j, 0.5j, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
 class BathSpectrum:
     """t-independent spectral data of the baths of one cutoff, on one omega
     layout that its S distinct temperatures share: Filon data on the
-    pole-graded panels, and the nodes of the small-t sum.  Temperature s
-    has the unit weight g0(w) = w coth(w / 2T_s), and `W[s]` carries the
-    prefactors and component weights of its baths.
+    pole-graded panels, and the nodes of the small-t sum, built on first
+    read.  Temperature s has the unit weight g0(w) = w coth(w / 2T_s), and
+    `W[s]` carries the prefactors and component weights of its baths.
     """
+    numax: float           # the cutoff
     temperatures: tuple    # (S,) distinct temperatures, in bath order
     W: np.ndarray          # (S, 4, 4) sum_b (2 m_b gamma_b / pi) c_b c_b^T
-    small_nodes: np.ndarray    # (N,) GL-16 nodes of the small-t layout
-    small_weights: np.ndarray  # (S, N) their weights times g0(w)
     mids: np.ndarray       # (J,) Filon panel centres
     widths: np.ndarray     # (U,) sorted distinct Filon half-widths of all
                            #      layouts of one `bath_spectra` call
@@ -304,6 +331,27 @@ class BathSpectrum:
     coef: np.ndarray       # (J*K, 8S) 2 h (-i)^k c_k, r = (p, conj p);
                            #      columns 8s .. 8s + 7 for temperature s
     C: np.ndarray          # (S, 8) int g0 / (w - r)
+
+    @functools.cached_property
+    def small_layout(self) -> tuple:
+        """GL-16 nodes (N,) of the small-t layout and their weights times
+        g0(w), (S, N): max(4, ceil(numax FILON_MIN_T / 4 pi)) uniform
+        panels, each spanning at most two periods of exp(-i w t) at t =
+        FILON_MIN_T, bisected for the Matsubara poles alone.  Only times
+        below FILON_MIN_T read it."""
+        small = max(4, math.ceil(self.numax * FILON_MIN_T / (4.0 * math.pi)))
+        nodes, wts = _panel_nodes(*_graded_panels(
+            self.numax, small, _matsubara_poles(self.temperatures)), _GL16)
+        return nodes, np.array([wts * thermal_weight(nodes, T)
+                                for T in self.temperatures])
+
+    @property
+    def small_nodes(self) -> np.ndarray:
+        return self.small_layout[0]
+
+    @property
+    def small_weights(self) -> np.ndarray:
+        return self.small_layout[1]
 
     def transforms(self, times: np.ndarray,
                    bessel: np.ndarray) -> np.ndarray:
@@ -313,18 +361,43 @@ class BathSpectrum:
         these times over `widths`.
         """
         out = np.empty((times.size, self.coef.shape[1]), dtype=complex)
+        rows = np.empty((min(times.size, _FILON_BLOCK), self.mids.size,
+                         FILON_ORDER), dtype=complex)
         for lo in range(0, times.size, _FILON_BLOCK):
             t = times[lo:lo + _FILON_BLOCK]
-            phase = np.exp(-1j * np.outer(t, self.mids))[:, :, None]
-            rows = phase * bessel[lo:lo + _FILON_BLOCK][:, self.width_of]
+            block = rows[:t.size]
+            np.multiply(np.exp(-1j * np.outer(t, self.mids))[:, :, None],
+                        bessel[lo:lo + _FILON_BLOCK][:, self.width_of],
+                        out=block)
             # one identically shaped product per time: batch-independent
-            out[lo:lo + t.size] = (rows.reshape(t.size, 1, -1)
+            out[lo:lo + t.size] = (block.reshape(t.size, 1, -1)
                                    @ self.coef)[:, 0]
         return out
 
 
 def _matsubara_poles(temperatures) -> tuple:
     return tuple(s for T in temperatures for s in _matsubara_pole(T))
+
+
+def _filon_columns(nodes: np.ndarray, wts: np.ndarray, halfs: np.ndarray,
+                   poles: np.ndarray, T: float, out: np.ndarray) -> np.ndarray:
+    """Write 2 h (-i)^k c_k of g0 / (w - r), r = (p, conj p), into `out`
+    (J, K, 8), and return int g0 / (w - p), (4,), at temperature T.
+
+    g0 / (w - conj p) is the conjugate of g0 / (w - p), and so are its
+    Legendre coefficients and integral.  The temporaries are a few arrays
+    the size of one temperature's columns, freed on return."""
+    _, _, to_legendre, i_k = _filon_rule()
+    f = nodes - poles[:, None]
+    np.divide(thermal_weight(nodes, T), f, out=f)          # (4, J*K)
+    c = f.reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
+    integral = f @ wts
+    del f                   # before the conjugate block is allocated
+    for cols, block in ((slice(0, 4), c), (slice(4, 8), c.conj())):
+        block *= (2.0 * halfs)[:, None]
+        block *= i_k
+        out[:, :, cols] = np.moveaxis(block, 0, -1)
+    return integral
 
 
 def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
@@ -334,10 +407,10 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
     Filon panels: FILON_BASE_PANELS uniform ones on [0, numax], bisected
     until the poles +-Omega_k -+ i delta_k of g0 / (w - r) and the Matsubara
     pole 2 pi i T of each temperature lie outside each panel's Bernstein
-    ellipse BERNSTEIN_RHO.  Small-t layout: max(4, ceil(numax FILON_MIN_T /
-    4 pi)) uniform GL-16 panels, bisected for the Matsubara poles alone.
-    Logs each layout's temperatures and sizes at DEBUG level on the `duosc`
-    logger.
+    ellipse BERNSTEIN_RHO.  The small-t layout is built on first read
+    (`BathSpectrum.small_layout`), so a grid with no time below FILON_MIN_T
+    never grades it.  Logs each layout's temperatures and sizes at DEBUG
+    level on the `duosc` logger.
     """
     groups = {}          # numax -> {T -> W}, both in bath order
     for mass, gamma, T, numax, c in zip(
@@ -353,46 +426,38 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
     panels = [_graded_panels(numax, FILON_BASE_PANELS,
                              tuple(poles) + _matsubara_poles(temps))
               for numax, temps in groups.items()]
-    # one sorted width array for all layouts: one Bessel table per call
-    widths, width_of = np.unique(np.concatenate([h for _, h in panels]),
-                                 return_inverse=True)
-    gl_x, gl_w, to_legendre = _filon_rule()
-    i_k = np.array([1.0, -1j, -1.0, 1j])[np.arange(FILON_ORDER) % 4]
+    # one sorted width array for all layouts: one Bessel table per call.
+    # A layout has about a dozen distinct widths, which a Python set finds
+    # in a fraction of the cost of np.unique
+    all_halfs = np.concatenate([h for _, h in panels])
+    widths = np.array(sorted(set(all_halfs.tolist())))
+    width_of = np.searchsorted(widths, all_halfs)
+    gl_x, gl_w, _, _ = _filon_rule()
     out = []
     start = 0
     for (numax, temps), (mids, halfs) in zip(groups.items(), panels):
         nodes, wts = _panel_nodes(mids, halfs, (gl_x, gl_w))
-        # at most two periods of exp(-i w t) per panel at t = FILON_MIN_T
-        small = max(4, math.ceil(numax * FILON_MIN_T / (4.0 * math.pi)))
-        s_nodes, s_wts = _panel_nodes(
-            *_graded_panels(numax, small, _matsubara_poles(temps)), _GL16)
-        blocks = []          # (8, J, K) 2 h (-i)^k c_k per temperature
+        coef = np.empty((nodes.size, 8 * len(temps)), dtype=complex)
+        # coef[(j, k), (s, r)]: panel j, order k, temperature s, column r
+        by_panel = coef.reshape(halfs.size, FILON_ORDER, len(temps), 8)
         C = np.empty((len(temps), 8), dtype=complex)
-        small_weights = np.empty((len(temps), s_nodes.size))
         for s, T in enumerate(temps):
-            # g0 / (w - p), (4, J*K); g0 / (w - conj p) is its conjugate, and
-            # so are its Legendre coefficients and integral
-            f = thermal_weight(nodes, T) / (nodes - poles[:, None])
-            c = f.reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
-            blocks.append(np.concatenate([c, c.conj()])
-                          * (2.0 * halfs)[:, None] * i_k)
-            C[s, :4] = f @ wts
+            C[s, :4] = _filon_columns(nodes, wts, halfs, poles, T,
+                                      by_panel[:, :, s])
             C[s, 4:] = C[s, :4].conj()
-            small_weights[s] = s_wts * thermal_weight(s_nodes, T)
         w_of = width_of[start:start + halfs.size]
         start += halfs.size
+        sp = BathSpectrum(
+            numax=numax, temperatures=tuple(temps),
+            W=np.array(list(temps.values())), mids=mids, widths=widths,
+            width_of=w_of, coef=coef, C=C)
         if log.isEnabledFor(logging.DEBUG):
             log.debug("bath layout numax=%.6g T=%s: %d Filon panels, "
                       "%d nodes, %d distinct widths; %d small-t nodes",
                       numax, ", ".join(f"{T:.6g}" for T in temps),
                       halfs.size, nodes.size, np.unique(w_of).size,
-                      s_nodes.size)
-        out.append(BathSpectrum(
-            temperatures=tuple(temps), W=np.array(list(temps.values())),
-            small_nodes=s_nodes, small_weights=small_weights, mids=mids,
-            widths=widths, width_of=w_of, coef=np.ascontiguousarray(
-                np.concatenate(blocks).reshape(8 * len(temps), -1).T),
-            C=C))
+                      sp.small_nodes.size)
+        out.append(sp)
     return tuple(out)
 
 

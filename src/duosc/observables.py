@@ -79,11 +79,6 @@ def _rs_min_eigs(cov: np.ndarray, hbar: float) -> np.ndarray:
     return np.min(np.linalg.eigvalsh(cov + 0.5j * hbar * _J), axis=-1)
 
 
-def robertson_schrodinger_min_eig(cov: np.ndarray, hbar: float = 1.0) -> float:
-    """Smallest eigenvalue of cov + (i hbar / 2) J; >= 0 for a valid state."""
-    return float(_rs_min_eigs(np.asarray(cov, dtype=float)[None], hbar)[0])
-
-
 # the (i, j) element of the covariance over (x1, x2, p1, p2) behind each
 # second-moment field of CovarianceReport, in field order
 _ROW, _COL = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3),

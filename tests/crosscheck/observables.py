@@ -23,7 +23,8 @@ production states from the engine's moments.
 `finite_difference_moments` takes the moments straight from rho(x, y):
 positions by Gauss-Hermite quadrature on the diagonal distribution, momenta
 by finite differences in the off-diagonal direction.  Slow; the independent
-check of `report`.
+check of `report`.  `robertson_schrodinger_min_eig` is the one-matrix call
+of the production uncertainty bound.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import astuple
 import numpy as np
 
 from duosc.observables import (_GH_NODES, _GH_WEIGHTS, CovarianceReport,
-                               _blocks, hermiticity_error,
+                               _blocks, _rs_min_eigs, hermiticity_error,
                                reports_from_moments)
 from duosc.reduction import STATE_FIELDS, GaussianStateParams
 
@@ -71,6 +72,12 @@ def report(state: GaussianStateParams, hbar: float = 1.0) -> CovarianceReport:
     `report_table`."""
     return CovarianceReport(
         *report_table(np.array([astuple(state)]), hbar)[0].tolist())
+
+
+def robertson_schrodinger_min_eig(cov: np.ndarray, hbar: float = 1.0) -> float:
+    """Smallest eigenvalue of cov + (i hbar / 2) J, one matrix through the
+    production table's `_rs_min_eigs`; >= 0 for a valid state."""
+    return float(_rs_min_eigs(np.asarray(cov, dtype=float)[None], hbar)[0])
 
 
 def finite_difference_moments(state: GaussianStateParams,

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,10 @@ from duosc.cli import preset_config
 from duosc.config import InternalForce, to_internal, validate_config
 from duosc.errors import ConfigError
 from duosc.influence import (BERNSTEIN_RHO, FILON_BASE_PANELS, FILON_MIN_T,
-                             _FILON_BLOCK, _bernstein_rho, _graded_panels,
-                             _matsubara_pole, _mode_poles, bath_spectra,
-                             grid_noise, spherical_jn_orders, thermal_weight)
+                             FILON_ORDER, _FILON_BLOCK, _bernstein_rho,
+                             _graded_panels, _matsubara_pole, _mode_poles,
+                             bath_spectra, grid_noise, spherical_jn_orders,
+                             thermal_weight)
 from duosc.modes import check_caustic, component_weights, solve_determinant
 
 from crosscheck.brute import (brute_double_integral, brute_square_form,
@@ -170,14 +172,17 @@ def test_triangle_trapezoid_agrees_at_its_own_order(ic_fig3, modes_fig3):
 _GL32 = np.polynomial.legendre.leggauss(32)
 
 
-def physical_ic(name="fig3", cutoff=None, kelvin=None, kelvin1=None):
+def physical_ic(name="fig3", cutoff=None, kelvin=None, kelvin1=None,
+                cutoff1=None):
     """A preset with an optional cutoff (x omega01) and bath temperature;
-    `kelvin1` sets bath 1's temperature alone."""
+    `kelvin1` and `cutoff1` set bath 1's alone."""
     cfg = preset_config(name)
     b1, b2 = cfg.bath1, cfg.bath2
+    w = cfg.osc1.eigenfrequency
     if cutoff is not None:
-        w = cfg.osc1.eigenfrequency
         b1, b2 = replace(b1, cutoff=cutoff * w), replace(b2, cutoff=cutoff * w)
+    if cutoff1 is not None:
+        b1 = replace(b1, cutoff=cutoff1 * w)
     if kelvin is not None:
         b1 = replace(b1, temperature=kelvin)
         b2 = replace(b2, temperature=kelvin)
@@ -515,8 +520,8 @@ def test_one_bessel_table_per_call(monkeypatch):
 
 def test_temperatures_on_a_cutoff_share_its_layout(monkeypatch):
     """On fig4 (300 K and 900 K on one cutoff) a call grades one Filon and
-    one small-t layout, and `grid_noise` forms the small-t transforms once
-    per block of times for both temperatures."""
+    one small-t layout, the second on first read, and `grid_noise` forms
+    the small-t transforms once per block of times for both temperatures."""
     ic, modes = physical_ic("fig4")
     calls = {"_graded_panels": 0, "_elementary_transforms": 0}
 
@@ -531,12 +536,98 @@ def test_temperatures_on_a_cutoff_share_its_layout(monkeypatch):
     for name in calls:
         monkeypatch.setattr(influence, name, counting(name))
     spectra = bath_spectra(ic, modes)
-    assert calls["_graded_panels"] == 2
+    assert calls["_graded_panels"] == 1
     times = np.concatenate([np.geomspace(1e-4, 0.9, 2 * _FILON_BLOCK + 3),
                             [1.0, 7.7]])
     grid_noise(modes, times, spectra)
     assert calls["_elementary_transforms"] == 3
     assert calls["_graded_panels"] == 2
+
+
+SPECTRA_CASES = [("fig2", {}), ("fig3", {}), ("fig4", {}),
+                 ("fig4", {"cutoff": 200.0}), ("fig3", {"cutoff1": 200.0})]
+
+
+@pytest.mark.parametrize("name, kw", SPECTRA_CASES)
+def test_small_t_layout_is_built_on_first_read(monkeypatch, name, kw):
+    """A grid with every time at or above FILON_MIN_T grades one layout
+    per cutoff, the Filon one; a grid with times below reads the small-t
+    layout, and its blocks are the same, bit for bit, as on spectra whose
+    small-t layout was built before the call."""
+    ic, modes = physical_ic(name, **kw)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _graded_panels(*args)
+
+    monkeypatch.setattr(influence, "_graded_panels", counted)
+    spectra = bath_spectra(ic, modes)
+    grid_noise(modes, np.array([FILON_MIN_T, 2.7, 29.9]), spectra)
+    assert len(calls) == len(spectra)
+    mixed = np.array([1e-4, 0.3, 0.999, FILON_MIN_T, 7.7])
+    lazy = grid_noise(modes, mixed, spectra)
+    assert len(calls) == 2 * len(spectra)
+    eager = bath_spectra(ic, modes)
+    for sp in eager:
+        nodes, weights = sp.small_layout
+        assert weights.shape == (len(sp.temperatures), nodes.size)
+    assert np.array_equal(grid_noise(modes, mixed, eager), lazy)
+
+
+def concatenated_coefficients(sp, modes):
+    """Reference for `coef` and `C`: per temperature, one concatenated
+    (8, J, K) block scaled by out-of-place products, then all temperatures
+    stacked and transposed into a contiguous copy."""
+    poles = _mode_poles(modes)
+    halfs = sp.widths[sp.width_of]
+    gl_x, gl_w, to_legendre, _ = influence._filon_rule()
+    nodes = (sp.mids[:, None] + halfs[:, None] * gl_x).ravel()
+    wts = (halfs[:, None] * gl_w).ravel()
+    i_k = np.array([1.0, -1j, -1.0, 1j])[np.arange(FILON_ORDER) % 4]
+    blocks = []
+    C = np.empty((len(sp.temperatures), 8), dtype=complex)
+    for s, T in enumerate(sp.temperatures):
+        f = thermal_weight(nodes, T) / (nodes - poles[:, None])
+        c = f.reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
+        blocks.append(np.concatenate([c, c.conj()])
+                      * (2.0 * halfs)[:, None] * i_k)
+        C[s, :4] = f @ wts
+        C[s, 4:] = C[s, :4].conj()
+    coef = np.ascontiguousarray(
+        np.concatenate(blocks).reshape(8 * len(sp.temperatures), -1).T)
+    return coef, C
+
+
+@pytest.mark.parametrize("name, kw", SPECTRA_CASES)
+def test_coefficients_match_the_concatenated_reference(name, kw):
+    """`coef` and `C`, written in place per temperature, are bit for bit
+    the concatenate-and-transpose construction: one temperature (fig2,
+    fig3), two on one layout (fig4), and two spectra (fig3 with bath 1 at
+    cutoff 200)."""
+    ic, modes = physical_ic(name, **kw)
+    for sp in bath_spectra(ic, modes):
+        coef, C = concatenated_coefficients(sp, modes)
+        assert sp.coef.shape == coef.shape and sp.coef.flags.c_contiguous
+        assert np.array_equal(sp.coef, coef) and np.array_equal(sp.C, C)
+
+
+@pytest.mark.parametrize("name, kw", [("fig3", {}),
+                                      ("fig4", {"cutoff": 200.0})])
+def test_spectra_set_up_allocates_little_beyond_its_result(name, kw):
+    """The traced peak of `bath_spectra` stays within 3 times the bytes of
+    the Filon coefficients it returns (fig3; wideband: fig4 baths at
+    cutoff 200), so a call's set-up makes no stacked or transposed copies
+    of them."""
+    ic, modes = physical_ic(name, **kw)
+    spectra = bath_spectra(ic, modes)      # first-use tables built here
+    tracemalloc.start()
+    try:
+        spectra = bath_spectra(ic, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(sp.coef.nbytes for sp in spectra)
 
 
 def test_mixed_temperatures_on_one_layout_against_dense_reference():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from duosc.engine import simulate
-from duosc.observables import (hermiticity_error, numeric_trace,
-                               robertson_schrodinger_min_eig)
+from duosc.observables import hermiticity_error, numeric_trace
 from duosc.reduction import initial_state
 
-from crosscheck.observables import report, verify_state
+from crosscheck.observables import (report, robertson_schrodinger_min_eig,
+                                    verify_state)
 
 
 def test_initial_moments(ic_fig3):

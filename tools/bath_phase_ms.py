@@ -1,21 +1,37 @@
-"""Bath-phase cost per time point, and per call.
+"""Bath-phase cost per time point, and per call, warm and cold.
 
     python3 tools/bath_phase_ms.py
 
-For the fig3 preset and the wideband configuration (fig4 baths, cutoff 200
-omega01, no forces) on their 2000-point grids, prints one line per bath
-spectrum (one per distinct cutoff) with the temperatures that share its two
-omega layouts and their sizes (Filon panels and nodes for t >= 1, nodes of
-the direct sum below), the wall time per point of influence.bath_spectra
-once plus influence.grid_noise over the full grid in the engine's chunks,
-and the fixed cost every engine.simulate call pays, in ms per call (best of
-several repeats): influence.bath_spectra, and the spherical Bessel table of
-a 2-time grid (influence.spherical_jn_orders over both times' Filon widths).
+For the fig3 preset, the wideband configuration (fig4 baths, cutoff 200
+omega01, no forces) and fig3 with a sampled force on oscillator 1, on
+their 2000-point grids, prints one line per bath spectrum (one per
+distinct cutoff) with the temperatures that share its two omega layouts
+and their sizes (Filon panels and nodes for t >= 1, nodes of the direct
+sum below), the wall time per point of influence.bath_spectra once plus
+influence.grid_noise over the full grid in the engine's chunks, and the
+fixed cost every engine.simulate call pays, in ms per call:
+influence.bath_spectra, the spherical Bessel table of a 2-time grid
+(influence.spherical_jn_orders over both times' Filon widths) and a whole
+2-time engine.simulate call.
 
-BLAS is pinned to one thread, as in the benchmark.
+Each per-call figure is given twice.  Warm is the best of several timeit
+repeats of back-to-back calls.  Cold is the median over calls that each
+follow a kernel of a pure-Python loop and small numpy calls, as a caller's
+own work between calls would run: it evicts the caches and lets the
+allocator hand freed heap back to the system, so a call that allocates
+large temporaries pays page faults again.  The minor page faults per cold
+call (median, from resource.getrusage) are printed beside it.  The cold
+figures of each configuration come from a fresh interpreter, since the
+allocator's thresholds depend on what the process allocated before.
+
+BLAS is pinned to one thread.
 """
 
+import math
+import multiprocessing
 import os
+import resource
+import statistics
 import sys
 import time
 import timeit
@@ -31,10 +47,25 @@ import numpy as np  # noqa: E402
 
 from duosc.cli import preset_config  # noqa: E402
 from duosc.config import ForceSpec, to_internal, validate_config  # noqa: E402
-from duosc.engine import CHUNK  # noqa: E402
+from duosc.engine import CHUNK, simulate  # noqa: E402
 from duosc.influence import (FILON_ORDER, bath_spectra,  # noqa: E402
                              grid_noise, spherical_jn_orders)
 from duosc.modes import solve_determinant  # noqa: E402
+
+COLD_CALLS = 25
+
+
+def sampled_force(cfg):
+    """Three tones under a sin^2 envelope on oscillator 1, 257 samples over
+    [0, t_end], one packet width of static displacement in scale."""
+    osc = cfg.osc1
+    t_end = cfg.time_grid.t_end
+    ts = np.linspace(0.0, t_end, 257)
+    tones = np.sin(np.outer(ts, [0.45, 0.8, 1.3]) * osc.eigenfrequency
+                   + [0.3, 2.1, 4.0]) @ [0.9, -0.6, 0.7]
+    scale = osc.mass * osc.eigenfrequency ** 2 * math.sqrt(osc.sigma0_sq)
+    values = scale * np.sin(math.pi * ts / t_end) ** 2 * tones
+    return ForceSpec(kind="sampled", times=tuple(ts), values=tuple(values))
 
 
 def configs():
@@ -45,16 +76,66 @@ def configs():
     wide = replace(fig4, bath1=replace(fig4.bath1, cutoff=cut),
                    bath2=replace(fig4.bath2, cutoff=cut),
                    force1=zero, force2=zero)
-    return {"fig3": fig3, "wideband": wide}
+    sampled = replace(fig3, force1=sampled_force(fig3), force2=zero)
+    return {"fig3": fig3, "wideband": wide, "sampled": sampled}
 
 
 def ms_per_call(fn, number: int = 200) -> float:
     return 1e3 * min(timeit.repeat(fn, number=number, repeat=5)) / number
 
 
+def disturb() -> float:
+    """About 50 ms of a caller's own work: a pure-Python loop, then an
+    interpreter loop over small numpy calls."""
+    acc = 0
+    for j in range(250_000):
+        acc += (j * j) % 7
+    x = np.linspace(0.0, 1.0, 12)
+    for j in range(6_000):
+        acc += float(np.sum(np.exp(x * (j * 1e-5))))
+    return acc
+
+
+def cold(fn) -> tuple:
+    """Median ms and minor page faults of `fn` over COLD_CALLS calls, each
+    after `disturb`."""
+    ms, faults = [], []
+    for _ in range(COLD_CALLS):
+        disturb()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        fn()
+        ms.append(1e3 * (time.perf_counter() - start))
+        faults.append(
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return statistics.median(ms), statistics.median(faults)
+
+
+def per_call_fns(name: str) -> dict:
+    """The per-call functions of configuration `name`, by label."""
+    ic = to_internal(validate_config(configs()[name]))
+    modes = solve_determinant(ic)
+    times = np.linspace(0.0, ic.t_end, ic.n_points)[1:]
+    pair = times[[times.size // 4, times.size // 2]]
+    two = np.outer(pair, bath_spectra(ic, modes)[0].widths).ravel()
+    return {"bath_spectra": lambda: bath_spectra(ic, modes),
+            f"2-time Bessel table ({two.size} arguments)":
+                lambda: spherical_jn_orders(two),
+            "2-time simulate": lambda: simulate(ic, pair)}
+
+
+def cold_figures(name: str) -> list:
+    return [cold(fn) for fn in per_call_fns(name).values()]
+
+
 def main() -> None:
-    for name, cfg in configs().items():
-        ic = to_internal(validate_config(cfg))
+    names = list(configs())
+    # one fresh interpreter per configuration
+    with multiprocessing.get_context("spawn").Pool(
+            1, maxtasksperchild=1) as pool:
+        cold_rows = pool.map(cold_figures, names, chunksize=1)
+    for name, cold_row in zip(names, cold_rows):
+        ic = to_internal(validate_config(configs()[name]))
         modes = solve_determinant(ic)
         times = np.linspace(0.0, ic.t_end, ic.n_points)[1:]
 
@@ -73,14 +154,10 @@ def main() -> None:
               f"whole-grid {1e3 * whole:6.3f} ms/point "
               f"({times.size} points)")
 
-        two = np.outer(times[[times.size // 4, times.size // 2]],
-                       spectra[0].widths).ravel()
-        print(f"{'':9s} "
-              f"per call: bath_spectra "
-              f"{ms_per_call(lambda: bath_spectra(ic, modes)):6.3f} ms   "
-              f"2-time Bessel table "
-              f"{ms_per_call(lambda: spherical_jn_orders(two)):6.3f} ms "
-              f"({two.size} arguments)")
+        for (label, fn), (cold_ms, faults) in zip(
+                per_call_fns(name).items(), cold_row):
+            print(f"{'':9s} per call: {label} {ms_per_call(fn):6.3f} warm, "
+                  f"{cold_ms:6.3f} cold ms ({faults:g} faults)")
 
 
 if __name__ == "__main__":
