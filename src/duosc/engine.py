@@ -42,8 +42,8 @@ from .influence import bath_spectra, grid_noise
 from .modes import initial_amplitude_map, response_matrices, solve_determinant
 from .observables import (REPORT_FIELDS, CovarianceReport,
                           reports_from_moments)
-from .reduction import (GaussianStateParams, initial_variances,
-                        position_form, states_from_moments)
+from .reduction import (GaussianStateParams, check_normalizable,
+                        initial_variances, states_from_moments)
 
 CHUNK = 64      # times per chunk: one array pass and one thread-pool task
 
@@ -116,6 +116,9 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     if times is None:
         times = np.linspace(0.0, cfg.t_end, cfg.n_points)
     times = np.array(times, dtype=float)
+    if times.ndim != 1:
+        raise ConfigError(f"simulate needs a 1-D array of times, got "
+                          f"shape {times.shape}")
     if not np.all(np.isfinite(times)):
         raise ConfigError("simulate needs finite times")
     gamma_t = max(cfg.gamma1, cfg.gamma2) * np.max(times, initial=0.0)
@@ -129,7 +132,8 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     K0 = initial_amplitude_map(modes)
     A0 = (K0 * c0) @ K0.T           # C0 carried to the mode amplitudes
     means = np.zeros((times.size, 4))
-    cov = np.tile(np.diag(c0), (times.size, 1, 1))     # t <= 0 keeps C0
+    cov = np.empty((times.size, 4, 4))
+    cov[:] = np.diag(c0)            # t <= 0 keeps C0
 
     def run(idx: np.ndarray) -> None:
         t = times[idx]
@@ -149,7 +153,7 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     else:
         for idx in chunks:
             run(idx)
-    position_form(times, cov)   # NotNormalizable for the first bad time
+    check_normalizable(times, cov)      # raises for the first bad time
     for array in (times, means, cov):
         array.flags.writeable = False
     return SimulationResult(config=cfg, times=times, means=means, cov=cov)

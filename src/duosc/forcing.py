@@ -141,7 +141,10 @@ def drive_amplitudes(modes: NormalModes, f1, f2,
     delta = np.array([modes.delta1, modes.delta2])
     out = np.zeros((times.size, 4))
     for f, u in zip((f1, f2), component_weights(modes)):
+        if f.is_zero:           # its moments are 0: the sum gains only +-0
+            continue
         M, N = oscillatory_moments(f, Omega, delta, times)
-        out += u * np.stack([M[0], N[0], M[1], N[1]], axis=1)
+        out[:, 0::2] += u[0::2] * M.T
+        out[:, 1::2] += u[1::2] * N.T
     return out
 

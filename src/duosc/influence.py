@@ -134,24 +134,24 @@ def _elementary_transforms(modes: NormalModes, times,
     """F_c(t, w) = int_0^t psi_c(tau) exp(-i w tau) dtau for the four
     anti-damped elementary functions [sin1, cos1, sin2, cos2]; (n, 4, N)
     for n times and N frequencies: the small-t branch of `grid_noise`."""
-    t = np.asarray(times, dtype=float).reshape(-1, 1)
-    out = np.empty((t.shape[0], 4, omega.size), dtype=complex)
+    t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
+    # E(alpha) = (exp(alpha t) - 1) / alpha for the exponents
+    # [d1 + i (O1 - w), d1 - i (O1 + w), d2 + ..., d2 - ...], (4, N)
+    alpha = np.empty((4, omega.size), dtype=complex)
     for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
                                 (modes.Omega2, modes.delta2))):
-        ap = d + 1j * (O - omega)
-        am = d - 1j * (O + omega)
-
-        def E(alpha):
-            # expm1: exp(alpha t) - 1 cancels where |alpha t| << 1, which
-            # near w = Omega costs up to 1e-9 relative at t ~ 1e-5
-            zero = alpha == 0.0
-            res = np.expm1(alpha * t) / np.where(zero, 1.0, alpha)
-            res[:, zero] = t
-            return res
-
-        Ep, Em = E(ap), E(am)
-        out[:, 2 * k] = (Ep - Em) / 2j
-        out[:, 2 * k + 1] = (Ep + Em) / 2.0
+        alpha[2 * k] = d + 1j * (O - omega)
+        alpha[2 * k + 1] = d - 1j * (O + omega)
+    # expm1: exp(alpha t) - 1 cancels where |alpha t| << 1, which near
+    # w = Omega costs up to 1e-9 relative at t ~ 1e-5
+    zero = alpha == 0.0
+    E = np.expm1(alpha * t)
+    E /= np.where(zero, 1.0, alpha)
+    E[:, zero] = t[:, 0]
+    Ep, Em = E[:, 0::2], E[:, 1::2]
+    out = np.empty_like(E)
+    out[:, 0::2] = (Ep - Em) / 2j
+    out[:, 1::2] = (Ep + Em) / 2.0
     return out
 
 
@@ -206,13 +206,15 @@ _SERIES_TERMS = 10         # power series of j_k below z = 1: 1e-17 relative
 
 @functools.lru_cache(maxsize=None)
 def _filon_rule():
-    """GL-K nodes and weights on [-1, 1], the (K, K) matrix taking node
-    values to Legendre coefficients, and (-i)^k, (K,); built on first use,
-    not import."""
+    """GL-K nodes and weights on [-1, 1]; the (K, K) matrix that takes
+    node values, as rows, to Legendre coefficients, cast to complex once so
+    that no product with the complex integrand casts it again; and (-i)^k,
+    (K,).  Built on first use, not import."""
     x, w = np.polynomial.legendre.leggauss(FILON_ORDER)
     vander = np.polynomial.legendre.legvander(x, FILON_ORDER - 1)
     i_k = np.array([1.0, -1j, -1.0, 1j])[np.arange(FILON_ORDER) % 4]
-    return x, w, (np.arange(FILON_ORDER) + 0.5)[:, None] * vander.T * w, i_k
+    to_legendre = (np.arange(FILON_ORDER) + 0.5)[:, None] * vander.T * w
+    return x, w, to_legendre.T.astype(complex), i_k
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,6 +236,10 @@ def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
     """Spherical Bessel functions j_0..j_{n-1} at z >= 1e-30, n =
     FILON_ORDER; shape (n, z.size).
 
+    The result is the transposed view of a C-contiguous (z.size, n)
+    buffer: its `.T` holds each argument's n orders side by side, the
+    layout in which `BathSpectrum.transforms` reads them.
+
     Below z = 1 the power series; up to z = n Miller's downward recurrence
     from the fixed index 2n + 8, normalized by sum_k (2k+1) j_k^2 = 1 over
     every recurrence term; above n upward recurrence from the closed forms
@@ -241,7 +247,7 @@ def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
     only, whatever else is in the array.
     """
     z = np.asarray(z, dtype=float).ravel()
-    out = np.empty((FILON_ORDER, z.size))
+    out = np.empty((z.size, FILON_ORDER)).T
     low = z < 1.0
     up = z > FILON_ORDER
     # one function per branch: its temporaries are freed before the next
@@ -311,6 +317,7 @@ def _mode_poles(modes: NormalModes) -> np.ndarray:
 # E_a -> [sin1, cos1, sin2, cos2]: sin = (E+ - E-) / 2i, cos = (E+ + E-) / 2
 _E_TO_TRIG = np.array([[-0.5j, 0.5j, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
                        [0.0, 0.0, -0.5j, 0.5j], [0.0, 0.0, 0.5, 0.5]])
+_TRIG_TO_E = _E_TO_TRIG.conj().T
 
 
 @dataclass(frozen=True)
@@ -357,21 +364,28 @@ class BathSpectrum:
                    bessel: np.ndarray) -> np.ndarray:
         """D_r(t) = int g0 exp(-i w t) / (w - r) dw for t > 0, shape (n, 8S),
         columns as in `coef`: per time, the row exp(-i m t) j_k(h t) over
-        (panel, k) times `coef`.  `bessel` (n, U, K) holds j_k(h t) for
-        these times over `widths`.
+        (panel, k) times `coef`.  `bessel`, C-contiguous (n, U, K), holds
+        j_k(h t) for these times over `widths`.
+
+        The phases exp(-i m t) are one (n, J) table per call.  Each block
+        of _FILON_BLOCK times gathers its Bessel values into the real part
+        of one reused complex buffer and multiplies the phases into it in
+        place: the products of the complex multiply by j + 0i, with no
+        float-to-complex cast.
         """
         out = np.empty((times.size, self.coef.shape[1]), dtype=complex)
+        phase = np.exp(-1j * np.outer(times, self.mids))[:, :, None]
         rows = np.empty((min(times.size, _FILON_BLOCK), self.mids.size,
                          FILON_ORDER), dtype=complex)
         for lo in range(0, times.size, _FILON_BLOCK):
-            t = times[lo:lo + _FILON_BLOCK]
-            block = rows[:t.size]
-            np.multiply(np.exp(-1j * np.outer(t, self.mids))[:, :, None],
-                        bessel[lo:lo + _FILON_BLOCK][:, self.width_of],
-                        out=block)
+            hi = min(lo + _FILON_BLOCK, times.size)
+            block = rows[:hi - lo]
+            np.take(bessel[lo:hi], self.width_of, axis=1, out=block.real,
+                    mode="clip")
+            block.imag = 0.0
+            block *= phase[lo:hi]
             # one identically shaped product per time: batch-independent
-            out[lo:lo + t.size] = (block.reshape(t.size, 1, -1)
-                                   @ self.coef)[:, 0]
+            out[lo:hi] = (block.reshape(hi - lo, 1, -1) @ self.coef)[:, 0]
         return out
 
 
@@ -385,16 +399,18 @@ def _filon_columns(nodes: np.ndarray, wts: np.ndarray, halfs: np.ndarray,
     (J, K, 8), and return int g0 / (w - p), (4,), at temperature T.
 
     g0 / (w - conj p) is the conjugate of g0 / (w - p), and so are its
-    Legendre coefficients and integral.  The temporaries are a few arrays
-    the size of one temperature's columns, freed on return."""
+    Legendre coefficients and integral.  The Legendre matrix and the scale
+    2 h are complex, so their products cast nothing; the temporaries are a
+    few arrays the size of one temperature's columns, freed on return."""
     _, _, to_legendre, i_k = _filon_rule()
     f = nodes - poles[:, None]
     np.divide(thermal_weight(nodes, T), f, out=f)          # (4, J*K)
-    c = f.reshape(4, halfs.size, FILON_ORDER) @ to_legendre.T
+    c = f.reshape(4, halfs.size, FILON_ORDER) @ to_legendre
     integral = f @ wts
     del f                   # before the conjugate block is allocated
+    scale = (2.0 * halfs).astype(complex)[:, None]
     for cols, block in ((slice(0, 4), c), (slice(4, 8), c.conj())):
-        block *= (2.0 * halfs)[:, None]
+        block *= scale
         block *= i_k
         out[:, :, cols] = np.moveaxis(block, 0, -1)
     return integral
@@ -461,20 +477,26 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
     return tuple(out)
 
 
-def _sigma(poles: np.ndarray, C: np.ndarray, D: np.ndarray,
-           t: np.ndarray) -> np.ndarray:
-    """Sigma_ab(t) = int g0 E_a conj(E_b) dw from C and D, shape (n, 4, 4)."""
+def _sigma_phases(poles: np.ndarray, t: np.ndarray) -> tuple:
+    """The factors of Sigma that depend on t alone, (n, 4, 4) each, shared by
+    every spectrum and temperature of a call; and p_a - conj p_b, (4, 4)."""
     p, pc = poles[:, None], poles.conj()[None, :]          # p_a, conj p_b
     den = p - pc
+    tt = t[:, None, None]
+    return (den, np.exp(1j * den * tt) + 1.0, np.exp(1j * p * tt),
+            np.exp(-1j * pc * tt))
+
+
+def _sigma(C: np.ndarray, D: np.ndarray, phases: tuple) -> np.ndarray:
+    """Sigma_ab(t) = int g0 E_a conj(E_b) dw from C, D and `_sigma_phases`,
+    shape (n, 4, 4)."""
+    den, e_den, e_p, e_pc = phases
     dC = C[:4, None] - C[None, 4:]
     D_p, D_pc = D[:, :4], D[:, 4:]
     dD = D_p[:, :, None] - D_pc[:, None, :]
     # int g exp(+i w t) / (w - r) = conj(D(conj r))
     dDc = (D_pc[:, :, None] - D_p[:, None, :]).conj()
-    tt = t[:, None, None]
-    return ((np.exp(1j * den * tt) + 1.0) * dC
-            - np.exp(1j * p * tt) * dD
-            - np.exp(-1j * pc * tt) * dDc) / den
+    return (e_den * dC - e_p * dD - e_pc * dDc) / den
 
 
 def grid_noise(modes: NormalModes, times, spectra: tuple) -> np.ndarray:
@@ -497,14 +519,14 @@ def grid_noise(modes: NormalModes, times, spectra: tuple) -> np.ndarray:
         return R
     small = np.flatnonzero(times < FILON_MIN_T)
     filon = np.flatnonzero(times >= FILON_MIN_T)
-    poles = _mode_poles(modes)
     tf = times[filon]
+    R_filon = np.zeros((tf.size, 4, 4))
     if filon.size and spectra:
-        # (n, U, K); the layouts share one width array, so one table
-        # serves them all
-        bessel = np.moveaxis(spherical_jn_orders(
-            np.outer(tf, spectra[0].widths)).reshape(
-                FILON_ORDER, tf.size, -1), 0, -1)
+        # (n, U, K), C-contiguous; the layouts share one width array, so
+        # one table serves them all
+        bessel = spherical_jn_orders(np.outer(tf, spectra[0].widths)).T \
+            .reshape(tf.size, -1, FILON_ORDER)
+        phases = _sigma_phases(_mode_poles(modes), tf)
     # each time is one branch, and its terms are added in bath order
     for sp in spectra:
         for lo in range(0, small.size, _FILON_BLOCK):
@@ -516,6 +538,7 @@ def grid_noise(modes: NormalModes, times, spectra: tuple) -> np.ndarray:
         if filon.size:
             D = sp.transforms(tf, bessel)
             for s, (C, W) in enumerate(zip(sp.C, sp.W)):
-                S = _sigma(poles, C, D[:, 8 * s:8 * s + 8], tf)
-                R[filon] += (_E_TO_TRIG @ S @ _E_TO_TRIG.conj().T).real * W
+                S = _sigma(C, D[:, 8 * s:8 * s + 8], phases)
+                R_filon += (_E_TO_TRIG @ S @ _TRIG_TO_E).real * W
+    R[filon] = R_filon
     return R

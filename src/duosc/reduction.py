@@ -132,20 +132,19 @@ def _check_normalizable(times, g1, g2, delta) -> None:
             f"det={delta[i]:.3e}")
 
 
-def position_form(times: np.ndarray, cov: np.ndarray) -> tuple:
-    """(Cxx^-1, g1, g2, g12) of covariance matrices (n, 4, 4), G = Cxx^-1 / 4
-    holding (2 g1, g12, 2 g2); NotNormalizable for the first time at which
-    G is not positive definite."""
+def check_normalizable(times: np.ndarray, cov: np.ndarray) -> tuple:
+    """(g1, g2, g12) of the position form G = Cxx^-1 / 4 of covariance
+    matrices (n, 4, 4), G holding (2 g1, g12, 2 g2); NotNormalizable for the
+    first time at which G is not positive definite."""
     a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
     det = a * c - b * b
     # Cxx^-1 = [[c, -b], [-b, a]] / det, exactly symmetric
-    inv = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2) \
-        / det[:, None, None]
-    G = 0.25 * inv
-    g1, g2, g12 = 0.5 * G[:, 0, 0], 0.5 * G[:, 1, 1], G[:, 0, 1]
+    g1 = 0.5 * (0.25 * (c / det))
+    g2 = 0.5 * (0.25 * (a / det))
+    g12 = 0.25 * (-b / det)
     _check_normalizable(times, g1, g2, (8.0 * g1) * (8.0 * g2)
                         - (4.0 * g12) ** 2)
-    return inv, g1, g2, g12
+    return g1, g2, g12
 
 
 def states_from_moments(times: np.ndarray, means: np.ndarray,
@@ -161,7 +160,10 @@ def states_from_moments(times: np.ndarray, means: np.ndarray,
     2 g2) and (2 gp1, gp12, 2 gp2).  NotNormalizable for the first time at
     which Cxx is not positive definite.
     """
-    inv, g1, g2, g12 = position_form(times, cov)
+    g1, g2, g12 = check_normalizable(times, cov)
+    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    inv = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2) \
+        / (a * c - b * b)[:, None, None]
     Cxp, Cpp = cov[:, :2, 2:], cov[:, 2:, 2:]
     G = 0.25 * inv
     Gamma = (2.0 / hbar) * G @ Cxp

@@ -31,7 +31,8 @@ import numpy as np
 
 from duosc.config import InternalConfig
 from duosc.errors import ConfigError
-from duosc.influence import (_GL16, _elementary_transforms, _graded_panels,
+from duosc.influence import (_FILON_BLOCK, _GL16, FILON_ORDER,
+                             _elementary_transforms, _graded_panels,
                              _matsubara_pole, _panel_nodes, bath_spectra,
                              grid_noise, thermal_weight)
 from duosc.modes import NormalModes, check_caustic, component_weights
@@ -102,3 +103,45 @@ def grid_quadratic(cfg: InternalConfig, modes: NormalModes, times,
                              sign=+1.0)
     out = 0.5 * (np.swapaxes(V, 1, 2) @ R @ V)
     return 0.5 * (out + np.swapaxes(out, 1, 2))
+
+
+def looped_transforms(sp, times: np.ndarray,
+                      by_order: np.ndarray) -> np.ndarray:
+    """Reference for `BathSpectrum.transforms`, the (n, 8S) transforms D_r(t)
+    from a Bessel table laid out orders first, `by_order` (K, n U) with
+    column (time, width): per block of _FILON_BLOCK times, the block's
+    phases exp(-i m t) times a strided gather from the (n, U, K) view of
+    that table, multiplied as complex numbers, then one product per time
+    with `coef`."""
+    bessel = np.moveaxis(by_order.reshape(FILON_ORDER, times.size, -1), 0, -1)
+    out = np.empty((times.size, sp.coef.shape[1]), dtype=complex)
+    for lo in range(0, times.size, _FILON_BLOCK):
+        t = times[lo:lo + _FILON_BLOCK]
+        rows = (np.exp(-1j * np.outer(t, sp.mids))[:, :, None]
+                * bessel[lo:lo + _FILON_BLOCK][:, sp.width_of])
+        out[lo:lo + t.size] = (rows.reshape(t.size, 1, -1) @ sp.coef)[:, 0]
+    return out
+
+
+def pairwise_elementary_transforms(modes: NormalModes, times,
+                                   omega: np.ndarray) -> np.ndarray:
+    """Reference for `duosc.influence._elementary_transforms`, (n, 4, N):
+    the transforms of [sin1, cos1, sin2, cos2] one mode at a time, with one
+    expm1 call per exponent."""
+    t = np.asarray(times, dtype=float).reshape(-1, 1)
+    out = np.empty((t.shape[0], 4, omega.size), dtype=complex)
+    for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
+                                (modes.Omega2, modes.delta2))):
+        ap = d + 1j * (O - omega)
+        am = d - 1j * (O + omega)
+
+        def E(alpha):
+            zero = alpha == 0.0
+            res = np.expm1(alpha * t) / np.where(zero, 1.0, alpha)
+            res[:, zero] = t
+            return res
+
+        Ep, Em = E(ap), E(am)
+        out[:, 2 * k] = (Ep - Em) / 2j
+        out[:, 2 * k + 1] = (Ep + Em) / 2.0
+    return out

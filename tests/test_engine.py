@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -159,6 +160,16 @@ def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
 def test_nonfinite_times_are_rejected(ic_fig3):
     with pytest.raises(ConfigError):
         simulate(ic_fig3, times=np.array([1.0, float("nan")]))
+
+
+@pytest.mark.parametrize("times, shape", [(5.0, "()"),
+                                          ([[1.0, 2.0]], "(1, 2)"),
+                                          ([[1.0], [2.0]], "(2, 1)")])
+def test_times_must_be_one_dimensional(ic_fig3, times, shape):
+    """A scalar or a 2-D grid is a ConfigError naming its shape, not an
+    IndexError in the chunking or a result with 2-D times."""
+    with pytest.raises(ConfigError, match=re.escape(f"got shape {shape}")):
+        simulate(ic_fig3, times=times)
 
 
 def test_stationary_state_at_the_longest_supported_time(ic_fig3):

@@ -20,7 +20,9 @@ from duosc.modes import check_caustic, component_weights, solve_determinant
 
 from crosscheck.brute import (brute_double_integral, brute_square_form,
                               clenshaw_curtis)
-from crosscheck.influence import grid_quadratic, influence_form
+from crosscheck.influence import (grid_quadratic, influence_form,
+                                  looped_transforms,
+                                  pairwise_elementary_transforms)
 from crosscheck.modes import basis_paths, xi_coefficient_matrix
 from test_modes import make_ic
 
@@ -577,11 +579,14 @@ def test_small_t_layout_is_built_on_first_read(monkeypatch, name, kw):
 
 def concatenated_coefficients(sp, modes):
     """Reference for `coef` and `C`: per temperature, one concatenated
-    (8, J, K) block scaled by out-of-place products, then all temperatures
+    (8, J, K) block from the real node-to-Legendre matrix, cast by each
+    product, scaled by out-of-place products, then all temperatures
     stacked and transposed into a contiguous copy."""
     poles = _mode_poles(modes)
     halfs = sp.widths[sp.width_of]
-    gl_x, gl_w, to_legendre, _ = influence._filon_rule()
+    gl_x, gl_w, _, _ = influence._filon_rule()
+    vander = np.polynomial.legendre.legvander(gl_x, FILON_ORDER - 1)
+    to_legendre = (np.arange(FILON_ORDER) + 0.5)[:, None] * vander.T * gl_w
     nodes = (sp.mids[:, None] + halfs[:, None] * gl_x).ravel()
     wts = (halfs[:, None] * gl_w).ravel()
     i_k = np.array([1.0, -1j, -1.0, 1j])[np.arange(FILON_ORDER) % 4]
@@ -628,6 +633,59 @@ def test_spectra_set_up_allocates_little_beyond_its_result(name, kw):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * sum(sp.coef.nbytes for sp in spectra)
+
+
+BIT_CASES = [("fig3", {}), ("fig4", {"cutoff": 200.0}),
+             ("fig2", {"kelvin": 0.3})]
+#: times below and at or above FILON_MIN_T, more than one Filon block
+MIXED_TIMES = np.concatenate([np.geomspace(1e-5, 0.99, 9),
+                              np.linspace(FILON_MIN_T, 29.9, 2 * _FILON_BLOCK
+                                          + 5)])
+
+
+@pytest.mark.parametrize("name, kw", BIT_CASES)
+def test_transforms_match_the_looped_references_bit_for_bit(name, kw):
+    """The Filon transforms, built from the arguments-first Bessel table
+    with one phase table per call and rows multiplied in place, and the
+    small-t transforms, built with one expm1 over all four exponents, are
+    the looped references byte for byte: fig3, fig4 at cutoff 200 (two
+    temperatures on one layout) and fig2 at 0.3 K."""
+    ic, modes = physical_ic(name, **kw)
+    spectra = bath_spectra(ic, modes)
+    z = np.outer(MIXED_TIMES, spectra[0].widths)
+    table = spherical_jn_orders(z)
+    by_order = np.ascontiguousarray(table)
+    bessel = table.T.reshape(MIXED_TIMES.size, -1, FILON_ORDER)
+    for sp in spectra:
+        got = sp.transforms(MIXED_TIMES, bessel)
+        want = looped_transforms(sp, MIXED_TIMES, by_order)
+        assert got.tobytes() == want.tobytes()
+        got = influence._elementary_transforms(modes, MIXED_TIMES,
+                                               sp.small_nodes)
+        want = pairwise_elementary_transforms(modes, MIXED_TIMES,
+                                              sp.small_nodes)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_filon_product_reads_a_contiguous_bessel_table(monkeypatch):
+    """`grid_noise` hands `BathSpectrum.transforms` a C-contiguous (n, U, K)
+    table, so each block's gather reads each argument's orders side by
+    side."""
+    ic, modes = physical_ic("fig4", 200.0, cutoff1=123.4)
+    spectra = bath_spectra(ic, modes)
+    assert len(spectra) == 2
+    seen = []
+    real = influence.BathSpectrum.transforms
+
+    def recorded(self, times, bessel):
+        seen.append((bessel.shape, bessel.flags.c_contiguous))
+        return real(self, times, bessel)
+
+    monkeypatch.setattr(influence.BathSpectrum, "transforms", recorded)
+    grid_noise(modes, MIXED_TIMES, spectra)
+    n_filon = np.count_nonzero(MIXED_TIMES >= FILON_MIN_T)
+    shape = (n_filon, spectra[0].widths.size, FILON_ORDER)
+    assert seen == [(shape, True)] * len(spectra)
 
 
 def test_mixed_temperatures_on_one_layout_against_dense_reference():

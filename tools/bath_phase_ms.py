@@ -12,7 +12,12 @@ influence.grid_noise over the full grid in the engine's chunks, and the
 fixed cost every engine.simulate call pays, in ms per call:
 influence.bath_spectra, the spherical Bessel table of a 2-time grid
 (influence.spherical_jn_orders over both times' Filon widths) and a whole
-2-time engine.simulate call.
+2-time engine.simulate call.  For fig3 and wideband it adds the stages of
+one engine chunk of CHUNK = 64 times, the midpoints of 64 equal strata of
+[0, t_end]: their Bessel table, the Filon product
+(BathSpectrum.transforms of every spectrum on the times at or above
+FILON_MIN_T), the small-t sum (influence.grid_noise on the times below)
+and a whole 64-time engine.simulate call.
 
 Each per-call figure is given twice.  Warm is the best of several timeit
 repeats of back-to-back calls.  Cold is the median over calls that each
@@ -20,8 +25,8 @@ follow a kernel of a pure-Python loop and small numpy calls, as a caller's
 own work between calls would run: it evicts the caches and lets the
 allocator hand freed heap back to the system, so a call that allocates
 large temporaries pays page faults again.  The minor page faults per cold
-call (median, from resource.getrusage) are printed beside it.  The cold
-figures of each configuration come from a fresh interpreter, since the
+call (median, from resource.getrusage) are printed beside it.  Each cold
+row comes from a fresh interpreter that runs that row alone, since the
 allocator's thresholds depend on what the process allocated before.
 
 BLAS is pinned to one thread.
@@ -48,11 +53,12 @@ import numpy as np  # noqa: E402
 from duosc.cli import preset_config  # noqa: E402
 from duosc.config import ForceSpec, to_internal, validate_config  # noqa: E402
 from duosc.engine import CHUNK, simulate  # noqa: E402
-from duosc.influence import (FILON_ORDER, bath_spectra,  # noqa: E402
-                             grid_noise, spherical_jn_orders)
+from duosc.influence import (FILON_MIN_T, FILON_ORDER,  # noqa: E402
+                             bath_spectra, grid_noise, spherical_jn_orders)
 from duosc.modes import solve_determinant  # noqa: E402
 
 COLD_CALLS = 25
+CHUNK_ROWS = ("fig3", "wideband")     # configurations with 64-time rows
 
 
 def sampled_force(cfg):
@@ -117,24 +123,43 @@ def per_call_fns(name: str) -> dict:
     modes = solve_determinant(ic)
     times = np.linspace(0.0, ic.t_end, ic.n_points)[1:]
     pair = times[[times.size // 4, times.size // 2]]
-    two = np.outer(pair, bath_spectra(ic, modes)[0].widths).ravel()
-    return {"bath_spectra": lambda: bath_spectra(ic, modes),
-            f"2-time Bessel table ({two.size} arguments)":
-                lambda: spherical_jn_orders(two),
-            "2-time simulate": lambda: simulate(ic, pair)}
+    spectra = bath_spectra(ic, modes)
+    two = np.outer(pair, spectra[0].widths).ravel()
+    fns = {"bath_spectra": lambda: bath_spectra(ic, modes),
+           f"2-time Bessel table ({two.size} arguments)":
+               lambda: spherical_jn_orders(two),
+           "2-time simulate": lambda: simulate(ic, pair)}
+    if name in CHUNK_ROWS:
+        chunk = (np.arange(CHUNK) + 0.5) * (ic.t_end / CHUNK)
+        small = chunk[chunk < FILON_MIN_T]
+        tf = chunk[chunk >= FILON_MIN_T]
+        z = np.outer(tf, spectra[0].widths).ravel()
+        # the table in the layout grid_noise hands to the Filon product
+        bessel = spherical_jn_orders(z).T.reshape(tf.size, -1, FILON_ORDER)
+        fns.update({
+            f"{CHUNK}-time Bessel table ({z.size} arguments)":
+                lambda: spherical_jn_orders(z),
+            f"{CHUNK}-time Filon product ({tf.size} times)":
+                lambda: [sp.transforms(tf, bessel) for sp in spectra],
+            f"{CHUNK}-time small-t sum ({small.size} times)":
+                lambda: grid_noise(modes, small, spectra),
+            f"{CHUNK}-time simulate": lambda: simulate(ic, chunk)})
+    return fns
 
 
-def cold_figures(name: str) -> list:
-    return [cold(fn) for fn in per_call_fns(name).values()]
+def cold_figure(row: tuple) -> tuple:
+    name, label = row
+    return cold(per_call_fns(name)[label])
 
 
 def main() -> None:
     names = list(configs())
-    # one fresh interpreter per configuration
+    rows = [(name, label) for name in names for label in per_call_fns(name)]
+    # one fresh interpreter per row
     with multiprocessing.get_context("spawn").Pool(
             1, maxtasksperchild=1) as pool:
-        cold_rows = pool.map(cold_figures, names, chunksize=1)
-    for name, cold_row in zip(names, cold_rows):
+        cold_rows = dict(zip(rows, pool.map(cold_figure, rows, chunksize=1)))
+    for name in names:
         ic = to_internal(validate_config(configs()[name]))
         modes = solve_determinant(ic)
         times = np.linspace(0.0, ic.t_end, ic.n_points)[1:]
@@ -154,8 +179,8 @@ def main() -> None:
               f"whole-grid {1e3 * whole:6.3f} ms/point "
               f"({times.size} points)")
 
-        for (label, fn), (cold_ms, faults) in zip(
-                per_call_fns(name).items(), cold_row):
+        for label, fn in per_call_fns(name).items():
+            cold_ms, faults = cold_rows[name, label]
             print(f"{'':9s} per call: {label} {ms_per_call(fn):6.3f} warm, "
                   f"{cold_ms:6.3f} cold ms ({faults:g} faults)")
 
