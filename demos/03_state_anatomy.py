@@ -41,9 +41,9 @@ def main():
     print(f"  var p    = ({rep.var_p1:.4f}, {rep.var_p2:.4f})")
     print(f"  cov x1x2 = {rep.cov_x1x2:+.4f}")
     print()
-    print("full 4x4 covariance matrix over (x1, p1, x2, p2):")
+    print("full 4x4 covariance matrix over (x1, x2, p1, p2):")
     with np.printoptions(precision=4, suppress=True):
-        print(rep.covariance_matrix)
+        print(res.cov[0])
     print()
 
     print("self-checks:")
@@ -56,7 +56,7 @@ def main():
           "adaptive quadrature in omega; no engine code):")
     want = phase_space_covariance(ic, t)
     scale = np.sqrt(np.diag(want))
-    dev = np.max(np.abs(rep.covariance_matrix - want) / np.outer(scale, scale))
+    dev = np.max(np.abs(res.cov[0] - want) / np.outer(scale, scale))
     print(f"  max |C - C_oracle| / sqrt(C_ii C_jj) = {dev:.1e}")
 
 

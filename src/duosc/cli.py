@@ -154,7 +154,7 @@ def _verify(outdir: str, result) -> int:
     # the covariance at the last grid time against the resolvent route
     want = oracle.phase_space_covariance(ic, max(result.times[-1], 0.0))
     scale = np.sqrt(np.diag(want))
-    cov_dev = float(np.max(np.abs(result.reports[-1].covariance_matrix - want)
+    cov_dev = float(np.max(np.abs(result.cov[-1] - want)
                            / np.outer(scale, scale)))
     rs_min = np.min(result.column("rs_min_eig"))
     # sampled numeric trace on a thinned subgrid (the closed form is exact

@@ -107,6 +107,9 @@ class SimulationResult:
 
     def column(self, name: str) -> np.ndarray:
         """One CovarianceReport field over the grid (a read-only view)."""
+        if name not in REPORT_FIELDS:
+            raise KeyError(f"no report field {name!r}; the fields are "
+                           f"{', '.join(REPORT_FIELDS)}")
         return self.report_array[:, REPORT_FIELDS.index(name)]
 
 

@@ -1,8 +1,8 @@
 """Physical moments of the reduced two-oscillator Gaussian state.
 
 A report row holds the state's first and second moments: its means and
-the elements of its covariance matrix over (x1, x2, p1, p2), plus the
-smallest eigenvalue of the Robertson-Schrodinger matrix.  The engine
+the elements of its covariance matrix over (x1, x2, p1, p2), plus
+`rs_min_eig`, the scale-free uncertainty test of `_rs_min_eigs`.  The engine
 computes those moments directly, and `reports_from_moments` lays them out
 as rows (the Gaussian moment map; Weedbrook et al., RMP 84, 621 (2012)).
 `numeric_trace` and `hermiticity_error` re-derive the unit trace and the
@@ -41,23 +41,9 @@ class CovarianceReport:
     cov_x2p1: float
     rs_min_eig: float
 
-    @property
-    def covariance_matrix(self) -> np.ndarray:
-        """Symmetrized covariance matrix over (x1, p1, x2, p2)."""
-        return np.array([[getattr(self, name) for name in row]
-                         for row in _COV_LAYOUT])
-
-
-# the covariance matrix over (x1, p1, x2, p2) by CovarianceReport field
-_COV_LAYOUT = (("var_x1", "cov_x1p1", "cov_x1x2", "cov_x1p2"),
-               ("cov_x1p1", "var_p1", "cov_x2p1", "cov_p1p2"),
-               ("cov_x1x2", "cov_x2p1", "var_x2", "cov_x2p2"),
-               ("cov_x1p2", "cov_p1p2", "cov_x2p2", "var_p2"))
 
 #: the `CovarianceReport` fields, in order: the columns of a report table
 REPORT_FIELDS = tuple(f.name for f in fields(CovarianceReport))
-_COV_INDEX = np.array([[REPORT_FIELDS.index(name) for name in row]
-                       for row in _COV_LAYOUT])
 
 
 def _blocks(state: GaussianStateParams):
@@ -68,15 +54,20 @@ def _blocks(state: GaussianStateParams):
     return G, np.array([state.mx1, state.mx2])
 
 
-_J = np.array([[0.0, 1.0, 0.0, 0.0],
-               [-1.0, 0.0, 0.0, 0.0],
-               [0.0, 0.0, 0.0, 1.0],
-               [0.0, 0.0, -1.0, 0.0]])
+# the symplectic form [[0, I], [-I, 0]] over (x1, x2, p1, p2)
+_J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
 
 
 def _rs_min_eigs(cov: np.ndarray, hbar: float) -> np.ndarray:
-    """Smallest eigenvalue of each cov + (i hbar / 2) J, (n, 4, 4) -> (n,)."""
-    return np.min(np.linalg.eigvalsh(cov + 0.5j * hbar * _J), axis=-1)
+    """Smallest eigenvalue of each D cov D + (i hbar / 2) J, (n, 4, 4) ->
+    (n,).  D = diag(1/s1, 1/s2, s1, s2), s_k = (C_xkxk / C_pkpk)^(1/4),
+    balances each oscillator and keeps J (Simon, Mukunda & Dutta, PRA 49,
+    1567 (1994)), so the sign is that of cov + (i hbar / 2) J (Sylvester's
+    law of inertia) and the value does not depend on either one's units."""
+    s = (cov[:, [0, 1], [0, 1]] / cov[:, [2, 3], [2, 3]]) ** 0.25
+    d = np.concatenate([1.0 / s, s], axis=1)
+    balanced = d[:, :, None] * cov * d[:, None, :]
+    return np.min(np.linalg.eigvalsh(balanced + 0.5j * hbar * _J), axis=-1)
 
 
 # the (i, j) element of the covariance over (x1, x2, p1, p2) behind each
@@ -94,7 +85,7 @@ def reports_from_moments(times: np.ndarray, means: np.ndarray,
     out[:, 0] = times
     out[:, 1:5] = means
     out[:, 5:15] = cov[:, _ROW, _COL]
-    out[:, 15] = _rs_min_eigs(out[:, _COV_INDEX], hbar)      # rs_min_eig
+    out[:, 15] = _rs_min_eigs(cov, hbar)                     # rs_min_eig
     return out
 
 

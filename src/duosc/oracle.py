@@ -105,24 +105,24 @@ def mean_ode(cfg: InternalConfig, times: Sequence[float],
 
 
 def _drift(cfg: InternalConfig) -> np.ndarray:
-    """A, (4, 4): the drift of the Langevin equations over (x1, p1, x2, p2),
-    x_k' = p_k / m_k, p_k' = -m_k w0k^2 x_k - 2 gamma_k p_k + lam x_other
-    (the equations `mean_ode` integrates, plus each bath's noise force on
-    p_k)."""
+    """A, (4, 4): the drift of the Langevin equations over (x1, x2, p1, p2)
+    (x_k at index k, p_k at 2 + k), x_k' = p_k / m_k,
+    p_k' = -m_k w0k^2 x_k - 2 gamma_k p_k + lam x_other (the equations
+    `mean_ode` integrates, plus each bath's noise force on p_k)."""
     A = np.zeros((4, 4))
     for k, (m, w0, g) in enumerate(((cfg.m1, cfg.w01, cfg.gamma1),
                                     (cfg.m2, cfg.w02, cfg.gamma2))):
-        x, p = 2 * k, 2 * k + 1
-        A[x, p] = 1.0 / m
-        A[p, x] = -m * w0 ** 2
+        p = 2 + k
+        A[k, p] = 1.0 / m
+        A[p, k] = -m * w0 ** 2
         A[p, p] = -2.0 * g
-        A[p, 2 - x] = cfg.lam
+        A[p, 1 - k] = cfg.lam
     return A
 
 
 def phase_space_covariance(cfg: InternalConfig, t: float) -> np.ndarray:
-    """Covariance matrix over (x1, p1, x2, p2) at time t >= 0, the layout of
-    `CovarianceReport.covariance_matrix`, by the resolvent route.
+    """Covariance matrix over (x1, x2, p1, p2) at time t >= 0, the ordering
+    of `SimulationResult.cov`, by the resolvent route.
 
     The moments obey z' = A z + forces + noise on p_k, where bath k's
     symmetrized noise correlation is (2 m_k gamma_k / pi) int_0^numax_k
@@ -142,8 +142,8 @@ def phase_space_covariance(cfg: InternalConfig, t: float) -> np.ndarray:
         raise ConfigError(f"phase_space_covariance needs t >= 0, got {t}")
     A = _drift(cfg)
     flow = expm(A * t)
-    c0 = np.array([cfg.sigma01_sq, 0.25 * cfg.hbar ** 2 / cfg.sigma01_sq,
-                   cfg.sigma02_sq, 0.25 * cfg.hbar ** 2 / cfg.sigma02_sq])
+    var_x = np.array([cfg.sigma01_sq, cfg.sigma02_sq])
+    c0 = np.concatenate([var_x, 0.25 * cfg.hbar ** 2 / var_x])
     cov = (flow * c0) @ flow.T
     freqs = sorted(set(np.abs(np.linalg.eigvals(A).imag)))
     for k, (m, g, T, numax) in enumerate(
@@ -152,7 +152,7 @@ def phase_space_covariance(cfg: InternalConfig, t: float) -> np.ndarray:
         if g == 0.0:
             continue
         e_p = np.zeros(4)
-        e_p[2 * k + 1] = 1.0
+        e_p[2 + k] = 1.0
         end = flow @ e_p
 
         def integrand(w, e_p=e_p, end=end, T=T):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,15 @@ def ic_fig3():
 @pytest.fixture(scope="session")
 def ic_fig4():
     return internal("fig4")
+
+
+@pytest.fixture(scope="session")
+def ic_fig3_heavy2():
+    """fig3 with m2 = 1e8 m1: a physical state whose covariance entries
+    span many decades in internal units."""
+    cfg = preset_config("fig3")
+    return to_internal(validate_config(
+        replace(cfg, osc2=replace(cfg.osc2, mass=1e8 * cfg.osc1.mass))))
 
 
 @pytest.fixture(scope="session")

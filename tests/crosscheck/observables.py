@@ -24,7 +24,8 @@ production states from the engine's moments.
 positions by Gauss-Hermite quadrature on the diagonal distribution, momenta
 by finite differences in the off-diagonal direction.  Slow; the independent
 check of `report`.  `robertson_schrodinger_min_eig` is the one-matrix call
-of the production uncertainty bound.
+of the production uncertainty bound, and `symplectic_min_eigs` the
+independent closed form it is tested against.
 """
 
 from __future__ import annotations
@@ -75,9 +76,38 @@ def report(state: GaussianStateParams, hbar: float = 1.0) -> CovarianceReport:
 
 
 def robertson_schrodinger_min_eig(cov: np.ndarray, hbar: float = 1.0) -> float:
-    """Smallest eigenvalue of cov + (i hbar / 2) J, one matrix through the
-    production table's `_rs_min_eigs`; >= 0 for a valid state."""
+    """Smallest eigenvalue of the balanced cov + (i hbar / 2) J, cov over
+    (x1, x2, p1, p2): one matrix through the production table's
+    `_rs_min_eigs`; >= 0 for a valid state."""
     return float(_rs_min_eigs(np.asarray(cov, dtype=float)[None], hbar)[0])
+
+
+def symplectic_min_eigs(cov: np.ndarray) -> np.ndarray:
+    """The smaller symplectic eigenvalue nu_- of each covariance matrix
+    (n, 4, 4) over (x1, x2, p1, p2), in closed form (Serafini, Illuminati &
+    De Siena, J. Phys. B 37, L21 (2004)); the state is physical iff
+    nu_- >= hbar / 2.
+
+    With A, B the (x_k, p_k) blocks of the two oscillators and C their
+    cross block, Delta = det A + det B + 2 det C and
+    nu_-^2 = 2 det V / (Delta + sqrt(Delta^2 - 4 det V)).  Each oscillator
+    is first scaled to equal position and momentum spreads, a symplectic
+    map that keeps nu_-: unscaled, the cancellation in the determinants
+    loses the sign on badly scaled matrices.
+    """
+    cov = np.asarray(cov, dtype=float)
+    s = (cov[:, [0, 1], [0, 1]] / cov[:, [2, 3], [2, 3]]) ** 0.25
+    d = np.concatenate([1.0 / s, s], axis=1)
+    V = d[:, :, None] * cov * d[:, None, :]
+    osc1, osc2 = [0, 2], [1, 3]
+    det_v = np.linalg.det(V)
+    delta = (np.linalg.det(V[:, osc1][:, :, osc1])
+             + np.linalg.det(V[:, osc2][:, :, osc2])
+             + 2.0 * np.linalg.det(V[:, osc1][:, :, osc2]))
+    # Delta^2 - 4 det V = (nu_+^2 - nu_-^2)^2 rounds below 0 when the two
+    # symplectic eigenvalues meet, as in the initial packets
+    gap = np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0))
+    return np.sqrt(2.0 * det_v / (delta + gap))
 
 
 def finite_difference_moments(state: GaussianStateParams,

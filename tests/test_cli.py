@@ -198,6 +198,24 @@ def test_verify_small_grid(tmp_path, capsys):
     assert (out / "oracle_means.csv").exists()
 
 
+def test_verify_passes_a_heavy_second_oscillator(tmp_path):
+    """fig3 with m2 = 1e8 m1 and force 1 alone is physical at every time.
+    Unbalanced, rounding read the uncertainty eigenvalue as -1.09e-9 and
+    failed --verify (exit 3)."""
+    cfgd = {
+        "m1": 1e-23, "m2": 1e-15, "omega01": 1e13, "omega02": 3e13,
+        "gamma1": 1e11, "gamma2": 1e11, "lambda_tilde": 0.3,
+        "T1": 300.0, "T2": 300.0, "t_end": 3e-12, "n_points": 2000,
+        "f1_kind": "exponential_step", "f1_onset": 1e-13, "f1_decay": 1e12,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfgd))
+    out = tmp_path / "v"
+    assert run_cli(["run", "custom", str(out), "--config", str(p),
+                    "--verify"]) == 0
+    assert "FAIL" not in (out / "verify_summary.txt").read_text()
+
+
 def test_verify_coarse_grid_after_the_means_decayed(tmp_path):
     """All grid times but t = 0 lie where the means have decayed by e^-40
     and more: the mean checks take their scale from the oracle over

@@ -35,6 +35,8 @@ def test_simulation_grid_and_columns(ic_fig3):
     col = res.column("var_x1")
     assert col.shape == (7,)
     assert math.isclose(col[0], ic_fig3.sigma01_sq, rel_tol=1e-12)
+    with pytest.raises(KeyError, match="'var_x3'.*mean_x1, mean_x2"):
+        res.column("var_x3")
 
 
 def test_threaded_equals_serial(ic_fig3):
@@ -58,6 +60,16 @@ def test_caustic_grid_point_is_nudged_not_dropped(ic_fig3, modes_fig3,
     assert [s.t for s in res.states] == times.tolist()
     assert np.all(np.isfinite(res.state_array))
     assert all(s.g1 > 0 and s.beta_det > 0 for s in res.states)
+    assert np.min(res.column("rs_min_eig")) >= -1e-10
+
+
+def test_heavy_second_oscillator_is_physical_at_every_time(ic_fig3_heavy2):
+    """fig3 with m2 = 1e8 m1 is physical on its 2000-point grid (its
+    covariance matches the resolvent oracle in test_oracle).  Unbalanced,
+    rounding put the uncertainty eigenvalue below -1e-10 at 4 times, down
+    to -3.0e-9."""
+    res = simulate(ic_fig3_heavy2)
+    assert res.times.size == 2000
     assert np.min(res.column("rs_min_eig")) >= -1e-10
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from duosc.engine import simulate
-from duosc.observables import hermiticity_error, numeric_trace
+from duosc.observables import (REPORT_FIELDS, hermiticity_error,
+                               numeric_trace, reports_from_moments)
 from duosc.reduction import initial_state
 
 from crosscheck.observables import (report, robertson_schrodinger_min_eig,
-                                    verify_state)
+                                    symplectic_min_eigs, verify_state)
 
 
 def test_initial_moments(ic_fig3):
@@ -51,14 +52,59 @@ def test_report_against_finite_difference_moments(ic_fig3):
 
 
 def test_covariance_matrix_layout(ic_fig3):
-    rep = simulate(ic_fig3, times=[5.5]).reports[0]
-    cov = rep.covariance_matrix
-    np.testing.assert_allclose(cov, cov.T)
-    assert cov[0, 0] == rep.var_x1 and cov[1, 1] == rep.var_p1
-    assert cov[2, 2] == rep.var_x2 and cov[3, 3] == rep.var_p2
-    assert cov[0, 2] == rep.cov_x1x2
+    """Each second-moment field of a report row is the entry of `cov` over
+    (x1, x2, p1, p2) that it names, in both triangles."""
+    res = simulate(ic_fig3, times=[5.5])
+    rep, cov = res.reports[0], res.cov[0]
+    index = {"x1": 0, "x2": 1, "p1": 2, "p2": 3}
+    for name in REPORT_FIELDS[5:15]:
+        kind, pair = name.split("_")
+        a, b = (pair, pair) if kind == "var" else (pair[:2], pair[2:])
+        i, j = index[a], index[b]
+        assert getattr(rep, name) == cov[i, j] == cov[j, i], name
     # positive-definite covariance
     assert np.min(np.linalg.eigvalsh(cov)) > 0.0
+
+
+# fig3's and fig4's grids, their short-time windows (t < 0.0075), where
+# local damping acts before the band-limited noise builds up and the states
+# break the bound, and the badly scaled physical m2 = 1e8 m1 grid
+_WINDOW = np.logspace(-6.0, math.log10(0.0075), 60)
+
+
+@pytest.fixture(scope="module")
+def rs_grids(ic_fig3, ic_fig4, ic_fig3_heavy2):
+    return {"fig3": simulate(ic_fig3), "fig4": simulate(ic_fig4),
+            "fig3-window": simulate(ic_fig3, times=_WINDOW),
+            "fig4-window": simulate(ic_fig4, times=_WINDOW),
+            "m2=1e8m1": simulate(ic_fig3_heavy2)}
+
+
+def test_rs_min_eig_sign_matches_the_symplectic_eigenvalue(rs_grids):
+    """rs_min_eig >= 0 exactly where the closed-form symplectic eigenvalue
+    nu_- >= hbar / 2, wherever their difference exceeds 1e-12."""
+    for name, res in rs_grids.items():
+        margin = symplectic_min_eigs(res.cov) - 0.5 * res.config.hbar
+        resolved = np.abs(margin) > 1e-12
+        assert np.array_equal(np.sign(res.column("rs_min_eig")[resolved]),
+                              np.sign(margin[resolved])), name
+        if name.endswith("window"):
+            assert np.sum(margin < -1e-12) >= 50, name
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 0.2), (1e-3, 1e4)])
+def test_rs_min_eig_is_unchanged_by_a_local_rescaling(rs_grids, a, b):
+    """x1 / a, x2 / b, p1 a, p2 b change each oscillator's units and keep
+    the commutators, so the uncertainty test must not move.  On fig3's
+    short times the unbalanced eigenvalue moved by 1.4e-5 at (3, 0.2)."""
+    res = rs_grids["fig3-window"]
+    scale = np.array([1.0 / a, 1.0 / b, a, b])
+    rescaled = reports_from_moments(res.times, res.means * scale,
+                                    scale[:, None] * res.cov * scale,
+                                    res.config.hbar)
+    dev = rescaled[:, REPORT_FIELDS.index("rs_min_eig")] \
+        - res.column("rs_min_eig")
+    assert np.max(np.abs(dev)) <= 1e-15
 
 
 def _mixed_moments_fd(state, j, hbar):

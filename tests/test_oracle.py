@@ -134,9 +134,11 @@ def test_oracle_runs_fig_presets(ic_fig3):
     assert np.any(np.abs(tr.x2[(times > 3.0) & (times < 10.0)]) > 0.0)
 
 
-def _covariance_config(which, ic_fig3, ic_fig4):
+def _covariance_config(which, ic_fig3, ic_fig4, ic_fig3_heavy2):
     if which == "fig3":
         return ic_fig3
+    if which == "m2=1e8m1":
+        return ic_fig3_heavy2
     if which == "fig4-cutoff200":
         return replace(ic_fig4, numax1=200.0, numax2=200.0)
     if which == "0.3K":
@@ -153,26 +155,31 @@ def _covariance_config(which, ic_fig3, ic_fig4):
 _COVARIANCE_TIMES = {"fig3": (0.005, 0.5, 3.1, 29.0),
                      "fig4-cutoff200": (0.5, 3.1, 29.0),
                      "0.3K": (0.5, 12.3, 29.0),
-                     "sampled": (3.1, 12.3, 30.0)}
+                     "sampled": (3.1, 12.3, 30.0),
+                     "m2=1e8m1": (0.005, 0.5, 29.0)}
 
 
 @pytest.mark.parametrize("which", list(_COVARIANCE_TIMES))
-def test_phase_space_covariance_matches_simulate(which, ic_fig3, ic_fig4):
+def test_phase_space_covariance_matches_simulate(which, ic_fig3, ic_fig4,
+                                                 ic_fig3_heavy2):
     """The engine's covariance B (A0 + R) B^T against the resolvent route,
     which shares no code with it, entry by entry over sqrt(C_ii C_jj).
-    Measured on these configs up to t = 30: at most 9.3e-14.  fig3 at
-    t = 0.005 lies in the short-time window where rs_min_eig < 0."""
-    ic = _covariance_config(which, ic_fig3, ic_fig4)
-    for rep in simulate(ic, times=_COVARIANCE_TIMES[which]).reports:
-        want = phase_space_covariance(ic, rep.t)
+    Measured on these configs up to t = 30: at most 1.3e-13.  fig3 at
+    t = 0.005 lies in the short-time window where rs_min_eig < 0;
+    m2 = 1e8 m1 is physical at every time, though its entries span many
+    decades."""
+    ic = _covariance_config(which, ic_fig3, ic_fig4, ic_fig3_heavy2)
+    res = simulate(ic, times=_COVARIANCE_TIMES[which])
+    for t, cov in zip(res.times, res.cov):
+        want = phase_space_covariance(ic, t)
         scale = np.sqrt(np.diag(want))
-        dev = np.abs(rep.covariance_matrix - want) / np.outer(scale, scale)
-        assert np.max(dev) <= 1e-12, rep.t
+        dev = np.abs(cov - want) / np.outer(scale, scale)
+        assert np.max(dev) <= 1e-12, t
 
 
 def test_phase_space_covariance_starts_at_the_packets(ic_fig3):
-    want = np.diag([ic_fig3.sigma01_sq, 0.25 / ic_fig3.sigma01_sq,
-                    ic_fig3.sigma02_sq, 0.25 / ic_fig3.sigma02_sq])
+    want = np.diag([ic_fig3.sigma01_sq, ic_fig3.sigma02_sq,
+                    0.25 / ic_fig3.sigma01_sq, 0.25 / ic_fig3.sigma02_sq])
     np.testing.assert_array_equal(phase_space_covariance(ic_fig3, 0.0), want)
 
 
