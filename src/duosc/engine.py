@@ -8,8 +8,10 @@ means are B m.  A0 = K0 C0 K0^T carries the initial wave packets
 (`modes.initial_amplitude_map`), R(t) is the bath noise block
 (`influence.grid_noise`, with one spectrum per distinct bath cutoff, built
 once per call and carrying every temperature on that cutoff on one omega
-layout: per time t >= 1 one Filon product in omega on pole-graded panels
-for all those temperatures, with one Bessel table per chunk for all
+layout: per time t >= 1 a Filon product in omega on pole-graded panels
+for all those temperatures, which contracts the Legendre orders first in
+one real product per panel width and then sums the panels in one complex
+product with their phases, with one Bessel table per chunk for all
 spectra; below t = 1 a direct sum on 64-256 pole-free nodes, whose
 transforms serve every temperature) and m(t) the drive's moments
 (`forcing.drive_amplitudes`); the times t <= 0 keep zero means and C0.
@@ -115,10 +117,19 @@ class SimulationResult:
 
 def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
              threads: int = 1) -> SimulationResult:
-    """Evaluate the state on a time grid (default: the configured grid)."""
+    """Evaluate the state on a time grid (default: the configured grid):
+    a 1-D sequence of finite integer or floating times, else ConfigError."""
     if times is None:
         times = np.linspace(0.0, cfg.t_end, cfg.n_points)
-    times = np.array(times, dtype=float)
+    try:
+        given = np.asarray(times)
+    except (TypeError, ValueError) as exc:      # ragged or unreadable
+        raise ConfigError(f"simulate needs a 1-D array of real times: "
+                          f"{exc}") from None
+    if given.dtype.kind not in "iuf":
+        raise ConfigError(f"simulate needs integer or floating times, got "
+                          f"dtype {given.dtype}")
+    times = np.array(given, dtype=float)
     if times.ndim != 1:
         raise ConfigError(f"simulate needs a 1-D array of times, got "
                           f"shape {times.shape}")

@@ -19,8 +19,9 @@ endpoint map; the engine uses it as the noise covariance of the mode
 amplitudes, which is regular at every t.  Partial fractions move all
 t-dependence of the omega integral into eight transforms, which
 Filon-Legendre quadrature on panels graded to the poles gives exactly in t
-as one matrix product per time; below t = 1 the phase is summed directly on
-a small pole-free layout of its own (section at the end of this module).
+as one real product per time and panel width, then one complex product per
+time; below t = 1 the phase is summed directly on a small pole-free layout
+of its own (section at the end of this module).
 """
 
 from __future__ import annotations
@@ -168,11 +169,16 @@ def _elementary_transforms(modes: NormalModes, times,
 # into C_r = int g0 / (w - r) and D_r(t) = int g0 exp(-i w t) / (w - r), r in
 # {p, conj p}.  With the Legendre coefficients c_k of g0 / (w - r) on a panel
 # of centre m, half-width h, int P_k(x) exp(-i z x) dx = 2 (-i)^k j_k(z) gives
-# D_r(t) exactly: the row exp(-i m t) j_k(h t) over (panel, k) times the
-# fixed matrix 2 h (-i)^k c_k.  The row depends on the panels alone, not on
-# g0, so the temperatures on one cutoff share one layout and each time's row
-# multiplies all their columns at once; j_k depends on h t alone, so one
-# table over the distinct half-widths of all layouts serves a whole call.
+# D_r(t) exactly: sum over panels of exp(-i m t) sum_k j_k(h t) 2 h (-i)^k
+# c_k.  The orders are contracted first: j_k(h t) is real and the panels
+# share about a dozen half-widths h0 / 2^d, so each group of equal-width
+# panels takes one real product of its Bessel row with the real view of its
+# coefficients, and one complex product per time then sums the panels with
+# their phases.  The Bessel values and phases depend on the panels alone,
+# not on g0, so the temperatures on one cutoff share one layout and each
+# product carries all their columns at once; j_k depends on h t alone, so
+# one table over the distinct half-widths of all layouts serves a whole
+# call.
 #
 # Each sum has its own omega layout, sized for its integrand:
 # - Filon panels hold g0 / (w - r) to FILON_ORDER Legendre terms.  Bisection
@@ -189,12 +195,8 @@ def _elementary_transforms(modes: NormalModes, times,
 FILON_ORDER = 24           # GL nodes per panel = Legendre orders kept
 FILON_BASE_PANELS = 8      # uniform panels on [0, numax] before grading
 FILON_MIN_T = 1.0          # below: direct sum on the small-t layout
-# Times per Filon product: bounds the (block, J*K) complex rows to about
-# 130 KB on fig3.  One product per 64-time chunk gives the same numbers and
-# runs faster back to back, but its 1 MB of rows is faulted in afresh on
-# every call once the caller's own work has run in between: the
-# fig3-driven benchmark ran 14.5k-15.2k against 18.3k-19.2k points/s
-# (two seeds, 6 s runs, 2-vCPU host)
+# Times per block of the small-t sum, whose (block, 4, N) transforms and
+# their products grow with the cutoff
 _FILON_BLOCK = 8
 # Miller's start: its truncation error falls about 1000-fold per 4 steps and
 # reaches 1e-16 at 2n - 4 for z <= n; 2n + 8 leaves a margin of 12 steps.
@@ -331,12 +333,15 @@ class BathSpectrum:
     numax: float           # the cutoff
     temperatures: tuple    # (S,) distinct temperatures, in bath order
     W: np.ndarray          # (S, 4, 4) sum_b (2 m_b gamma_b / pi) c_b c_b^T
-    mids: np.ndarray       # (J,) Filon panel centres
+    mids: np.ndarray       # (J,) Filon panel centres, ordered by width
     widths: np.ndarray     # (U,) sorted distinct Filon half-widths of all
                            #      layouts of one `bath_spectra` call
-    width_of: np.ndarray   # (J,) index into `widths` for each panel
-    coef: np.ndarray       # (J*K, 8S) 2 h (-i)^k c_k, r = (p, conj p);
-                           #      columns 8s .. 8s + 7 for temperature s
+    width_of: np.ndarray   # (J,) index into `widths` for each panel,
+                           #      non-decreasing
+    groups: tuple          # (u, lo, hi): panels lo..hi-1 have width u
+    coef: np.ndarray       # (K, J, 8S) 2 h (-i)^k c_k, orders first,
+                           #      r = (p, conj p); columns 8s .. 8s + 7
+                           #      for temperature s
     C: np.ndarray          # (S, 8) int g0 / (w - r)
 
     @functools.cached_property
@@ -363,30 +368,26 @@ class BathSpectrum:
     def transforms(self, times: np.ndarray,
                    bessel: np.ndarray) -> np.ndarray:
         """D_r(t) = int g0 exp(-i w t) / (w - r) dw for t > 0, shape (n, 8S),
-        columns as in `coef`: per time, the row exp(-i m t) j_k(h t) over
-        (panel, k) times `coef`.  `bessel`, C-contiguous (n, U, K), holds
+        columns as in `coef`.  `bessel`, C-contiguous (n, U, K), holds
         j_k(h t) for these times over `widths`.
 
-        The phases exp(-i m t) are one (n, J) table per call.  Each block
-        of _FILON_BLOCK times gathers its Bessel values into the real part
-        of one reused complex buffer and multiplies the phases into it in
-        place: the products of the complex multiply by j + 0i, with no
-        float-to-complex cast.
+        Each width group contracts the orders first: one real product per
+        time of its Bessel row with the real view of its coefficients,
+        written into one (n, J, 8S) buffer G; then one complex product per
+        time of the phases exp(-i m t) with G sums the panels.  Both are
+        batches of one-row products, one per time, never one (n, K) matrix
+        product, whose rows BLAS rounds differently from a one-row call: so
+        each row is a function of its own time alone, whatever the batch.
         """
-        out = np.empty((times.size, self.coef.shape[1]), dtype=complex)
-        phase = np.exp(-1j * np.outer(times, self.mids))[:, :, None]
-        rows = np.empty((min(times.size, _FILON_BLOCK), self.mids.size,
-                         FILON_ORDER), dtype=complex)
-        for lo in range(0, times.size, _FILON_BLOCK):
-            hi = min(lo + _FILON_BLOCK, times.size)
-            block = rows[:hi - lo]
-            np.take(bessel[lo:hi], self.width_of, axis=1, out=block.real,
-                    mode="clip")
-            block.imag = 0.0
-            block *= phase[lo:hi]
-            # one identically shaped product per time: batch-independent
-            out[lo:hi] = (block.reshape(hi - lo, 1, -1) @ self.coef)[:, 0]
-        return out
+        n = times.size
+        cols = 2 * self.coef.shape[2]         # floats per panel
+        G = np.empty((n, self.mids.size * cols))
+        coef = self.coef.view(float).reshape(FILON_ORDER, -1)
+        for u, lo, hi in self.groups:
+            np.matmul(bessel[:, u:u + 1], coef[:, lo * cols:hi * cols],
+                      out=G[:, None, lo * cols:hi * cols])
+        phase = np.exp(-1j * np.outer(times, self.mids))[:, None]
+        return (phase @ G.view(complex).reshape(n, self.mids.size, -1))[:, 0]
 
 
 def _matsubara_poles(temperatures) -> tuple:
@@ -396,7 +397,7 @@ def _matsubara_poles(temperatures) -> tuple:
 def _filon_columns(nodes: np.ndarray, wts: np.ndarray, halfs: np.ndarray,
                    poles: np.ndarray, T: float, out: np.ndarray) -> np.ndarray:
     """Write 2 h (-i)^k c_k of g0 / (w - r), r = (p, conj p), into `out`
-    (J, K, 8), and return int g0 / (w - p), (4,), at temperature T.
+    (K, J, 8), and return int g0 / (w - p), (4,), at temperature T.
 
     g0 / (w - conj p) is the conjugate of g0 / (w - p), and so are its
     Legendre coefficients and integral.  The Legendre matrix and the scale
@@ -412,7 +413,7 @@ def _filon_columns(nodes: np.ndarray, wts: np.ndarray, halfs: np.ndarray,
     for cols, block in ((slice(0, 4), c), (slice(4, 8), c.conj())):
         block *= scale
         block *= i_k
-        out[:, :, cols] = np.moveaxis(block, 0, -1)
+        out[:, :, cols] = block.transpose(2, 1, 0)
     return integral
 
 
@@ -452,21 +453,30 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
     out = []
     start = 0
     for (numax, temps), (mids, halfs) in zip(groups.items(), panels):
+        # panels of one width side by side, in layout order within a width
+        w_of = width_of[start:start + halfs.size]
+        start += halfs.size
+        order = np.argsort(w_of, kind="stable")
+        mids, halfs, w_of = mids[order], halfs[order], w_of[order]
+        bounds = [0, *(np.flatnonzero(np.diff(w_of)) + 1).tolist(),
+                  w_of.size]
         nodes, wts = _panel_nodes(mids, halfs, (gl_x, gl_w))
-        coef = np.empty((nodes.size, 8 * len(temps)), dtype=complex)
-        # coef[(j, k), (s, r)]: panel j, order k, temperature s, column r
-        by_panel = coef.reshape(halfs.size, FILON_ORDER, len(temps), 8)
+        coef = np.empty((FILON_ORDER, halfs.size, 8 * len(temps)),
+                        dtype=complex)
+        # coef[k, j, (s, r)]: order k, panel j, temperature s, column r
+        by_order = coef.reshape(FILON_ORDER, halfs.size, len(temps), 8)
         C = np.empty((len(temps), 8), dtype=complex)
         for s, T in enumerate(temps):
             C[s, :4] = _filon_columns(nodes, wts, halfs, poles, T,
-                                      by_panel[:, :, s])
+                                      by_order[:, :, s])
             C[s, 4:] = C[s, :4].conj()
-        w_of = width_of[start:start + halfs.size]
-        start += halfs.size
         sp = BathSpectrum(
             numax=numax, temperatures=tuple(temps),
             W=np.array(list(temps.values())), mids=mids, widths=widths,
-            width_of=w_of, coef=coef, C=C)
+            width_of=w_of,
+            groups=tuple((int(w_of[lo]), lo, hi)
+                         for lo, hi in zip(bounds[:-1], bounds[1:])),
+            coef=coef, C=C)
         if log.isEnabledFor(logging.DEBUG):
             log.debug("bath layout numax=%.6g T=%s: %d Filon panels, "
                       "%d nodes, %d distinct widths; %d small-t nodes",

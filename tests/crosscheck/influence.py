@@ -31,10 +31,9 @@ import numpy as np
 
 from duosc.config import InternalConfig
 from duosc.errors import ConfigError
-from duosc.influence import (_FILON_BLOCK, _GL16, FILON_ORDER,
-                             _elementary_transforms, _graded_panels,
-                             _matsubara_pole, _panel_nodes, bath_spectra,
-                             grid_noise, thermal_weight)
+from duosc.influence import (_GL16, FILON_ORDER, _elementary_transforms,
+                             _graded_panels, _matsubara_pole, _panel_nodes,
+                             bath_spectra, grid_noise, thermal_weight)
 from duosc.modes import NormalModes, check_caustic, component_weights
 
 from .modes import coefficient_matrices, xi_coefficient_matrix
@@ -109,18 +108,34 @@ def looped_transforms(sp, times: np.ndarray,
                       by_order: np.ndarray) -> np.ndarray:
     """Reference for `BathSpectrum.transforms`, the (n, 8S) transforms D_r(t)
     from a Bessel table laid out orders first, `by_order` (K, n U) with
-    column (time, width): per block of _FILON_BLOCK times, the block's
-    phases exp(-i m t) times a strided gather from the (n, U, K) view of
-    that table, multiplied as complex numbers, then one product per time
-    with `coef`."""
+    column (time, width): per time, and per width group of `sp.groups` a
+    contiguous copy of that time's Bessel row times the group's real
+    coefficient columns, gathered into that time's (J, 8S) block, then the
+    time's phases exp(-i m t) times that block."""
     bessel = np.moveaxis(by_order.reshape(FILON_ORDER, times.size, -1), 0, -1)
-    out = np.empty((times.size, sp.coef.shape[1]), dtype=complex)
-    for lo in range(0, times.size, _FILON_BLOCK):
-        t = times[lo:lo + _FILON_BLOCK]
-        rows = (np.exp(-1j * np.outer(t, sp.mids))[:, :, None]
-                * bessel[lo:lo + _FILON_BLOCK][:, sp.width_of])
-        out[lo:lo + t.size] = (rows.reshape(t.size, 1, -1) @ sp.coef)[:, 0]
+    coef = sp.coef.view(float)                     # (K, J, 16S)
+    out = np.empty((times.size, sp.coef.shape[2]), dtype=complex)
+    for i in range(times.size):
+        block = np.empty(sp.coef.shape[1:], dtype=complex)
+        for u, lo, hi in sp.groups:
+            row = np.ascontiguousarray(bessel[i, u])[None]
+            block.view(float)[lo:hi] = (
+                row @ coef[:, lo:hi].reshape(FILON_ORDER, -1)
+            ).reshape(hi - lo, -1)
+        phase = np.exp(-1j * np.outer(times[i:i + 1], sp.mids))
+        out[i] = (phase @ block)[0]
     return out
+
+
+def row_product_transforms(sp, times: np.ndarray,
+                           bessel: np.ndarray) -> np.ndarray:
+    """The retired contraction order of `BathSpectrum.transforms`, (n, 8S):
+    per time, the complex row exp(-i m t) j_k(h t) over (panel, order)
+    times `coef` as one (J K, 8S) complex matrix; `bessel` is (n, U, K)."""
+    rows = (np.exp(-1j * np.outer(times, sp.mids))[:, :, None]
+            * bessel[:, sp.width_of])
+    coef = sp.coef.transpose(1, 0, 2).reshape(-1, sp.coef.shape[2])
+    return (rows.reshape(times.size, 1, -1) @ coef)[:, 0]
 
 
 def pairwise_elementary_transforms(modes: NormalModes, times,

@@ -184,6 +184,29 @@ def test_times_must_be_one_dimensional(ic_fig3, times, shape):
         simulate(ic_fig3, times=times)
 
 
+@pytest.mark.parametrize("times, match", [
+    (np.array([1.0 + 1.0j]), "dtype complex128"),
+    (["abc"], "dtype <U3"), (["1.0"], "dtype <U3"),
+    (object(), "dtype object"), ([True], "dtype bool"),
+    ([[1.0], [1.0, 2.0]], "1-D array of real times")])
+def test_times_must_be_real_numbers(ic_fig3, times, match):
+    """Complex, string, boolean, object and ragged times are a ConfigError,
+    not a complex time run at its real part (with numpy's ComplexWarning)
+    or a bare ValueError or TypeError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            simulate(ic_fig3, times=times)
+
+
+def test_integer_times_run_as_floats(ic_fig3):
+    ints = simulate(ic_fig3, times=[0, 1, 3])
+    floats = simulate(ic_fig3, times=[0.0, 1.0, 3.0])
+    assert ints.times.dtype == float
+    assert ints.times.tobytes() == floats.times.tobytes()
+    assert ints.cov.tobytes() == floats.cov.tobytes()
+
+
 def test_stationary_state_at_the_longest_supported_time(ic_fig3):
     """At gamma t = MAX_GAMMA_T fig3 (equal bath temperatures) holds the
     stationary spreads of the fluctuation-dissipation integral, with no

@@ -22,7 +22,8 @@ from crosscheck.brute import (brute_double_integral, brute_square_form,
                               clenshaw_curtis)
 from crosscheck.influence import (grid_quadratic, influence_form,
                                   looped_transforms,
-                                  pairwise_elementary_transforms)
+                                  pairwise_elementary_transforms,
+                                  row_product_transforms)
 from crosscheck.modes import basis_paths, xi_coefficient_matrix
 from test_modes import make_ic
 
@@ -581,7 +582,7 @@ def concatenated_coefficients(sp, modes):
     """Reference for `coef` and `C`: per temperature, one concatenated
     (8, J, K) block from the real node-to-Legendre matrix, cast by each
     product, scaled by out-of-place products, then all temperatures
-    stacked and transposed into a contiguous copy."""
+    stacked and transposed into a contiguous (K, J, 8S) copy."""
     poles = _mode_poles(modes)
     halfs = sp.widths[sp.width_of]
     gl_x, gl_w, _, _ = influence._filon_rule()
@@ -599,19 +600,41 @@ def concatenated_coefficients(sp, modes):
                       * (2.0 * halfs)[:, None] * i_k)
         C[s, :4] = f @ wts
         C[s, 4:] = C[s, :4].conj()
-    coef = np.ascontiguousarray(
-        np.concatenate(blocks).reshape(8 * len(sp.temperatures), -1).T)
+    coef = np.ascontiguousarray(np.concatenate(blocks).transpose(2, 1, 0))
     return coef, C
+
+
+def width_ordered_panels(sp, modes):
+    """Reference for `mids`, `width_of` and `groups`: the graded layout of
+    the spectrum's cutoff, stably sorted by width, and the runs of equal
+    width in it."""
+    poles = tuple(_mode_poles(modes)) + tuple(
+        s for T in sp.temperatures for s in _matsubara_pole(T))
+    mids, halfs = _graded_panels(sp.numax, FILON_BASE_PANELS, poles)
+    order = sorted(range(mids.size), key=lambda j: halfs[j])
+    width_of = np.searchsorted(sp.widths, halfs[order])
+    groups = []
+    for j, u in enumerate(width_of.tolist()):
+        if groups and groups[-1][0] == u:
+            groups[-1][2] = j + 1
+        else:
+            groups.append([u, j, j + 1])
+    return mids[order], width_of, tuple(map(tuple, groups))
 
 
 @pytest.mark.parametrize("name, kw", SPECTRA_CASES)
 def test_coefficients_match_the_concatenated_reference(name, kw):
     """`coef` and `C`, written in place per temperature, are bit for bit
-    the concatenate-and-transpose construction: one temperature (fig2,
-    fig3), two on one layout (fig4), and two spectra (fig3 with bath 1 at
-    cutoff 200)."""
+    the concatenate-and-transpose construction on the graded layout with
+    its panels stably sorted by width: one temperature (fig2, fig3), two
+    on one layout (fig4), and two spectra (fig3 with bath 1 at cutoff
+    200)."""
     ic, modes = physical_ic(name, **kw)
     for sp in bath_spectra(ic, modes):
+        mids, width_of, groups = width_ordered_panels(sp, modes)
+        assert np.array_equal(sp.mids, mids)
+        assert np.array_equal(sp.width_of, width_of)
+        assert sp.groups == groups
         coef, C = concatenated_coefficients(sp, modes)
         assert sp.coef.shape == coef.shape and sp.coef.flags.c_contiguous
         assert np.array_equal(sp.coef, coef) and np.array_equal(sp.C, C)
@@ -637,19 +660,18 @@ def test_spectra_set_up_allocates_little_beyond_its_result(name, kw):
 
 BIT_CASES = [("fig3", {}), ("fig4", {"cutoff": 200.0}),
              ("fig2", {"kelvin": 0.3})]
-#: times below and at or above FILON_MIN_T, more than one Filon block
+#: 9 times below FILON_MIN_T and 21 at or above
 MIXED_TIMES = np.concatenate([np.geomspace(1e-5, 0.99, 9),
-                              np.linspace(FILON_MIN_T, 29.9, 2 * _FILON_BLOCK
-                                          + 5)])
+                              np.linspace(FILON_MIN_T, 29.9, 21)])
 
 
 @pytest.mark.parametrize("name, kw", BIT_CASES)
 def test_transforms_match_the_looped_references_bit_for_bit(name, kw):
     """The Filon transforms, built from the arguments-first Bessel table
-    with one phase table per call and rows multiplied in place, and the
-    small-t transforms, built with one expm1 over all four exponents, are
-    the looped references byte for byte: fig3, fig4 at cutoff 200 (two
-    temperatures on one layout) and fig2 at 0.3 K."""
+    with one product per width group into one buffer and one phase
+    product, and the small-t transforms, built with one expm1 over all four
+    exponents, are the looped references byte for byte: fig3, fig4 at
+    cutoff 200 (two temperatures on one layout) and fig2 at 0.3 K."""
     ic, modes = physical_ic(name, **kw)
     spectra = bath_spectra(ic, modes)
     z = np.outer(MIXED_TIMES, spectra[0].widths)
@@ -667,10 +689,46 @@ def test_transforms_match_the_looped_references_bit_for_bit(name, kw):
         assert got.tobytes() == want.tobytes()
 
 
+def _bessel_table(spectra, times):
+    """The (n, U, K) Bessel table `grid_noise` hands to the Filon product."""
+    return spherical_jn_orders(np.outer(times, spectra[0].widths)).T \
+        .reshape(times.size, -1, FILON_ORDER)
+
+
+@pytest.mark.parametrize("name, kw", BIT_CASES)
+def test_transforms_match_the_row_product(name, kw):
+    """Contracting the orders first moves each transform by at most 1e-14
+    of its column's largest value from the retired product of the complex
+    (panel, order) row with `coef`: fig3, fig4 at cutoff 200 and fig2 at
+    0.3 K, over MIXED_TIMES."""
+    ic, modes = physical_ic(name, **kw)
+    spectra = bath_spectra(ic, modes)
+    bessel = _bessel_table(spectra, MIXED_TIMES)
+    for sp in spectra:
+        got = sp.transforms(MIXED_TIMES, bessel)
+        want = row_product_transforms(sp, MIXED_TIMES, bessel)
+        scale = np.abs(want).max(axis=0)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("name, kw", BIT_CASES)
+def test_transforms_rows_do_not_depend_on_the_batch(name, kw):
+    """Each row of a batched Filon product is, byte for byte, the product
+    for that time alone, where BLAS takes its one-row path."""
+    ic, modes = physical_ic(name, **kw)
+    spectra = bath_spectra(ic, modes)
+    bessel = _bessel_table(spectra, MIXED_TIMES)
+    for sp in spectra:
+        batched = sp.transforms(MIXED_TIMES, bessel)
+        for i in range(MIXED_TIMES.size):
+            alone = sp.transforms(MIXED_TIMES[i:i + 1], bessel[i:i + 1])
+            assert alone.tobytes() == batched[i:i + 1].tobytes()
+
+
 def test_filon_product_reads_a_contiguous_bessel_table(monkeypatch):
     """`grid_noise` hands `BathSpectrum.transforms` a C-contiguous (n, U, K)
-    table, so each block's gather reads each argument's orders side by
-    side."""
+    table, so each width group's row of orders is contiguous, as the
+    per-time products read it."""
     ic, modes = physical_ic("fig4", 200.0, cutoff1=123.4)
     spectra = bath_spectra(ic, modes)
     assert len(spectra) == 2
@@ -730,7 +788,8 @@ def test_spectra_log_their_layouts(caplog, capsys):
     assert len(lines) == len(spectra) == 1
     assert f"numax={ic.numax1:.6g} T={ic.T1:.6g}, {ic.T2:.6g}:" in lines[0]
     for line, sp in zip(lines, spectra):
-        assert (f"{sp.mids.size} Filon panels, {sp.coef.shape[0]} nodes, "
+        assert (f"{sp.mids.size} Filon panels, "
+                f"{sp.mids.size * FILON_ORDER} nodes, "
                 f"{np.unique(sp.width_of).size} distinct widths; "
                 f"{sp.small_nodes.size} small-t nodes") in line
     assert "42 Filon panels, 1008 nodes" in lines[0]
