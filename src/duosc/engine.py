@@ -24,7 +24,11 @@ drive never enters the covariance (Feynman & Vernon 1963).
 
 Fixed-size chunks of times run as arrays from start to finish.  A state is
 a function of (cfg, t) alone, bit for bit: the chunking and the thread pool
-(which maps the same chunks) do not change any value.
+(which maps the same chunks) do not change any value.  A chunk's largest
+temporaries, its Bessel table, recurrences and Filon buffers, live on a
+scratch of the thread that runs it (`influence`); it grows to the largest
+chunk and serves that thread's later calls, so a warm call does not fault
+those pages in again.  It holds no values between calls.
 """
 
 from __future__ import annotations

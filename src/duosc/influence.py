@@ -22,6 +22,10 @@ Filon-Legendre quadrature on panels graded to the poles gives exactly in t
 as one real product per time and panel width, then one complex product per
 time; below t = 1 the phase is summed directly on a small pole-free layout
 of its own (section at the end of this module).
+
+The Filon branch's large temporaries live on a per-thread scratch that
+calls reuse (`_scratch_array`); the small-t sum's grow with the cutoff and
+are allocated per block.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,11 +239,39 @@ def _bessel_tables():
     return series[::-1, :, None], odd[:, None]
 
 
-def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
-    """Spherical Bessel functions j_0..j_{n-1} at z >= 1e-30, n =
-    FILON_ORDER; shape (n, z.size).
+# Per-thread scratch for the large temporaries of a call: the Filon
+# coefficients' set-up, and per chunk of times the Bessel table, its
+# recurrences and the Filon product's buffers.  Each buffer grows to the
+# largest request, so a warm call reuses pages it has already touched
+# instead of having the allocator return them to the system and fault them
+# in again on the next call.  "bessel" holds the chunk's Bessel table from
+# `grid_noise` through the Filon products; "work" and "aux" hold the two
+# working arrays of one step (a temperature's coefficients, a Bessel
+# branch, a Filon product), which the next step overwrites.  Holding no
+# values, it is no cache: every element a call reads from it was written
+# earlier in that call.
+_scratch = threading.local()
 
-    The result is the transposed view of a C-contiguous (z.size, n)
+
+def _scratch_array(role: str, shape: tuple, dtype=float) -> np.ndarray:
+    """A C-contiguous array of `shape` and `dtype` on this thread's buffer
+    for `role`, of undefined contents.  The caller writes each element
+    before reading it.  No public function returns a view of it, except
+    into an `out` its caller passed."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = getattr(_scratch, role, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, np.uint8)
+        setattr(_scratch, role, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def spherical_jn_orders(z: np.ndarray, out=None) -> np.ndarray:
+    """Spherical Bessel functions j_0..j_{n-1} at z >= 1e-30, n =
+    FILON_ORDER; shape (n, z.size), written into `out` if given.
+
+    A new result is the transposed view of a C-contiguous (z.size, n)
     buffer: its `.T` holds each argument's n orders side by side, the
     layout in which `BathSpectrum.transforms` reads them.
 
@@ -249,10 +282,12 @@ def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
     only, whatever else is in the array.
     """
     z = np.asarray(z, dtype=float).ravel()
-    out = np.empty((z.size, FILON_ORDER)).T
+    if out is None:
+        out = np.empty((z.size, FILON_ORDER)).T
     low = z < 1.0
     up = z > FILON_ORDER
-    # one function per branch: its temporaries are freed before the next
+    # each branch returns its (n, m) table on this thread's scratch, which
+    # the next branch reuses once it is copied out
     for branch, on in ((_jn_series, low), (_jn_miller, ~(low | up)),
                        (_jn_upward, up)):
         if on.any():
@@ -263,30 +298,33 @@ def spherical_jn_orders(z: np.ndarray) -> np.ndarray:
 def _jn_series(z: np.ndarray) -> np.ndarray:
     series, _ = _bessel_tables()
     z2 = z * z
-    acc = series[0] * z2
+    acc = np.multiply(series[0], z2,
+                      out=_scratch_array("work", (FILON_ORDER, z.size)))
     for c in series[1:-1]:
         acc += c
         acc *= z2
     acc += series[-1]
-    acc *= z ** np.arange(FILON_ORDER)[:, None]
+    acc *= np.power(z, np.arange(FILON_ORDER)[:, None],
+                    out=_scratch_array("aux", acc.shape))
     return acc
 
 
 def _jn_miller(z: np.ndarray) -> np.ndarray:
     _, odd = _bessel_tables()
+    shape = (_MILLER_START + 1, z.size)
     # started positive at k = start with j_{start+1} = 0, the recurrence
     # is a positive multiple of j_k (the Wronskian with y_{start+1} < 0)
-    c = list(odd / z)
-    T = np.empty((_MILLER_START + 1, z.size))
+    c = list(np.divide(odd, z, out=_scratch_array("aux", shape)))
+    T = _scratch_array("work", shape)
     rows = list(T)
     T[-1] = 1.0
     np.multiply(c[-1], rows[-1], out=rows[-2])
     for k in range(_MILLER_START - 1, 0, -1):
         np.multiply(c[k], rows[k], out=rows[k - 1])
         np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
-    del c                   # freed before the normalization's buffer
-    # the sum runs along rows, in one order for any number of columns
-    terms = np.empty((z.size, _MILLER_START + 1))
+    # the sum runs along rows, in one order for any number of columns; the
+    # factors are spent, so their buffer takes the terms
+    terms = _scratch_array("aux", shape[::-1])
     np.multiply(odd.T, T.T, out=terms)
     np.multiply(terms, T.T, out=terms)
     j = T[:FILON_ORDER]
@@ -297,8 +335,9 @@ def _jn_miller(z: np.ndarray) -> np.ndarray:
 def _jn_upward(z: np.ndarray) -> np.ndarray:
     _, odd = _bessel_tables()
     n = FILON_ORDER
-    c = list(odd[:n] / z)
-    tab = np.empty((n, z.size))
+    c = list(np.divide(odd[:n], z,
+                       out=_scratch_array("aux", (n, z.size))))
+    tab = _scratch_array("work", (n, z.size))
     rows = list(tab)
     np.divide(np.sin(z), z, out=rows[0])
     np.divide(rows[0] - np.cos(z), z, out=rows[1])
@@ -336,9 +375,8 @@ class BathSpectrum:
     mids: np.ndarray       # (J,) Filon panel centres, ordered by width
     widths: np.ndarray     # (U,) sorted distinct Filon half-widths of all
                            #      layouts of one `bath_spectra` call
-    width_of: np.ndarray   # (J,) index into `widths` for each panel,
-                           #      non-decreasing
-    groups: tuple          # (u, lo, hi): panels lo..hi-1 have width u
+    groups: tuple          # (u, lo, hi): panels lo..hi-1 have width
+                           #      `widths[u]`, u increasing
     coef: np.ndarray       # (K, J, 8S) 2 h (-i)^k c_k, orders first,
                            #      r = (p, conj p); columns 8s .. 8s + 7
                            #      for temperature s
@@ -379,15 +417,17 @@ class BathSpectrum:
         product, whose rows BLAS rounds differently from a one-row call: so
         each row is a function of its own time alone, whatever the batch.
         """
-        n = times.size
+        n, J = times.size, self.mids.size
         cols = 2 * self.coef.shape[2]         # floats per panel
-        G = np.empty((n, self.mids.size * cols))
+        G = _scratch_array("work", (n, J * cols))
         coef = self.coef.view(float).reshape(FILON_ORDER, -1)
         for u, lo, hi in self.groups:
             np.matmul(bessel[:, u:u + 1], coef[:, lo * cols:hi * cols],
                       out=G[:, None, lo * cols:hi * cols])
-        phase = np.exp(-1j * np.outer(times, self.mids))[:, None]
-        return (phase @ G.view(complex).reshape(n, self.mids.size, -1))[:, 0]
+        phase = _scratch_array("aux", (n, 1, J), complex)
+        np.multiply(-1j, np.outer(times, self.mids)[:, None], out=phase)
+        np.exp(phase, out=phase)
+        return (phase @ G.view(complex).reshape(n, J, -1))[:, 0]
 
 
 def _matsubara_poles(temperatures) -> tuple:
@@ -401,16 +441,20 @@ def _filon_columns(nodes: np.ndarray, wts: np.ndarray, halfs: np.ndarray,
 
     g0 / (w - conj p) is the conjugate of g0 / (w - p), and so are its
     Legendre coefficients and integral.  The Legendre matrix and the scale
-    2 h are complex, so their products cast nothing; the temporaries are a
-    few arrays the size of one temperature's columns, freed on return."""
+    2 h are complex, so their products cast nothing; the temporaries the
+    size of one temperature's columns are on this thread's scratch."""
     _, _, to_legendre, i_k = _filon_rule()
-    f = nodes - poles[:, None]
+    shape = (4, halfs.size, FILON_ORDER)
+    f = np.subtract(nodes, poles[:, None],
+                    out=_scratch_array("work", (4, nodes.size), complex))
     np.divide(thermal_weight(nodes, T), f, out=f)          # (4, J*K)
-    c = f.reshape(4, halfs.size, FILON_ORDER) @ to_legendre
+    c = np.matmul(f.reshape(shape), to_legendre,
+                  out=_scratch_array("aux", shape, complex))
     integral = f @ wts
-    del f                   # before the conjugate block is allocated
+    # f is spent, so its buffer takes the conjugate block
+    cc = np.conjugate(c, out=f.reshape(shape))
     scale = (2.0 * halfs).astype(complex)[:, None]
-    for cols, block in ((slice(0, 4), c), (slice(4, 8), c.conj())):
+    for cols, block in ((slice(0, 4), c), (slice(4, 8), cc)):
         block *= scale
         block *= i_k
         out[:, :, cols] = block.transpose(2, 1, 0)
@@ -424,7 +468,9 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
     Filon panels: FILON_BASE_PANELS uniform ones on [0, numax], bisected
     until the poles +-Omega_k -+ i delta_k of g0 / (w - r) and the Matsubara
     pole 2 pi i T of each temperature lie outside each panel's Bernstein
-    ellipse BERNSTEIN_RHO.  The small-t layout is built on first read
+    ellipse BERNSTEIN_RHO; of the mode poles only Omega_k - i delta_k is
+    tested, since its mirror -Omega_k - i delta_k is farther from both ends
+    of every panel on [0, numax].  The small-t layout is built on first read
     (`BathSpectrum.small_layout`), so a grid with no time below FILON_MIN_T
     never grades it.  Logs each layout's temperatures and sizes at DEBUG
     level on the `duosc` logger.
@@ -441,7 +487,7 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
         return ()
     poles = _mode_poles(modes)
     panels = [_graded_panels(numax, FILON_BASE_PANELS,
-                             tuple(poles) + _matsubara_poles(temps))
+                             tuple(poles[0::2]) + _matsubara_poles(temps))
               for numax, temps in groups.items()]
     # one sorted width array for all layouts: one Bessel table per call.
     # A layout has about a dozen distinct widths, which a Python set finds
@@ -473,7 +519,6 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
         sp = BathSpectrum(
             numax=numax, temperatures=tuple(temps),
             W=np.array(list(temps.values())), mids=mids, widths=widths,
-            width_of=w_of,
             groups=tuple((int(w_of[lo]), lo, hi)
                          for lo, hi in zip(bounds[:-1], bounds[1:])),
             coef=coef, C=C)
@@ -481,7 +526,7 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
             log.debug("bath layout numax=%.6g T=%s: %d Filon panels, "
                       "%d nodes, %d distinct widths; %d small-t nodes",
                       numax, ", ".join(f"{T:.6g}" for T in temps),
-                      halfs.size, nodes.size, np.unique(w_of).size,
+                      halfs.size, nodes.size, len(sp.groups),
                       sp.small_nodes.size)
         out.append(sp)
     return tuple(out)
@@ -532,10 +577,12 @@ def grid_noise(modes: NormalModes, times, spectra: tuple) -> np.ndarray:
     tf = times[filon]
     R_filon = np.zeros((tf.size, 4, 4))
     if filon.size and spectra:
-        # (n, U, K), C-contiguous; the layouts share one width array, so
-        # one table serves them all
-        bessel = spherical_jn_orders(np.outer(tf, spectra[0].widths)).T \
-            .reshape(tf.size, -1, FILON_ORDER)
+        # (n, U, K), C-contiguous, on this thread's scratch; the layouts
+        # share one width array, so one table serves them all
+        widths = spectra[0].widths
+        bessel = _scratch_array("bessel", (tf.size, widths.size, FILON_ORDER))
+        spherical_jn_orders(np.outer(tf, widths),
+                            out=bessel.reshape(-1, FILON_ORDER).T)
         phases = _sigma_phases(_mode_poles(modes), tf)
     # each time is one branch, and its terms are added in bath order
     for sp in spectra:

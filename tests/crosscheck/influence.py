@@ -127,13 +127,19 @@ def looped_transforms(sp, times: np.ndarray,
     return out
 
 
+def panel_width_index(sp) -> np.ndarray:
+    """Index into `sp.widths` of each panel's half-width, (J,), from the
+    runs of equal width in `sp.groups`."""
+    return np.concatenate([np.full(hi - lo, u) for u, lo, hi in sp.groups])
+
+
 def row_product_transforms(sp, times: np.ndarray,
                            bessel: np.ndarray) -> np.ndarray:
     """The retired contraction order of `BathSpectrum.transforms`, (n, 8S):
     per time, the complex row exp(-i m t) j_k(h t) over (panel, order)
     times `coef` as one (J K, 8S) complex matrix; `bessel` is (n, U, K)."""
     rows = (np.exp(-1j * np.outer(times, sp.mids))[:, :, None]
-            * bessel[:, sp.width_of])
+            * bessel[:, panel_width_index(sp)])
     coef = sp.coef.transpose(1, 0, 2).reshape(-1, sp.coef.shape[2])
     return (rows.reshape(times.size, 1, -1) @ coef)[:, 0]
 

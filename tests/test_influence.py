@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
 from duosc import influence
@@ -23,7 +25,7 @@ from crosscheck.brute import (brute_double_integral, brute_square_form,
 from crosscheck.influence import (grid_quadratic, influence_form,
                                   looped_transforms,
                                   pairwise_elementary_transforms,
-                                  row_product_transforms)
+                                  panel_width_index, row_product_transforms)
 from crosscheck.modes import basis_paths, xi_coefficient_matrix
 from test_modes import make_ic
 
@@ -422,6 +424,28 @@ def test_graded_panels_match_the_looped_reference(name, kelvin):
                 assert g.shape == w.shape and np.array_equal(g, w)
 
 
+@settings(max_examples=300, deadline=None)
+@given(numax=st.floats(1e-2, 1e5), panels=st.integers(1, 64),
+       modes=st.lists(st.tuples(st.floats(1e-3, 3.0), st.floats(1e-7, 0.5)),
+                      min_size=1, max_size=2),
+       temperatures=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                             max_size=2))
+def test_mirror_mode_poles_never_change_the_layout(numax, panels, modes,
+                                                   temperatures):
+    """On [0, numax], -Omega - i delta is no nearer a panel's ends than
+    Omega - i delta, so the layout graded to Omega_k - i delta_k alone is,
+    bit for bit, the layout graded to all four mode poles: modes at
+    Omega = a numax with damping delta = b Omega, and up to two Matsubara
+    poles."""
+    poles = [complex(a * numax, -b * a * numax) for a, b in modes]
+    matsubara = tuple(s for T in temperatures for s in _matsubara_pole(T))
+    mirrored = [s for p in poles for s in (p, complex(-p.real, p.imag))]
+    got = _graded_panels(numax, panels, tuple(poles) + matsubara)
+    want = _graded_panels(numax, panels, tuple(mirrored) + matsubara)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("name, kelvin", [
     ("fig3", None), ("fig2", 0.0), ("fig2", 0.3), ("fig4", None)])
 def test_shared_spectrum_equals_the_bath_by_bath_sum(name, kelvin):
@@ -502,9 +526,9 @@ def test_one_bessel_table_per_call(monkeypatch):
     assert len(bath_spectra(*fig3)) == 2
     calls = []
 
-    def counted(z):
+    def counted(z, out=None):
         calls.append(z.size)
-        return spherical_jn_orders(z)
+        return spherical_jn_orders(z, out)
 
     monkeypatch.setattr(influence, "spherical_jn_orders", counted)
     for ic, modes in (fig4, fig3):
@@ -584,7 +608,7 @@ def concatenated_coefficients(sp, modes):
     product, scaled by out-of-place products, then all temperatures
     stacked and transposed into a contiguous (K, J, 8S) copy."""
     poles = _mode_poles(modes)
-    halfs = sp.widths[sp.width_of]
+    halfs = sp.widths[panel_width_index(sp)]
     gl_x, gl_w, _, _ = influence._filon_rule()
     vander = np.polynomial.legendre.legvander(gl_x, FILON_ORDER - 1)
     to_legendre = (np.arange(FILON_ORDER) + 0.5)[:, None] * vander.T * gl_w
@@ -605,21 +629,20 @@ def concatenated_coefficients(sp, modes):
 
 
 def width_ordered_panels(sp, modes):
-    """Reference for `mids`, `width_of` and `groups`: the graded layout of
-    the spectrum's cutoff, stably sorted by width, and the runs of equal
-    width in it."""
+    """Reference for `mids` and `groups`: the layout of the spectrum's
+    cutoff graded to all four mode poles and its Matsubara poles, stably
+    sorted by width, and the runs of equal width in it."""
     poles = tuple(_mode_poles(modes)) + tuple(
         s for T in sp.temperatures for s in _matsubara_pole(T))
     mids, halfs = _graded_panels(sp.numax, FILON_BASE_PANELS, poles)
     order = sorted(range(mids.size), key=lambda j: halfs[j])
-    width_of = np.searchsorted(sp.widths, halfs[order])
     groups = []
-    for j, u in enumerate(width_of.tolist()):
+    for j, u in enumerate(np.searchsorted(sp.widths, halfs[order]).tolist()):
         if groups and groups[-1][0] == u:
             groups[-1][2] = j + 1
         else:
             groups.append([u, j, j + 1])
-    return mids[order], width_of, tuple(map(tuple, groups))
+    return mids[order], tuple(map(tuple, groups))
 
 
 @pytest.mark.parametrize("name, kw", SPECTRA_CASES)
@@ -631,9 +654,8 @@ def test_coefficients_match_the_concatenated_reference(name, kw):
     200)."""
     ic, modes = physical_ic(name, **kw)
     for sp in bath_spectra(ic, modes):
-        mids, width_of, groups = width_ordered_panels(sp, modes)
+        mids, groups = width_ordered_panels(sp, modes)
         assert np.array_equal(sp.mids, mids)
-        assert np.array_equal(sp.width_of, width_of)
         assert sp.groups == groups
         coef, C = concatenated_coefficients(sp, modes)
         assert sp.coef.shape == coef.shape and sp.coef.flags.c_contiguous
@@ -725,6 +747,52 @@ def test_transforms_rows_do_not_depend_on_the_batch(name, kw):
             assert alone.tobytes() == batched[i:i + 1].tobytes()
 
 
+def test_scratch_contents_never_reach_a_result():
+    """Filling this thread's scratch with NaN (all bits set) between two
+    calls leaves the second call byte for byte the first: each call writes
+    every scratch element it reads.  fig3 and fig4 at cutoff 200, times on
+    both branches and on all three Bessel branches."""
+    def fill_with_nan():
+        assert vars(influence._scratch)
+        for buf in vars(influence._scratch).values():
+            buf.fill(0xFF)
+
+    for ic, modes in (physical_ic("fig3"), physical_ic("fig4", 200.0)):
+        spectra = bath_spectra(ic, modes)
+        first = grid_noise(modes, MIXED_TIMES, spectra)
+        fill_with_nan()
+        again = bath_spectra(ic, modes)
+        for sp, ref in zip(again, spectra):
+            assert sp.coef.tobytes() == ref.coef.tobytes()
+            assert sp.C.tobytes() == ref.C.tobytes()
+        fill_with_nan()
+        assert grid_noise(modes, MIXED_TIMES, spectra).tobytes() \
+            == first.tobytes()
+
+
+def test_results_do_not_share_the_scratch():
+    """A result of `spherical_jn_orders`, `BathSpectrum.transforms` or
+    `grid_noise` is unchanged by a second call on other arguments, which
+    rewrites this thread's scratch."""
+    ic, modes = physical_ic("fig4", 200.0)
+    spectra = bath_spectra(ic, modes)
+    other = np.linspace(1.5, 28.0, 40)
+    z = np.outer(MIXED_TIMES, spectra[0].widths)
+    jn = spherical_jn_orders(z)
+    kept = jn.copy()
+    spherical_jn_orders(np.outer(other, spectra[0].widths))
+    assert jn.tobytes() == kept.tobytes()
+    bessel = _bessel_table(spectra, MIXED_TIMES)
+    D = spectra[0].transforms(MIXED_TIMES, bessel)
+    kept = D.copy()
+    spectra[0].transforms(other, _bessel_table(spectra, other))
+    assert D.tobytes() == kept.tobytes()
+    R = grid_noise(modes, MIXED_TIMES, spectra)
+    kept = R.copy()
+    grid_noise(modes, other, spectra)
+    assert R.tobytes() == kept.tobytes()
+
+
 def test_filon_product_reads_a_contiguous_bessel_table(monkeypatch):
     """`grid_noise` hands `BathSpectrum.transforms` a C-contiguous (n, U, K)
     table, so each width group's row of orders is contiguous, as the
@@ -790,7 +858,7 @@ def test_spectra_log_their_layouts(caplog, capsys):
     for line, sp in zip(lines, spectra):
         assert (f"{sp.mids.size} Filon panels, "
                 f"{sp.mids.size * FILON_ORDER} nodes, "
-                f"{np.unique(sp.width_of).size} distinct widths; "
+                f"{len({u for u, _, _ in sp.groups})} distinct widths; "
                 f"{sp.small_nodes.size} small-t nodes") in line
     assert "42 Filon panels, 1008 nodes" in lines[0]
     assert "64 small-t nodes" in lines[0]

@@ -29,6 +29,13 @@ call (median, from resource.getrusage) are printed beside it.  Each cold
 row comes from a fresh interpreter that runs that row alone, since the
 allocator's thresholds depend on what the process allocated before.
 
+That count still depends on the harness: the same code faults up to twice
+as often in one process as in another, because glibc's trim threshold
+follows the largest block freed so far.  So each row also prints its warm
+heap peak, the most tracemalloc saw allocated at once during one call that
+follows a first one, in KiB.  It repeats to the byte in any process, so it
+is the figure to compare between versions.
+
 BLAS is pinned to one thread.
 """
 
@@ -40,6 +47,7 @@ import statistics
 import sys
 import time
 import timeit
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,6 +155,17 @@ def per_call_fns(name: str) -> dict:
     return fns
 
 
+def warm_peak_kib(fn) -> float:
+    """tracemalloc's peak over one call of `fn` after a first, in KiB."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
+
+
 def cold_figure(row: tuple) -> tuple:
     name, label = row
     return cold(per_call_fns(name)[label])
@@ -182,7 +201,8 @@ def main() -> None:
         for label, fn in per_call_fns(name).items():
             cold_ms, faults = cold_rows[name, label]
             print(f"{'':9s} per call: {label} {ms_per_call(fn):6.3f} warm, "
-                  f"{cold_ms:6.3f} cold ms ({faults:g} faults)")
+                  f"{cold_ms:6.3f} cold ms ({faults:g} faults, "
+                  f"{warm_peak_kib(fn):.0f} KiB warm peak)")
 
 
 if __name__ == "__main__":
