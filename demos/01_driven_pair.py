@@ -38,7 +38,7 @@ def main():
     print(f"  second kick at t = {ic.force2.t0:g}, opposite sign")
     print()
 
-    res = simulate(ic, times=times, threads=4)
+    res = simulate(ic, times=times)
     s1 = np.sqrt(ic.sigma01_sq)
     s2 = np.sqrt(ic.sigma02_sq)
 

@@ -33,8 +33,8 @@ def zero_forces(ic):
 def main():
     ic = to_internal(validate_config(preset_config("fig3")))
     times = np.linspace(0.0, ic.t_end, 120)
-    on = simulate(ic, times=times, threads=4)
-    off = simulate(zero_forces(ic), times=times, threads=4)
+    on = simulate(ic, times=times)
+    off = simulate(zero_forces(ic), times=times)
 
     print("drive independence of the spreads (fig3, 120 grid points):")
     for col in ("var_x1", "var_x2", "var_p1", "var_p2", "cov_x1x2"):

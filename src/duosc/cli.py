@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of time grid points")
     run.add_argument("--t-end", dest="t_end", type=float, default=None,
                      help="grid end time in seconds")
-    run.add_argument("--threads", type=int, default=1)
     run.add_argument("--dump-action", action="store_true")
     run.add_argument("--dump-state", action="store_true")
     return p
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = engine.simulate(ic, threads=max(1, args.threads))
+        result = engine.simulate(ic)
         # the endpoint form of the action at the last grid time; it does not
         # exist on a caustic (CausticTime)
         action = (endpoint_action_form(ic, solve_determinant(ic),

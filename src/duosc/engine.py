@@ -22,19 +22,19 @@ No step divides by sin(Omega t), so no time is special; the paper's
 boundary-value route, which does, is a cross-check of the test suite.  The
 drive never enters the covariance (Feynman & Vernon 1963).
 
-Fixed-size chunks of times run as arrays from start to finish.  A state is
-a function of (cfg, t) alone, bit for bit: the chunking and the thread pool
-(which maps the same chunks) do not change any value.  A chunk's largest
-temporaries, its Bessel table, recurrences and Filon buffers, live on a
-scratch of the thread that runs it (`influence`); it grows to the largest
-chunk and serves that thread's later calls, so a warm call does not fault
-those pages in again.  It holds no values between calls.
+Fixed-size chunks of times run as arrays from start to finish, one after
+the other on the calling thread.  A state is a function of (cfg, t) alone,
+bit for bit: the chunk size does not change any value, so CHUNK only bounds
+a chunk's temporaries.  The largest of them, its Bessel table, recurrences
+and Filon buffers, live on a scratch of the calling thread (`influence`);
+it grows to the largest chunk and serves that thread's later calls, so a
+warm call does not fault those pages in again.  It holds no values between
+calls.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -51,7 +51,7 @@ from .observables import (REPORT_FIELDS, CovarianceReport,
 from .reduction import (GaussianStateParams, check_normalizable,
                         initial_variances, states_from_moments)
 
-CHUNK = 64      # times per chunk: one array pass and one thread-pool task
+CHUNK = 256     # times per chunk: one array pass
 
 
 class _Rows(SequenceABC):
@@ -122,7 +122,11 @@ class SimulationResult:
 def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
              threads: int = 1) -> SimulationResult:
     """Evaluate the state on a time grid (default: the configured grid):
-    a 1-D sequence of finite integer or floating times, else ConfigError."""
+    a 1-D sequence of finite integer or floating times, else ConfigError.
+
+    Every chunk runs on the calling thread.  `threads` is accepted and
+    ignored: the benchmark's runner still passes it positionally, and it
+    goes when that runner is rebuilt."""
     if times is None:
         times = np.linspace(0.0, cfg.t_end, cfg.n_points)
     try:
@@ -152,8 +156,9 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
     means = np.zeros((times.size, 4))
     cov = np.empty((times.size, 4, 4))
     cov[:] = np.diag(c0)            # t <= 0 keeps C0
-
-    def run(idx: np.ndarray) -> None:
+    positive = np.flatnonzero(times > 0.0)
+    for lo in range(0, positive.size, CHUNK):
+        idx = positive[lo:lo + CHUNK]
         t = times[idx]
         B = response_matrices(modes, t)
         C = B @ (A0 + grid_noise(modes, t, spectra)) \
@@ -161,16 +166,6 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
         cov[idx] = 0.5 * (C + np.swapaxes(C, 1, 2))
         means[idx] = (B @ drive_amplitudes(modes, cfg.force1, cfg.force2,
                                            t)[:, :, None])[:, :, 0]
-
-    positive = np.flatnonzero(times > 0.0)
-    chunks = [positive[lo:lo + CHUNK]
-              for lo in range(0, positive.size, CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(run, chunks))     # re-raises a chunk's error
-    else:
-        for idx in chunks:
-            run(idx)
     check_normalizable(times, cov)      # raises for the first bad time
     for array in (times, means, cov):
         array.flags.writeable = False

@@ -24,8 +24,8 @@ time; below t = 1 the phase is summed directly on a small pole-free layout
 of its own (section at the end of this module).
 
 The Filon branch's large temporaries live on a per-thread scratch that
-calls reuse (`_scratch_array`); the small-t sum's grow with the cutoff and
-are allocated per block.
+calls reuse (`_scratch_array`); the small-t sum's are allocated per block
+of times and slice of nodes, whose sizes are fixed whatever the cutoff.
 """
 
 from __future__ import annotations
@@ -200,9 +200,12 @@ def _elementary_transforms(modes: NormalModes, times,
 FILON_ORDER = 24           # GL nodes per panel = Legendre orders kept
 FILON_BASE_PANELS = 8      # uniform panels on [0, numax] before grading
 FILON_MIN_T = 1.0          # below: direct sum on the small-t layout
-# Times per block of the small-t sum, whose (block, 4, N) transforms and
-# their products grow with the cutoff
+# Times per block, and nodes per slice, of the small-t sum: its (block, 4,
+# slice) transforms and their products stay this size whatever the cutoff.
+# A layout of at most _SMALL_T_NODES nodes (every preset, and cutoffs up to
+# about 1000 omega01) is one slice
 _FILON_BLOCK = 8
+_SMALL_T_NODES = 2048
 # Miller's start: its truncation error falls about 1000-fold per 4 steps and
 # reaches 1e-16 at 2n - 4 for z <= n; 2n + 8 leaves a margin of 12 steps.
 # From T = 1 at the start a step grows |T| at most (2 start + 1) / z + 1 <=
@@ -304,8 +307,13 @@ def _jn_series(z: np.ndarray) -> np.ndarray:
         acc += c
         acc *= z2
     acc += series[-1]
-    acc *= np.power(z, np.arange(FILON_ORDER)[:, None],
-                    out=_scratch_array("aux", acc.shape))
+    # z^k as a running product of exact multiplies: a broadcast np.power
+    # rounds a value differently with what else is in the array
+    powers = _scratch_array("aux", acc.shape)
+    powers[0] = 1.0
+    np.multiply.accumulate(np.broadcast_to(z, powers[1:].shape), axis=0,
+                           out=powers[1:])
+    acc *= powers
     return acc
 
 
@@ -392,16 +400,19 @@ class BathSpectrum:
         small = max(4, math.ceil(self.numax * FILON_MIN_T / (4.0 * math.pi)))
         nodes, wts = _panel_nodes(*_graded_panels(
             self.numax, small, _matsubara_poles(self.temperatures)), _GL16)
-        return nodes, np.array([wts * thermal_weight(nodes, T)
-                                for T in self.temperatures])
+        # thermal_weight's temporaries are several times its argument, so
+        # the weights are built over the small-t sum's node slices
+        weights = np.empty((len(self.temperatures), nodes.size))
+        for a in range(0, nodes.size, _SMALL_T_NODES):
+            cut = slice(a, a + _SMALL_T_NODES)
+            for row, T in zip(weights, self.temperatures):
+                np.multiply(wts[cut], thermal_weight(nodes[cut], T),
+                            out=row[cut])
+        return nodes, weights
 
     @property
     def small_nodes(self) -> np.ndarray:
         return self.small_layout[0]
-
-    @property
-    def small_weights(self) -> np.ndarray:
-        return self.small_layout[1]
 
     def transforms(self, times: np.ndarray,
                    bessel: np.ndarray) -> np.ndarray:
@@ -584,14 +595,18 @@ def grid_noise(modes: NormalModes, times, spectra: tuple) -> np.ndarray:
         spherical_jn_orders(np.outer(tf, widths),
                             out=bessel.reshape(-1, FILON_ORDER).T)
         phases = _sigma_phases(_mode_poles(modes), tf)
-    # each time is one branch, and its terms are added in bath order
+    # each time is one branch, and its terms are added in bath order; the
+    # small-t sum runs over node slices fixed by the layout alone
     for sp in spectra:
         for lo in range(0, small.size, _FILON_BLOCK):
             idx = small[lo:lo + _FILON_BLOCK]
-            F = _elementary_transforms(modes, times[idx], sp.small_nodes)
-            Fh = np.swapaxes(F.conj(), 1, 2)
-            for wts, W in zip(sp.small_weights, sp.W):
-                R[idx] += ((F * wts) @ Fh).real * W
+            nodes, weights = sp.small_layout
+            for a in range(0, nodes.size, _SMALL_T_NODES):
+                cut = slice(a, a + _SMALL_T_NODES)
+                F = _elementary_transforms(modes, times[idx], nodes[cut])
+                Fh = np.swapaxes(F.conj(), 1, 2)
+                for wts, W in zip(weights[:, cut], sp.W):
+                    R[idx] += ((F * wts) @ Fh).real * W
         if filon.size:
             D = sp.transforms(tf, bessel)
             for s, (C, W) in enumerate(zip(sp.C, sp.W)):

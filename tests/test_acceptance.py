@@ -7,7 +7,6 @@ module.
 """
 
 import math
-import os
 import time
 from dataclasses import replace
 
@@ -30,10 +29,9 @@ from test_modes import make_ic
 from test_particular import fd_residual
 
 N_GRID = 2000
-THREADS = 4
-# the runtime budget is stated for a 4-core laptop; on hosts with fewer
-# cores the 4 worker threads serialize, so the budget scales accordingly
-RUNTIME_BUDGET = 120.0 * (4 / min(4, os.cpu_count() or 1))
+# seconds per 2000-point preset run; a run takes one thread, whatever the
+# host's cores
+RUNTIME_BUDGET = 120.0
 
 
 def _report(num, desc, ok, detail):
@@ -55,7 +53,7 @@ def runs(ic_fig2, ic_fig3, ic_fig4):
     for name, ic in (("fig2", ic_fig2), ("fig3", ic_fig3), ("fig4", ic_fig4)):
         times = np.linspace(0.0, ic.t_end, N_GRID)
         t0 = time.perf_counter()
-        res = simulate(ic, times=times, threads=THREADS)
+        res = simulate(ic, times=times)
         wall = time.perf_counter() - t0
         oracle = mean_ode(ic, times)
         out[name] = (ic, res, oracle, wall)
@@ -66,7 +64,7 @@ def runs(ic_fig2, ic_fig3, ic_fig4):
 def run_fig3_off(ic_fig3):
     ic0 = _zero_forces(ic_fig3)
     times = np.linspace(0.0, ic_fig3.t_end, N_GRID)
-    return simulate(ic0, times=times, threads=THREADS)
+    return simulate(ic0, times=times)
 
 
 def test_criterion_01_means_match_ode_oracle(runs):

@@ -189,8 +189,7 @@ def test_strong_coupling_exit_code(tmp_path, capsys):
 
 def test_verify_small_grid(tmp_path, capsys):
     out = tmp_path / "v"
-    rc = run_cli(["run", "fig3", str(out), "--grid", "12", "--verify",
-                  "--threads", "2"])
+    rc = run_cli(["run", "fig3", str(out), "--grid", "12", "--verify"])
     captured = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in captured and "FAIL" not in captured
@@ -241,6 +240,15 @@ def test_grid_and_tend_overrides(tmp_path):
 def test_parser_rejects_unknown_scenario():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "fig9", "out"])
+
+
+def test_threads_is_no_longer_an_option(tmp_path):
+    """Every run is on the calling thread: `--threads` is a usage error
+    (exit 2), and nothing is written."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "fig3", str(tmp_path / "o"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_normalized_means_scale(tmp_path):

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from duosc import engine
+from duosc import engine, influence
 from duosc.action import endpoint_action_arrays, endpoint_action_form
 from duosc.config import MAX_GAMMA_T, InternalForce
 from duosc.engine import simulate
@@ -39,27 +39,6 @@ def test_simulation_grid_and_columns(ic_fig3):
     assert math.isclose(col[0], ic_fig3.sigma01_sq, rel_tol=1e-12)
     with pytest.raises(KeyError, match="'var_x3'.*mean_x1, mean_x2"):
         res.column("var_x3")
-
-
-def test_threaded_equals_serial(monkeypatch, ic_fig3):
-    """Over more than 2 x CHUNK times, on both branches of the bath noise
-    (t < 1 and t >= 1), the thread pool gives the serial means and
-    covariance byte for byte, and every chunk runs on a pool thread, with
-    that thread's scratch."""
-    times = np.concatenate([np.geomspace(1e-4, 0.99, engine.CHUNK),
-                            np.linspace(1.0, 29.0, 2 * engine.CHUNK + 9)])
-    a = simulate(ic_fig3, times=times, threads=1)
-    ran_on = set()
-
-    def recorded(*args):
-        ran_on.add(threading.get_ident())
-        return grid_noise(*args)
-
-    monkeypatch.setattr(engine, "grid_noise", recorded)
-    b = simulate(ic_fig3, times=times, threads=4)
-    assert ran_on and threading.get_ident() not in ran_on
-    assert a.means.tobytes() == b.means.tobytes()
-    assert a.cov.tobytes() == b.cov.tobytes()
 
 
 def stratum_midpoints(ic, n):
@@ -112,6 +91,34 @@ def test_a_warm_chunk_keeps_its_heap_peak_low(request, which, n, limit_kib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_kib * 1024
+
+
+@pytest.mark.parametrize("which", ["ic_fig3", "ic_fig4"])
+def test_small_t_sum_stays_small_at_the_largest_cutoff(request, monkeypatch,
+                                                        which):
+    """At a cutoff of 1e5 omega01 (127 328 small-t nodes) a warm 64-time
+    call with 2 times below 1 peaks at most 8 MiB traced; when the small-t
+    sum took every node at once it peaked at about 50 MiB.  Its node slices
+    agree with the sum over all nodes at once to 1e-14 of max |R|."""
+    ic = replace(request.getfixturevalue(which), numax1=1e5, numax2=1e5)
+    times = stratum_midpoints(ic, 64)
+    assert np.count_nonzero(times < 1.0) == 2
+    simulate(ic, times)
+    tracemalloc.start()
+    try:
+        simulate(ic, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+    modes = solve_determinant(ic)
+    small = times[times < 1.0]
+    sliced = grid_noise(modes, small, bath_spectra(ic, modes))
+    nodes = bath_spectra(ic, modes)[0].small_nodes.size
+    assert nodes > 50 * influence._SMALL_T_NODES
+    monkeypatch.setattr(influence, "_SMALL_T_NODES", nodes)
+    whole = grid_noise(modes, small, bath_spectra(ic, modes))
+    assert np.max(np.abs(sliced - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
 def test_caustic_grid_point_is_nudged_not_dropped(ic_fig3, modes_fig3,
@@ -212,7 +219,7 @@ def _sampled(ic_fig3):
 def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
     """All 19 state fields and all 16 report fields are bit-identical
     however a time is batched: alone, in a 3-point grid, in the full grid,
-    with a thread pool, and in a grid longer than one chunk."""
+    and in a grid longer than one chunk."""
     ic = {"fig3": ic_fig3, "wideband": _wideband(ic_fig4),
           "sampled": _sampled(ic_fig3)}[which]
     full = np.linspace(0.0, ic.t_end, 2000)
@@ -226,14 +233,33 @@ def test_state_is_a_function_of_time_alone(which, ic_fig3, ic_fig4):
     want = [values(simulate(ic, times=[full[i]]), 0) for i in probe]
     runs = [simulate(ic, times=full[[i, 5, 1000]]) for i in probe]
     serial = simulate(ic, times=full)
-    pooled = simulate(ic, times=full, threads=4)
     # a grid longer than one chunk
     longer = simulate(ic, times=full[np.r_[probe, 2:2 + engine.CHUNK]])
     for k, i in enumerate(probe):
         assert values(runs[k], 0) == want[k]
         assert values(serial, i) == want[k]
-        assert values(pooled, i) == want[k]
         assert values(longer, k) == want[k]
+
+
+@pytest.mark.parametrize("which", ["fig2", "fig3", "fig4_200", "sampled"])
+def test_chunk_size_does_not_change_a_bit(monkeypatch, which, ic_fig2,
+                                          ic_fig3, ic_fig4):
+    """Means and covariance are byte-identical for any chunk size, from one
+    time per chunk to the whole 2000-point grid in one chunk: fig2, fig3,
+    fig4 at cutoff 200 and fig3 with a sampled force, on a grid with a
+    time below 0, one at 0 and times on both branches of the bath noise."""
+    ic = {"fig2": ic_fig2, "fig3": ic_fig3,
+          "fig4_200": replace(ic_fig4, numax1=200.0, numax2=200.0),
+          "sampled": _sampled(ic_fig3)}[which]
+    times = np.concatenate([[-1.0], np.linspace(0.0, ic.t_end, 2000)])
+    assert np.count_nonzero((times > 0.0) & (times < 1.0)) > 16
+    runs = []
+    for chunk in (1, 16, 64, engine.CHUNK, 2000):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        runs.append(simulate(ic, times=times))
+    for res in runs[1:]:
+        assert res.means.tobytes() == runs[0].means.tobytes()
+        assert res.cov.tobytes() == runs[0].cov.tobytes()
 
 
 def test_nonfinite_times_are_rejected(ic_fig3):
@@ -381,16 +407,16 @@ def test_result_views_read_the_tables(ic_fig3):
     assert res.states[0] == initial_state(ic_fig3)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_reports_are_one_pass_over_the_state_table(ic_fig3, threads):
+def test_reports_are_one_pass_over_the_state_table(ic_fig3):
     """The report table and the state table hold the same moments: the
     state table's `report_table` agrees with the report table to 1e-12 of
     each column's scale, start rows (t <= 0) and several chunks included.
     The start rows are the report of zero means and the initial packets'
     covariance C0."""
-    times = np.concatenate([[0.0, -1.0], np.linspace(0.0, 29.0, 150)])
-    res = simulate(ic_fig3, times=times, threads=threads)
-    assert np.count_nonzero(times > 0.0) > engine.CHUNK
+    times = np.concatenate([[0.0, -1.0],
+                            np.linspace(0.0, 29.0, 2 * engine.CHUNK + 22)])
+    res = simulate(ic_fig3, times=times)
+    assert np.count_nonzero(times > 0.0) > 2 * engine.CHUNK
     want = report_table(res.state_array, hbar=ic_fig3.hbar)
     scale = np.max(np.abs(want), axis=0)
     assert np.all(np.abs(res.report_array - want) <= 1e-12 * scale)

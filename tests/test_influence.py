@@ -286,13 +286,20 @@ def test_spherical_jn_orders_down_to_the_smallest_admitted_z():
 
 def test_spherical_jn_orders_value_depends_on_its_own_z_only():
     """Each column is bit-identical whether z comes alone or with others,
-    on all three branches (the Miller normalization sums in one order)."""
+    on all three branches (the Miller normalization sums in one order),
+    and whether 20 000 series-range arguments come in one array or in
+    64-wide slices (a broadcast power of z rounds with the array)."""
     z = np.outer(np.linspace(1.0, 30.0, 9),
                  [0.004, 0.03, 0.2, 0.9, 1.7, 3.3]).ravel()
     whole = spherical_jn_orders(z)
     for i, zi in enumerate(z):
         assert np.array_equal(spherical_jn_orders(np.array([zi]))[:, 0],
                               whole[:, i])
+    z = np.random.default_rng(0).uniform(1e-3, 1.0, 20_000)
+    whole = spherical_jn_orders(z)
+    for lo in range(0, z.size, 64):
+        assert np.array_equal(spherical_jn_orders(z[lo:lo + 64]),
+                              whole[:, lo:lo + 64])
 
 
 def test_per_t_route_resolves_thermal_scale():

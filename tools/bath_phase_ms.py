@@ -13,11 +13,13 @@ fixed cost every engine.simulate call pays, in ms per call:
 influence.bath_spectra, the spherical Bessel table of a 2-time grid
 (influence.spherical_jn_orders over both times' Filon widths) and a whole
 2-time engine.simulate call.  For fig3 and wideband it adds the stages of
-one engine chunk of CHUNK = 64 times, the midpoints of 64 equal strata of
-[0, t_end]: their Bessel table, the Filon product
+one benchmark call of CALL_TIMES = 64 times, the midpoints of 64 equal
+strata of [0, t_end]: their Bessel table, the Filon product
 (BathSpectrum.transforms of every spectrum on the times at or above
 FILON_MIN_T), the small-t sum (influence.grid_noise on the times below)
-and a whole 64-time engine.simulate call.
+and a whole 64-time engine.simulate call.  Last, for each preset (fig2,
+fig3, fig4), a whole engine.simulate call on its 2000-point grid: best ms
+of a few warm calls and the warm heap peak.
 
 Each per-call figure is given twice.  Warm is the best of several timeit
 repeats of back-to-back calls.  Cold is the median over calls that each
@@ -66,7 +68,9 @@ from duosc.influence import (FILON_MIN_T, FILON_ORDER,  # noqa: E402
 from duosc.modes import solve_determinant  # noqa: E402
 
 COLD_CALLS = 25
-CHUNK_ROWS = ("fig3", "wideband")     # configurations with 64-time rows
+CALL_TIMES = 64                       # times per fig3-driven benchmark call
+CALL_ROWS = ("fig3", "wideband")      # configurations with 64-time rows
+PRESETS = ("fig2", "fig3", "fig4")    # whole 2000-point simulate rows
 
 
 def sampled_force(cfg):
@@ -137,21 +141,21 @@ def per_call_fns(name: str) -> dict:
            f"2-time Bessel table ({two.size} arguments)":
                lambda: spherical_jn_orders(two),
            "2-time simulate": lambda: simulate(ic, pair)}
-    if name in CHUNK_ROWS:
-        chunk = (np.arange(CHUNK) + 0.5) * (ic.t_end / CHUNK)
-        small = chunk[chunk < FILON_MIN_T]
-        tf = chunk[chunk >= FILON_MIN_T]
+    if name in CALL_ROWS:
+        call = (np.arange(CALL_TIMES) + 0.5) * (ic.t_end / CALL_TIMES)
+        small = call[call < FILON_MIN_T]
+        tf = call[call >= FILON_MIN_T]
         z = np.outer(tf, spectra[0].widths).ravel()
         # the table in the layout grid_noise hands to the Filon product
         bessel = spherical_jn_orders(z).T.reshape(tf.size, -1, FILON_ORDER)
         fns.update({
-            f"{CHUNK}-time Bessel table ({z.size} arguments)":
+            f"{CALL_TIMES}-time Bessel table ({z.size} arguments)":
                 lambda: spherical_jn_orders(z),
-            f"{CHUNK}-time Filon product ({tf.size} times)":
+            f"{CALL_TIMES}-time Filon product ({tf.size} times)":
                 lambda: [sp.transforms(tf, bessel) for sp in spectra],
-            f"{CHUNK}-time small-t sum ({small.size} times)":
+            f"{CALL_TIMES}-time small-t sum ({small.size} times)":
                 lambda: grid_noise(modes, small, spectra),
-            f"{CHUNK}-time simulate": lambda: simulate(ic, chunk)})
+            f"{CALL_TIMES}-time simulate": lambda: simulate(ic, call)})
     return fns
 
 
@@ -203,6 +207,12 @@ def main() -> None:
             print(f"{'':9s} per call: {label} {ms_per_call(fn):6.3f} warm, "
                   f"{cold_ms:6.3f} cold ms ({faults:g} faults, "
                   f"{warm_peak_kib(fn):.0f} KiB warm peak)")
+
+    for name in PRESETS:
+        ic = to_internal(validate_config(preset_config(name)))
+        print(f"{name:9s} whole {ic.n_points}-point simulate "
+              f"{ms_per_call(lambda: simulate(ic), number=5):6.1f} warm ms "
+              f"({warm_peak_kib(lambda: simulate(ic)):.0f} KiB warm peak)")
 
 
 if __name__ == "__main__":
