@@ -93,23 +93,24 @@ def _write_outputs(outdir: str, result, args, action=None) -> None:
     u = ic.units
     ts = result.times * u.time_unit
     L, P = u.length_unit, u.momentum_unit
-    r = result.column
+    # the moments over (x1, x2, p1, p2), straight from the result: the
+    # report table would also find the uncertainty bound, which no CSV holds
+    m, c = result.means, result.cov
+    scale = np.array([L, L, P, P])
     _write_csv(os.path.join(outdir, "report.csv"),
                ["t", "x1_mean", "x2_mean", "p1_mean", "p2_mean",
                 "var_x1", "var_x2", "var_p1", "var_p2", "cov_x1x2",
                 "sym_xp1", "sym_xp2"],
-               np.column_stack([ts, r("mean_x1") * L, r("mean_x2") * L,
-                                r("mean_p1") * P, r("mean_p2") * P,
-                                r("var_x1") * L * L, r("var_x2") * L * L,
-                                r("var_p1") * P * P, r("var_p2") * P * P,
-                                r("cov_x1x2") * L * L,
-                                r("cov_x1p1") * L * P,
-                                r("cov_x2p2") * L * P]))
+               np.column_stack([ts, m * scale,
+                                np.diagonal(c, axis1=1, axis2=2)
+                                * scale * scale,
+                                c[:, 0, 1] * L * L, c[:, 0, 2] * L * P,
+                                c[:, 1, 3] * L * P]))
 
     s1, s2 = math.sqrt(ic.sigma01_sq), math.sqrt(ic.sigma02_sq)
     _write_csv(os.path.join(outdir, "means_normalized.csv"),
                ["t", "x1_mean_over_sigma01", "x2_mean_over_sigma02"],
-               np.column_stack([ts, r("mean_x1") / s1, r("mean_x2") / s2]))
+               np.column_stack([ts, m[:, 0] / s1, m[:, 1] / s2]))
 
     _write_csv(os.path.join(outdir, "forces.csv"), ["t", "f1", "f2"],
                np.column_stack([ts] + [force_value(f, result.times)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -35,15 +38,28 @@ MAX_CUTOFF_MULTIPLE = 1e5
 MAX_GAMMA_T = 300.0
 
 
-def _require_finite(**fields) -> None:
-    """ConfigError unless every given value that is not None is finite;
-    a sequence must be finite in every entry."""
+def _finite_real(value) -> bool:
+    """A real number, not a bool, within the float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _require_finite(*, optional=(), sequences=(), **fields) -> None:
+    """ConfigError unless every given value is a finite real number.  A
+    field named in `optional` may be None instead, and one named in
+    `sequences` is a sequence of such numbers."""
     for name, value in fields.items():
-        if value is None or np.all(np.isfinite(value)):
+        if value is None and name in optional:
             continue
-        if np.ndim(value):
-            raise ConfigError(f"every entry of {name} must be finite")
-        raise ConfigError(f"{name} must be finite, got {value}")
+        if name not in sequences:
+            if not _finite_real(value):
+                raise ConfigError(
+                    f"{name} must be a finite real number, got {value!r}")
+        elif (isinstance(value, str)
+              or not isinstance(value, (Sequence, np.ndarray))
+              or not all(map(_finite_real, value))):
+            raise ConfigError(
+                f"every entry of {name} must be a finite real number")
 
 
 @dataclass(frozen=True)
@@ -58,7 +74,8 @@ class OscillatorParams:
     def __post_init__(self):
         _require_finite(mass=self.mass, eigenfrequency=self.eigenfrequency,
                         damping_rate=self.damping_rate,
-                        initial_variance=self.initial_variance)
+                        initial_variance=self.initial_variance,
+                        optional=("initial_variance",))
         if not (self.mass > 0):
             raise ConfigError(f"mass must be positive, got {self.mass}")
         if not (self.eigenfrequency > 0):
@@ -93,7 +110,8 @@ class BathParams:
     cutoff: Optional[float] = None
 
     def __post_init__(self):
-        _require_finite(temperature=self.temperature, cutoff=self.cutoff)
+        _require_finite(temperature=self.temperature, cutoff=self.cutoff,
+                        optional=("cutoff",))
         if self.temperature < 0:
             raise ConfigError(
                 f"temperature must be non-negative, got {self.temperature}")
@@ -126,7 +144,9 @@ class ForceSpec:
             raise ConfigError(f"unknown force kind {self.kind!r}")
         _require_finite(amplitude=self.amplitude, onset=self.onset,
                         decay=self.decay, times=self.times,
-                        values=self.values)
+                        values=self.values,
+                        optional=("amplitude", "times", "values"),
+                        sequences=("times", "values"))
         if self.onset < 0:
             raise ConfigError(f"onset must be non-negative, got {self.onset}")
         if self.decay < 0:
@@ -409,7 +429,10 @@ def _force_from_dict(d: dict, prefix: str) -> ForceSpec:
 
 def load_force_samples(path: str) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Read a two-column (time, value) CSV in CGS units."""
-    data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a numeric CSV ({exc})") from None
     if data.shape[1] != 2:
         raise ConfigError(f"{path}: expected two columns (time, value)")
     return tuple(data[:, 0]), tuple(data[:, 1])

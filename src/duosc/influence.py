@@ -20,8 +20,8 @@ amplitudes, which is regular at every t.  Partial fractions move all
 t-dependence of the omega integral into eight transforms, which
 Filon-Legendre quadrature on panels graded to the poles gives exactly in t
 as one real product per time and panel width, then one complex product per
-time; below t = 1 the phase is summed directly on a small pole-free layout
-of its own (section at the end of this module).
+time; below t = 1 the phase is summed directly on the nodes and weights of
+a small pole-free layout of its own (section below).
 
 The Filon branch's large temporaries live on a per-thread scratch that
 calls reuse (`_scratch_array`); the small-t sum's are allocated per block
@@ -135,32 +135,6 @@ def _panel_nodes(mids: np.ndarray, halfs: np.ndarray, rule) -> tuple:
     return nodes, wts
 
 
-def _elementary_transforms(modes: NormalModes, times,
-                           omega: np.ndarray) -> np.ndarray:
-    """F_c(t, w) = int_0^t psi_c(tau) exp(-i w tau) dtau for the four
-    anti-damped elementary functions [sin1, cos1, sin2, cos2]; (n, 4, N)
-    for n times and N frequencies: the small-t branch of `grid_noise`."""
-    t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
-    # E(alpha) = (exp(alpha t) - 1) / alpha for the exponents
-    # [d1 + i (O1 - w), d1 - i (O1 + w), d2 + ..., d2 - ...], (4, N)
-    alpha = np.empty((4, omega.size), dtype=complex)
-    for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
-                                (modes.Omega2, modes.delta2))):
-        alpha[2 * k] = d + 1j * (O - omega)
-        alpha[2 * k + 1] = d - 1j * (O + omega)
-    # expm1: exp(alpha t) - 1 cancels where |alpha t| << 1, which near
-    # w = Omega costs up to 1e-9 relative at t ~ 1e-5
-    zero = alpha == 0.0
-    E = np.expm1(alpha * t)
-    E /= np.where(zero, 1.0, alpha)
-    E[:, zero] = t[:, 0]
-    Ep, Em = E[:, 0::2], E[:, 1::2]
-    out = np.empty_like(E)
-    out[:, 0::2] = (Ep - Em) / 2j
-    out[:, 1::2] = (Ep + Em) / 2.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # whole-grid evaluation: t-independent spectral data, Filon quadrature in w
 #
@@ -194,8 +168,9 @@ def _elementary_transforms(modes: NormalModes, times,
 # - The terms cancel as t -> 0, so below FILON_MIN_T M is summed directly.
 #   There g0 E_a conj(E_b) has no mode poles (E_a is entire in w), only the
 #   Matsubara poles; its GL-16 panels each span at most two periods of
-#   exp(-i w t) at t = FILON_MIN_T, graded to those poles alone, and the
-#   transforms E_a on its nodes serve every temperature.
+#   exp(-i w t) at t = FILON_MIN_T, graded to those poles alone.  The
+#   transforms on its nodes serve every temperature, whose weights are the
+#   GL weights times g0.
 
 FILON_ORDER = 24           # GL nodes per panel = Legendre orders kept
 FILON_BASE_PANELS = 8      # uniform panels on [0, numax] before grading
@@ -204,7 +179,7 @@ FILON_MIN_T = 1.0          # below: direct sum on the small-t layout
 # slice) transforms and their products stay this size whatever the cutoff.
 # A layout of at most _SMALL_T_NODES nodes (every preset, and cutoffs up to
 # about 1000 omega01) is one slice
-_FILON_BLOCK = 8
+_SMALL_T_BLOCK = 8
 _SMALL_T_NODES = 2048
 # Miller's start: its truncation error falls about 1000-fold per 4 steps and
 # reaches 1e-16 at 2n - 4 for z <= n; 2n + 8 leaves a margin of 12 steps.
@@ -369,13 +344,36 @@ _E_TO_TRIG = np.array([[-0.5j, 0.5j, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
 _TRIG_TO_E = _E_TO_TRIG.conj().T
 
 
+def _elementary_transforms(modes: NormalModes, times,
+                           omega: np.ndarray) -> np.ndarray:
+    """F_c(t, w) = int_0^t psi_c(tau) exp(-i w tau) dtau for the four
+    anti-damped elementary functions [sin1, cos1, sin2, cos2]; (n, 4, N)
+    for n times and N frequencies: the small-t branch of `grid_noise`.
+
+    F = `_E_TO_TRIG` E with E_a = (exp(alpha_a t) - 1) / alpha_a, alpha_a =
+    -i (w - p_a) over the mode poles; Re alpha_a = delta_k > 0, so no
+    alpha_a vanishes.  The basis changes here, before `grid_noise` squares
+    F: a sine row is an O(t^2) difference of two O(t) terms, so squared in
+    the pole basis and changed after, the sine entries of R lose a relative
+    1e-16 / t^2 (2e-6 at t = 1e-5 on fig2-4, every digit at t = 1e-9).
+    """
+    t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
+    alpha = -1j * (omega - _mode_poles(modes)[:, None])        # (4, N)
+    # expm1: exp(alpha t) - 1 cancels where |alpha t| << 1, which near
+    # w = Omega costs up to 1e-9 relative at t ~ 1e-5
+    E = np.expm1(alpha * t)
+    E /= alpha
+    return _E_TO_TRIG @ E
+
+
 @dataclass(frozen=True)
 class BathSpectrum:
     """t-independent spectral data of the baths of one cutoff, on one omega
     layout that its S distinct temperatures share: Filon data on the
-    pole-graded panels, and the nodes of the small-t sum, built on first
-    read.  Temperature s has the unit weight g0(w) = w coth(w / 2T_s), and
-    `W[s]` carries the prefactors and component weights of its baths.
+    pole-graded panels, and the nodes and weights of the small-t sum, built
+    on first read.  Temperature s has the unit weight g0(w) = w coth(w /
+    2T_s), and `W[s]` carries the prefactors and component weights of its
+    baths.
     """
     numax: float           # the cutoff
     temperatures: tuple    # (S,) distinct temperatures, in bath order
@@ -392,23 +390,14 @@ class BathSpectrum:
 
     @functools.cached_property
     def small_layout(self) -> tuple:
-        """GL-16 nodes (N,) of the small-t layout and their weights times
-        g0(w), (S, N): max(4, ceil(numax FILON_MIN_T / 4 pi)) uniform
-        panels, each spanning at most two periods of exp(-i w t) at t =
-        FILON_MIN_T, bisected for the Matsubara poles alone.  Only times
-        below FILON_MIN_T read it."""
+        """GL-16 nodes and weights of the small-t layout, (N,) each:
+        max(4, ceil(numax FILON_MIN_T / 4 pi)) uniform panels, each
+        spanning at most two periods of exp(-i w t) at t = FILON_MIN_T,
+        bisected for the Matsubara poles alone.  Only times below
+        FILON_MIN_T read it."""
         small = max(4, math.ceil(self.numax * FILON_MIN_T / (4.0 * math.pi)))
-        nodes, wts = _panel_nodes(*_graded_panels(
+        return _panel_nodes(*_graded_panels(
             self.numax, small, _matsubara_poles(self.temperatures)), _GL16)
-        # thermal_weight's temporaries are several times its argument, so
-        # the weights are built over the small-t sum's node slices
-        weights = np.empty((len(self.temperatures), nodes.size))
-        for a in range(0, nodes.size, _SMALL_T_NODES):
-            cut = slice(a, a + _SMALL_T_NODES)
-            for row, T in zip(weights, self.temperatures):
-                np.multiply(wts[cut], thermal_weight(nodes[cut], T),
-                            out=row[cut])
-        return nodes, weights
 
     @property
     def small_nodes(self) -> np.ndarray:
@@ -586,7 +575,6 @@ def grid_noise(modes: NormalModes, times, spectra: tuple) -> np.ndarray:
     small = np.flatnonzero(times < FILON_MIN_T)
     filon = np.flatnonzero(times >= FILON_MIN_T)
     tf = times[filon]
-    R_filon = np.zeros((tf.size, 4, 4))
     if filon.size and spectra:
         # (n, U, K), C-contiguous, on this thread's scratch; the layouts
         # share one width array, so one table serves them all
@@ -596,21 +584,24 @@ def grid_noise(modes: NormalModes, times, spectra: tuple) -> np.ndarray:
                             out=bessel.reshape(-1, FILON_ORDER).T)
         phases = _sigma_phases(_mode_poles(modes), tf)
     # each time is one branch, and its terms are added in bath order; the
-    # small-t sum runs over node slices fixed by the layout alone
+    # small-t sum runs over node slices fixed by the layout alone, and each
+    # slice forms its temperatures' weights g0(w) once for every block
     for sp in spectra:
-        for lo in range(0, small.size, _FILON_BLOCK):
-            idx = small[lo:lo + _FILON_BLOCK]
-            nodes, weights = sp.small_layout
+        if small.size:
+            nodes, wts = sp.small_layout
             for a in range(0, nodes.size, _SMALL_T_NODES):
                 cut = slice(a, a + _SMALL_T_NODES)
-                F = _elementary_transforms(modes, times[idx], nodes[cut])
-                Fh = np.swapaxes(F.conj(), 1, 2)
-                for wts, W in zip(weights[:, cut], sp.W):
-                    R[idx] += ((F * wts) @ Fh).real * W
+                weights = [wts[cut] * thermal_weight(nodes[cut], T)
+                           for T in sp.temperatures]
+                for lo in range(0, small.size, _SMALL_T_BLOCK):
+                    idx = small[lo:lo + _SMALL_T_BLOCK]
+                    F = _elementary_transforms(modes, times[idx], nodes[cut])
+                    Fh = np.swapaxes(F.conj(), 1, 2)
+                    for wg, W in zip(weights, sp.W):
+                        R[idx] += ((F * wg) @ Fh).real * W
         if filon.size:
             D = sp.transforms(tf, bessel)
             for s, (C, W) in enumerate(zip(sp.C, sp.W)):
                 S = _sigma(C, D[:, 8 * s:8 * s + 8], phases)
-                R_filon += (_E_TO_TRIG @ S @ _TRIG_TO_E).real * W
-    R[filon] = R_filon
+                R[filon] += (_E_TO_TRIG @ S @ _TRIG_TO_E).real * W
     return R

@@ -73,9 +73,10 @@ def solve_determinant(cfg: InternalConfig) -> NormalModes:
     (w01^2 - w1^2) = -lam / (m2 (b +- h)), with the sign of b, does not
     cancel at weak coupling, and r2 = -(m2 / m1) r1 makes the modes
     orthogonal under the mass matrix.  `config.validate_config` rejects
-    unequal damping up front; this check guards configs built by hand.
+    unequal damping up front; this check, with its tolerance, guards
+    configs built by hand, so a damped bath always has delta > 0.
     """
-    if not math.isclose(cfg.gamma1, cfg.gamma2, rel_tol=1e-12, abs_tol=1e-15):
+    if not math.isclose(cfg.gamma1, cfg.gamma2, rel_tol=1e-12):
         raise ConfigError(
             "the closed-form engine requires equal damping rates "
             f"(gamma1={cfg.gamma1}, gamma2={cfg.gamma2}); "

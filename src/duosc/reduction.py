@@ -161,11 +161,9 @@ def states_from_moments(times: np.ndarray, means: np.ndarray,
     which Cxx is not positive definite.
     """
     g1, g2, g12 = check_normalizable(times, cov)
-    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
-    inv = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2) \
-        / (a * c - b * b)[:, None, None]
+    G = np.stack([2.0 * g1, g12, g12, 2.0 * g2], axis=-1).reshape(-1, 2, 2)
+    inv = 4.0 * G                                   # Cxx^-1
     Cxp, Cpp = cov[:, :2, 2:], cov[:, 2:, 2:]
-    G = 0.25 * inv
     Gamma = (2.0 / hbar) * G @ Cxp
     Gp = (Cpp - np.swapaxes(Cxp, 1, 2) @ inv @ Cxp) / hbar ** 2
     xbar, pbar = means[:, :2, None], means[:, 2:]

@@ -31,9 +31,9 @@ import numpy as np
 
 from duosc.config import InternalConfig
 from duosc.errors import ConfigError
-from duosc.influence import (_GL16, FILON_ORDER, _elementary_transforms,
-                             _graded_panels, _matsubara_pole, _panel_nodes,
-                             bath_spectra, grid_noise, thermal_weight)
+from duosc.influence import (_GL16, FILON_ORDER, _graded_panels,
+                             _matsubara_pole, _panel_nodes, bath_spectra,
+                             grid_noise, thermal_weight)
 from duosc.modes import NormalModes, check_caustic, component_weights
 
 from .modes import coefficient_matrices, xi_coefficient_matrix
@@ -80,7 +80,7 @@ def influence_form(cfg: InternalConfig, modes: NormalModes,
         for lo in range(0, omega.size, chunk):
             om = omega[lo:lo + chunk]
             wt = wts[lo:lo + chunk] * thermal_weight(om, T) * pref
-            psi = _elementary_transforms(modes, t, om)[0]
+            psi = pairwise_elementary_transforms(modes, t, om)[0]
             Fb = (V * comp[:, None]).T @ psi          # (4, n) basis transforms
             Sq = np.real((Fb * wt) @ Fb.conj().T)     # symmetric square form
             quadratic += 0.5 * Sq

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from duosc import engine
+from duosc import engine, observables
 from duosc.cli import build_parser, main, preset_config
 from duosc.errors import NotNormalizable
 
@@ -197,6 +197,27 @@ def test_verify_small_grid(tmp_path, capsys):
     assert (out / "oracle_means.csv").exists()
 
 
+def test_run_without_verify_builds_no_report_table(tmp_path, monkeypatch):
+    """The CSVs hold means and covariance elements only, so a run without
+    --verify never builds the report table and its uncertainty bound;
+    --verify still reads it."""
+    real = observables.reports_from_moments
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(observables, "reports_from_moments", counted)
+    monkeypatch.setattr(engine, "reports_from_moments", counted)
+    assert run_cli(["run", "fig3", str(tmp_path / "o"), "--grid", "12",
+                    "--dump-state", "--dump-action"]) == 0
+    assert calls == []
+    assert run_cli(["run", "fig3", str(tmp_path / "v"), "--grid", "12",
+                    "--verify"]) == 0
+    assert len(calls) == 1
+
+
 def test_verify_passes_a_heavy_second_oscillator(tmp_path):
     """fig3 with m2 = 1e8 m1 and force 1 alone is physical at every time.
     Unbalanced, rounding read the uncertainty eigenvalue as -1.09e-9 and
@@ -290,6 +311,46 @@ def test_nonfinite_config_exit_code(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: amplitude")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("m1", "abc", "mass"), ("lambda_tilde", "0.3", "coupling_dimensionless"),
+    ("f1_onset", "x", "onset"), ("T1", None, "temperature"),
+    ("t_end", [1], "t_end"), ("f1_amplitude", True, "amplitude")])
+def test_config_value_that_is_not_a_real_number_exit_code(
+        tmp_path, capsys, key, value, field):
+    """A string, null, list or bool where a real number belongs is a
+    configuration error naming the field: exit 2 with one error line and
+    nothing written.  A bool is not read as 0 or 1."""
+    cfgd = {
+        "m1": 1e-23, "m2": 5e-23, "omega01": 1e13, "omega02": 3e13,
+        "gamma1": 1e11, "gamma2": 1e11, "lambda_tilde": 0.2,
+        "T1": 300.0, "T2": 300.0, "t_end": 5e-13, "n_points": 6,
+        "f1_kind": "exponential_step", "f1_onset": 1e-13, "f1_decay": 1e12,
+        key: value,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfgd))
+    out = tmp_path / "o"
+    assert run_cli(["run", "custom", str(out), "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be a finite real number")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sampled_force_file_with_a_non_numeric_cell_exit_code(tmp_path,
+                                                              capsys):
+    path = _sampled_config_file(tmp_path)
+    samples = json.loads(open(path).read())["f1_samples"]
+    with open(samples, "w") as fh:
+        fh.write("a,b\nc,d\n")
+    out = tmp_path / "o"
+    assert run_cli(["run", "custom", str(out), "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {samples}: not a numeric CSV")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("decay, onset", [(1e15, 1e-9), (0.0, 1e-13)])

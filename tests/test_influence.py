@@ -14,7 +14,7 @@ from duosc.cli import preset_config
 from duosc.config import InternalForce, to_internal, validate_config
 from duosc.errors import ConfigError
 from duosc.influence import (BERNSTEIN_RHO, FILON_BASE_PANELS, FILON_MIN_T,
-                             FILON_ORDER, _FILON_BLOCK, _bernstein_rho,
+                             FILON_ORDER, _SMALL_T_BLOCK, _bernstein_rho,
                              _graded_panels, _matsubara_pole, _mode_poles,
                              bath_spectra, grid_noise, spherical_jn_orders,
                              thermal_weight)
@@ -571,7 +571,7 @@ def test_temperatures_on_a_cutoff_share_its_layout(monkeypatch):
         monkeypatch.setattr(influence, name, counting(name))
     spectra = bath_spectra(ic, modes)
     assert calls["_graded_panels"] == 1
-    times = np.concatenate([np.geomspace(1e-4, 0.9, 2 * _FILON_BLOCK + 3),
+    times = np.concatenate([np.geomspace(1e-4, 0.9, 2 * _SMALL_T_BLOCK + 3),
                             [1.0, 7.7]])
     grid_noise(modes, times, spectra)
     assert calls["_elementary_transforms"] == 3
@@ -604,8 +604,8 @@ def test_small_t_layout_is_built_on_first_read(monkeypatch, name, kw):
     assert len(calls) == 2 * len(spectra)
     eager = bath_spectra(ic, modes)
     for sp in eager:
-        nodes, weights = sp.small_layout
-        assert weights.shape == (len(sp.temperatures), nodes.size)
+        nodes, wts = sp.small_layout
+        assert wts.shape == nodes.shape
     assert np.array_equal(grid_noise(modes, mixed, eager), lazy)
 
 

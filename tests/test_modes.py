@@ -107,6 +107,13 @@ def test_unequal_damping_rejected():
         solve_determinant(make_ic(gamma2=0.02))
 
 
+def test_undamped_mode_beside_a_damped_bath_rejected():
+    """gamma1 = 0 beside gamma2 = 1e-16 would give bath 2 a spectrum with
+    modes of delta = 0; the check has validate_config's tolerance."""
+    with pytest.raises(ConfigError):
+        solve_determinant(make_ic(gamma=0.0, gamma2=1e-16))
+
+
 @pytest.mark.parametrize("kw", [dict(gamma=1.5),
                                 dict(lam_tilde=0.0, w02=1.0)])
 def test_overdamped_or_coinciding_modes_rejected(kw):

@@ -1,0 +1,30 @@
+"""The scripts under tools/ still run against the package they measure."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name, monkeypatch):
+    """Import tools/<name>.py by path.  The environment variables and
+    sys.path entries it sets on import are undone after the test."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_bath_phase_tool_runs_every_per_call_function(monkeypatch):
+    """bath_phase_ms times functions that reach into `duosc.influence`; a
+    renamed name there must fail here, not only when the tool is run."""
+    tool = load_tool("bath_phase_ms", monkeypatch)
+    for name in tool.configs():
+        fns = tool.per_call_fns(name)
+        assert fns
+        for fn in fns.values():
+            fn()
