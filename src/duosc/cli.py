@@ -232,19 +232,14 @@ def main(argv=None) -> int:
         else:
             cfg = preset_config(args.scenario)
         cfg = _apply_overrides(cfg, args)
-        vc = validate_config(cfg)
-        ic = to_internal(vc)
-    except (DuoscError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        ic = to_internal(validate_config(cfg))
         result = engine.simulate(ic)
         # the endpoint form of the action at the last grid time; it does not
         # exist on a caustic (CausticTime)
         action = (endpoint_action_form(ic, solve_determinant(ic),
                                        result.times[-1])
                   if args.dump_action else None)
-    except DuoscError as exc:
+    except (DuoscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)

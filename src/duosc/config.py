@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import sys
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
@@ -81,22 +82,12 @@ class OscillatorParams:
         if not (self.eigenfrequency > 0):
             raise ConfigError(
                 f"eigenfrequency must be positive, got {self.eigenfrequency}")
-        if self.damping_rate < 0:
-            raise ConfigError(
-                f"damping_rate must be non-negative, got {self.damping_rate}")
-        if self.initial_variance is not None and not (self.initial_variance > 0):
-            raise ConfigError(
-                f"initial_variance must be positive, got {self.initial_variance}")
-
-    @property
-    def ground_state_variance(self) -> float:
-        return HBAR / (2.0 * self.mass * self.eigenfrequency)
 
     @property
     def sigma0_sq(self) -> float:
         if self.initial_variance is not None:
             return self.initial_variance
-        return self.ground_state_variance
+        return HBAR / (2.0 * self.mass * self.eigenfrequency)
 
 
 @dataclass(frozen=True)
@@ -112,11 +103,6 @@ class BathParams:
     def __post_init__(self):
         _require_finite(temperature=self.temperature, cutoff=self.cutoff,
                         optional=("cutoff",))
-        if self.temperature < 0:
-            raise ConfigError(
-                f"temperature must be non-negative, got {self.temperature}")
-        if self.cutoff is not None and not (self.cutoff > 0):
-            raise ConfigError(f"cutoff must be positive, got {self.cutoff}")
 
 
 @dataclass(frozen=True)
@@ -147,17 +133,10 @@ class ForceSpec:
                         values=self.values,
                         optional=("amplitude", "times", "values"),
                         sequences=("times", "values"))
-        if self.onset < 0:
-            raise ConfigError(f"onset must be non-negative, got {self.onset}")
-        if self.decay < 0:
-            raise ConfigError(f"decay must be non-negative, got {self.decay}")
-        if self.kind == "sampled":
-            if self.times is None or self.values is None:
-                raise ConfigError("sampled force needs times and values")
-            if len(self.times) != len(self.values) or len(self.times) < 2:
-                raise ConfigError("sampled force needs >= 2 (time, value) pairs")
-            if any(b <= a for a, b in zip(self.times, self.times[1:])):
-                raise ConfigError("sampled force times must increase strictly")
+        if self.kind == "sampled" and (
+                self.times is None or self.values is None
+                or len(self.times) != len(self.values)):
+            raise ConfigError("sampled force needs as many times as values")
 
 
 def default_amplitude(osc: OscillatorParams, force: ForceSpec) -> float:
@@ -170,10 +149,14 @@ def default_amplitude(osc: OscillatorParams, force: ForceSpec) -> float:
     amplitude with length*rate, which is dimensionally short one
     mass*frequency factor; this is the impulse reading of it.  An explicit
     amplitude bypasses the heuristic entirely.)  ConfigError unless the
-    decay rate is positive and the amplitude a finite float.
+    decay rate and the initial variance are positive and the amplitude a
+    finite float.
     """
     if not (force.decay > 0):
         raise ConfigError("amplitude heuristic needs a positive decay rate")
+    if not (osc.sigma0_sq > 0):     # its square root is the length scale
+        raise ConfigError("amplitude heuristic needs a positive initial "
+                          f"variance, got {osc.sigma0_sq}")
     try:
         amp = (force.decay * math.exp(force.decay * force.onset)
                * osc.mass * osc.eigenfrequency * math.sqrt(osc.sigma0_sq))
@@ -192,15 +175,7 @@ class TimeGrid:
     n_points: int = 2000
 
     def __post_init__(self):
-        # bool is an int subclass; numpy integers are not
-        if (isinstance(self.n_points, bool)
-                or not isinstance(self.n_points, (int, np.integer))
-                or self.n_points < 2):
-            raise ConfigError(
-                f"n_points must be an integer >= 2, got {self.n_points!r}")
         _require_finite(t_end=self.t_end)
-        if not (self.t_end > 0):
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +188,9 @@ class SystemConfig:
     force1: ForceSpec
     force2: ForceSpec
     time_grid: TimeGrid
+
+    def __post_init__(self):
+        _require_finite(coupling_dimensionless=self.coupling_dimensionless)
 
 
 @dataclass(frozen=True)
@@ -229,7 +207,6 @@ class InternalUnits:
     frequency_unit: float  # rad/s
     force_unit: float    # dyn
     momentum_unit: float  # g cm/s
-    energy_unit: float   # erg
     temperature_unit: float  # K, so that internal T = kB*T/(hbar*omega01)
 
     @classmethod
@@ -242,19 +219,8 @@ class InternalUnits:
             frequency_unit=frequency,
             force_unit=mass * frequency ** 2 * length,
             momentum_unit=mass * frequency * length,
-            energy_unit=HBAR * frequency,
             temperature_unit=HBAR * frequency / KB,
         )
-
-
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """A SystemConfig whose invariants have been checked and whose heuristic
-    force amplitudes are filled in, with the physical coupling constant and
-    unit scales attached."""
-    cfg: SystemConfig
-    coupling: float        # lambda, CGS (dyn/cm = g/s^2)
-    units: InternalUnits
 
 
 @dataclass(frozen=True)
@@ -275,9 +241,34 @@ class InternalForce:
         return bool(np.all(self.values == 0.0))
 
 
+def _knot_horizon(name: str, f: InternalForce, t_end: float) -> list:
+    """ConfigError naming force `name` unless its kind is known and, if it
+    is sampled, its knots are finite and increase strictly over [0, t_end];
+    else its last knot, where a sampled force needs exp(gamma t)."""
+    if f.kind != "sampled":
+        if f.kind not in ("zero", "exponential_step"):
+            raise ConfigError(f"{name} has unknown kind {f.kind!r}")
+        return []
+    keys = (f"{name}.times", f"{name}.values")
+    _require_finite(**dict(zip(keys, (f.times, f.values))), sequences=keys)
+    if (len(f.times) < 2 or len(f.times) != len(f.values)
+            or f.times[0] > 0.0 or f.times[-1] < t_end
+            or np.any(np.diff(f.times) <= 0.0)):
+        raise ConfigError(f"{name}.times must increase strictly from <= 0 "
+                          f"to >= t_end, one per entry of {name}.values")
+    return [(f"{name}'s last knot", f.times[-1])]
+
+
 @dataclass(frozen=True)
 class InternalConfig:
-    """Everything in hbar = M1 = omega01 = 1 units."""
+    """A physical configuration in hbar = M1 = omega01 = 1 units.
+
+    However it is made (`to_internal`, by hand, `dataclasses.replace`), it
+    checks on construction every invariant of the closed-form state (README,
+    Library use), raising a typed error that names the field: ConfigError,
+    CouplingTooStrong (d = w01^2 w02^2 - lam^2 / (m1 m2) <= 0), or
+    DegenerateModes (`modes.solve_determinant`).
+    """
     m1: float
     m2: float
     w01: float
@@ -285,7 +276,6 @@ class InternalConfig:
     gamma1: float
     gamma2: float
     lam: float
-    lam_tilde: float
     T1: float          # kB T1 / (hbar omega01)
     T2: float
     numax1: float
@@ -298,56 +288,73 @@ class InternalConfig:
     n_points: int
     units: InternalUnits = field(repr=False, default=None)
 
+    def __post_init__(self):
+        v = dict(vars(self), **{f"{n}.{k}": getattr(getattr(self, n), k)
+                                for n in ("force1", "force2")
+                                for k in ("f0", "t0", "decay")})
+        positive = ("m1", "m2", "w01", "w02", "sigma01_sq", "sigma02_sq",
+                    "numax1", "numax2", "t_end")
+        non_negative = ("gamma1", "gamma2", "lam", "T1", "T2", "force1.t0",
+                        "force1.decay", "force2.t0", "force2.decay")
+        _require_finite(**{k: v[k] for k in positive + non_negative
+                           + ("force1.f0", "force2.f0")})
+        for k in positive:
+            if not (v[k] > 0):
+                raise ConfigError(f"{k} must be positive, got {v[k]}")
+        for k in non_negative:
+            if v[k] < 0:
+                raise ConfigError(f"{k} must be non-negative, got {v[k]}")
+        for k in (1, 2):
+            if v[f"numax{k}"] > MAX_CUTOFF_MULTIPLE:
+                raise ConfigError(
+                    f"bath{k} cutoff numax{k} is {v[f'numax{k}']:.6g} "
+                    f"omega01; at most {MAX_CUTOFF_MULTIPLE:g} is supported")
+        if not math.isclose(self.gamma1, self.gamma2, rel_tol=1e-12):
+            raise ConfigError(f"damping rates must be equal, got gamma1 = "
+                              f"{self.gamma1} and gamma2 = {self.gamma2}")
+        w1w2 = self.w01 * self.w02
+        d = w1w2 * w1w2 - self.lam * self.lam / (self.m1 * self.m2)
+        if not (d > 0):
+            raise CouplingTooStrong(
+                f"lam = {self.lam:.6g} breaks the bilinear-coupling model: "
+                f"quartic constant term d = {d:.6g} <= 0")
+        n = self.n_points
+        # bool is an Integral too
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ConfigError(f"n_points must be an integer >= 2, got {n!r}")
+        horizons = [(k, v[k]) for k in ("t_end", "force1.t0", "force2.t0")]
+        for name in ("force1", "force2"):
+            horizons += _knot_horizon(name, v[name], self.t_end)
+        for name, t in horizons:
+            if self.gamma1 * t > MAX_GAMMA_T:
+                raise ConfigError(
+                    f"{name} gives gamma t = {self.gamma1 * t:.6g}; at most "
+                    f"gamma t = {MAX_GAMMA_T:g} is supported")
+        from .modes import solve_determinant    # modes imports this module
+        solve_determinant(self)
+
     @property
     def hbar(self) -> float:
         return 1.0
 
+    @property
+    def lam_tilde(self) -> float:
+        """The dimensionless coupling lam / (w01 w02 sqrt(m1 m2))."""
+        return self.lam / (self.w01 * self.w02 * math.sqrt(self.m1 * self.m2))
 
-def validate_config(cfg: SystemConfig) -> ValidatedConfig:
-    """Check all invariants, resolve every heuristic force amplitude and
-    compute the physical coupling constant."""
+
+def validate_config(cfg: SystemConfig) -> SystemConfig:
+    """The config with every heuristic force amplitude resolved, once
+    0 <= coupling_dimensionless < 1 (CouplingTooStrong from 1 on: at 1 the
+    internal d can round to > 0); `to_internal` checks the rest."""
     lt = cfg.coupling_dimensionless
-    _require_finite(coupling_dimensionless=lt)
     if not (0.0 <= lt):
         raise ConfigError(f"coupling_dimensionless must be >= 0, got {lt}")
     if lt >= 1.0:
         raise CouplingTooStrong(
             f"coupling_dimensionless = {lt} >= 1: the bilinear-coupling model "
             "breaks down (quartic constant term d would be non-positive)")
-    o1, o2 = cfg.osc1, cfg.osc2
-    for name, bath in (("bath1", cfg.bath1), ("bath2", cfg.bath2)):
-        if bath.cutoff is not None \
-                and bath.cutoff > MAX_CUTOFF_MULTIPLE * o1.eigenfrequency:
-            raise ConfigError(
-                f"{name} cutoff is {bath.cutoff / o1.eigenfrequency:.6g} "
-                f"omega01; at most {MAX_CUTOFF_MULTIPLE:g} omega01 is "
-                "supported")
-    if not math.isclose(o1.damping_rate, o2.damping_rate, rel_tol=1e-12):
-        raise ConfigError(
-            "damping rates must be equal (got "
-            f"{o1.damping_rate} and {o2.damping_rate}); the closed-form "
-            "engine does not support unequal damping")
-    lam = lt * o1.eigenfrequency * o2.eigenfrequency * math.sqrt(o1.mass * o2.mass)
-    # d = w01^2 w02^2 - lam^2/(M1 M2) must stay positive
-    d = (o1.eigenfrequency * o2.eigenfrequency) ** 2 - lam ** 2 / (o1.mass * o2.mass)
-    if not (d > 0):
-        raise CouplingTooStrong(f"quartic constant term d = {d} <= 0")
-    gamma = max(o1.damping_rate, o2.damping_rate)
-    horizons = [("t_end", cfg.time_grid.t_end)]
-    for name, spec in (("force1", cfg.force1), ("force2", cfg.force2)):
-        if spec.kind == "sampled":
-            if spec.times[0] > 0.0 or spec.times[-1] < cfg.time_grid.t_end:
-                raise ConfigError(
-                    "sampled force grid must cover [0, t_end]")
-            horizons.append((f"{name}'s last sample time", spec.times[-1]))
-        elif spec.kind == "exponential_step":
-            horizons.append((f"{name}'s onset", spec.onset))
-    for name, t in horizons:
-        if gamma * t > MAX_GAMMA_T:
-            raise ConfigError(
-                f"{name} is {t:.6g} s, gamma t = {gamma * t:.6g}; at most "
-                f"gamma t = {MAX_GAMMA_T:g} is supported")
-    for name, osc in (("force1", o1), ("force2", o2)):
+    for name, osc in (("force1", cfg.osc1), ("force2", cfg.osc2)):
         spec = getattr(cfg, name)
         if spec.kind == "exponential_step" and spec.amplitude is None:
             try:
@@ -355,14 +362,16 @@ def validate_config(cfg: SystemConfig) -> ValidatedConfig:
             except ConfigError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
             cfg = replace(cfg, **{name: replace(spec, amplitude=amp)})
-    units = InternalUnits.for_reference(o1.mass, o1.eigenfrequency)
-    return ValidatedConfig(cfg=cfg, coupling=lam, units=units)
+    return cfg
 
 
-def _force_to_internal(spec: ForceSpec, units: InternalUnits) -> InternalForce:
+def _force_to_internal(name: str, spec: ForceSpec,
+                       units: InternalUnits) -> InternalForce:
     if spec.kind == "zero":
         return InternalForce(kind="zero")
     if spec.kind == "exponential_step":
+        if spec.amplitude is None:
+            raise ConfigError(f"{name}: no amplitude; validate_config sets it")
         return InternalForce(
             kind="exponential_step",
             f0=spec.amplitude / units.force_unit,
@@ -374,13 +383,15 @@ def _force_to_internal(spec: ForceSpec, units: InternalUnits) -> InternalForce:
     return InternalForce(kind="sampled", times=times, values=values)
 
 
-def to_internal(v: ValidatedConfig) -> InternalConfig:
-    """Rescale a validated config to hbar = M1 = omega01 = 1 units; every
-    force amplitude is a number by then (`validate_config`)."""
-    cfg, units = v.cfg, v.units
+def to_internal(cfg: SystemConfig) -> InternalConfig:
+    """Rescale a validated config (`validate_config`) to hbar = M1 = omega01
+    = 1 units; the InternalConfig checks every other invariant."""
     o1, o2, b1, b2 = cfg.osc1, cfg.osc2, cfg.bath1, cfg.bath2
+    units = InternalUnits.for_reference(o1.mass, o1.eigenfrequency)
     w = units.frequency_unit
     m = units.mass_unit
+    lam = (cfg.coupling_dimensionless * o1.eigenfrequency * o2.eigenfrequency
+           * math.sqrt(o1.mass * o2.mass))      # CGS, g/s^2
     numax1 = (b1.cutoff / w) if b1.cutoff is not None else DEFAULT_CUTOFF_MULTIPLE
     numax2 = (b2.cutoff / w) if b2.cutoff is not None else DEFAULT_CUTOFF_MULTIPLE
     return InternalConfig(
@@ -390,16 +401,15 @@ def to_internal(v: ValidatedConfig) -> InternalConfig:
         w02=o2.eigenfrequency / w,
         gamma1=o1.damping_rate / w,
         gamma2=o2.damping_rate / w,
-        lam=v.coupling / (m * w ** 2),
-        lam_tilde=cfg.coupling_dimensionless,
+        lam=lam / (m * w ** 2),
         T1=b1.temperature / units.temperature_unit,
         T2=b2.temperature / units.temperature_unit,
         numax1=numax1,
         numax2=numax2,
         sigma01_sq=o1.sigma0_sq / units.length_unit ** 2,
         sigma02_sq=o2.sigma0_sq / units.length_unit ** 2,
-        force1=_force_to_internal(cfg.force1, units),
-        force2=_force_to_internal(cfg.force2, units),
+        force1=_force_to_internal("force1", cfg.force1, units),
+        force2=_force_to_internal("force2", cfg.force2, units),
         t_end=cfg.time_grid.t_end / units.time_unit,
         n_points=cfg.time_grid.n_points,
         units=units,
@@ -430,7 +440,10 @@ def _force_from_dict(d: dict, prefix: str) -> ForceSpec:
 def load_force_samples(path: str) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Read a two-column (time, value) CSV in CGS units."""
     try:
-        data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is the shape error below, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: not a numeric CSV ({exc})") from None
     if data.shape[1] != 2:

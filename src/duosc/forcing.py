@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
 from .modes import NormalModes, component_weights
 
 
@@ -32,10 +31,8 @@ def force_value(f, tau):
         out = np.zeros_like(tau_arr)
     elif f.kind == "exponential_step":
         out = np.where(tau_arr >= f.t0, f.f0 * np.exp(-f.decay * tau_arr), 0.0)
-    elif f.kind == "sampled":
+    else:
         out = np.interp(tau_arr, f.times, f.values, left=0.0, right=0.0)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown force kind {f.kind!r}")
     if np.isscalar(tau) or np.ndim(tau) == 0:
         return float(out[0])
     return out
@@ -64,7 +61,7 @@ def oscillatory_moments(f, Omega, delta, times: np.ndarray
         series = np.abs(z) < 1e-8
         val = np.where(series, start * h * (1.0 + z / 2.0 + z * z / 6.0),
                        (np.exp(alpha * times) - start) / alpha)
-        val = np.where(times > max(f.t0, 0.0), f.f0 * val, 0.0)
+        val = np.where(times > f.t0, f.f0 * val, 0.0)
     else:
         val = _sampled_moments(f, alpha, times)
     return val.imag, val.real

@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from .config import InternalConfig
-from .errors import CausticTime, ConfigError, DegenerateModes
+from .errors import CausticTime, DegenerateModes
 
 CAUSTIC_TOL = 1e-8
 DEGENERACY_TOL = 1e-8
@@ -68,19 +68,14 @@ def solve_determinant(cfg: InternalConfig) -> NormalModes:
     the eigenvalues of the mass-weighted stiffness matrix.  With a =
     (w01^2 + w02^2) / 2, b = (w01^2 - w02^2) / 2, kappa = lam / sqrt(m1 m2)
     and h = hypot(b, kappa) they are a + h and d / (a + h), d = w01^2 w02^2
-    - kappa^2 (> 0 below the breakdown coupling `validate_config`
-    enforces).  Mode 1 is the one nearer w01^2.  Its ratio r1 = (m1 / lam)
-    (w01^2 - w1^2) = -lam / (m2 (b +- h)), with the sign of b, does not
-    cancel at weak coupling, and r2 = -(m2 / m1) r1 makes the modes
-    orthogonal under the mass matrix.  `config.validate_config` rejects
-    unequal damping up front; this check, with its tolerance, guards
-    configs built by hand, so a damped bath always has delta > 0.
+    - kappa^2 (> 0 below the breakdown coupling).  Mode 1 is the one
+    nearer w01^2.  Its ratio r1 = (m1 / lam) (w01^2 - w1^2) = -lam / (m2
+    (b +- h)), with the sign of b, does not cancel at weak coupling, and
+    r2 = -(m2 / m1) r1 makes the modes orthogonal under the mass matrix.
+    Every InternalConfig has equal damping and d > 0, and calls this when
+    it is built: DegenerateModes unless both modes are underdamped and
+    their frequencies distinct.
     """
-    if not math.isclose(cfg.gamma1, cfg.gamma2, rel_tol=1e-12):
-        raise ConfigError(
-            "the closed-form engine requires equal damping rates "
-            f"(gamma1={cfg.gamma1}, gamma2={cfg.gamma2}); "
-            "unequal damping is not supported")
     gamma = cfg.gamma1
     w1sq, w2sq = cfg.w01 ** 2, cfg.w02 ** 2
     a, b = 0.5 * (w1sq + w2sq), 0.5 * (w1sq - w2sq)
@@ -92,8 +87,8 @@ def solve_determinant(cfg: InternalConfig) -> NormalModes:
     wsq = (upper, lower) if sign > 0.0 else (lower, upper)
     if min(wsq) <= gamma ** 2:
         raise DegenerateModes(
-            f"a mode is not underdamped: w^2 = {min(wsq)} <= gamma^2 = "
-            f"{gamma ** 2}")
+            f"gamma1 = gamma2 = {gamma} overdamps a mode: w^2 = {min(wsq)} "
+            f"<= gamma^2 = {gamma ** 2}")
     Omega1, Omega2 = (math.sqrt(w - gamma ** 2) for w in wsq)
     if abs(Omega1 - Omega2) < DEGENERACY_TOL * max(Omega1, Omega2):
         raise DegenerateModes(

@@ -353,6 +353,25 @@ def test_sampled_force_file_with_a_non_numeric_cell_exit_code(tmp_path,
     assert not out.exists()
 
 
+def test_empty_sampled_force_file_exit_code(tmp_path):
+    """An empty samples file is a configuration error: exit 2, and stderr
+    is the one error line, with no numpy warning above it."""
+    path = _sampled_config_file(tmp_path)
+    samples = json.loads(open(path).read())["f1_samples"]
+    open(samples, "w").close()
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "o"
+    run = subprocess.run([sys.executable, "-m", "duosc", "run", "custom",
+                          str(out), "--config", path], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr == (f"error: {samples}: expected two columns "
+                          "(time, value)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("decay, onset", [(1e15, 1e-9), (0.0, 1e-13)])
 def test_amplitude_heuristic_exit_code(tmp_path, capsys, decay, onset):
     """A heuristic step amplitude that overflows (decay*onset = 1e6) or has

@@ -2,6 +2,7 @@ import logging
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -460,13 +461,20 @@ def test_shared_spectrum_equals_the_bath_by_bath_sum(name, kelvin):
     fig3) or two on one layout (fig4, 300 K and 900 K); the phase is linear
     in the spectral density, so it must equal the sum of the two one-bath
     phases (other bath's damping 0, so skipped), modes held fixed, on both
-    the small-t and the Filon branch."""
+    the small-t and the Filon branch.  An InternalConfig refuses unequal
+    damping, so each one-bath config is a plain copy of its fields."""
     ic, modes = physical_ic(name, kelvin=kelvin)
     times = np.array([1e-4, 0.02, 0.5, 0.999, FILON_MIN_T, 2.7, 9.1, 29.9])
     assert len(bath_spectra(ic, modes)) == 1
+
+    def one_bath(**undamped):
+        return SimpleNamespace(**{**vars(ic), **undamped})
+
     shared = grid_quadratic(ic, modes, times)
-    apart = (grid_quadratic(replace(ic, gamma2=0.0), modes, times)
-             + grid_quadratic(replace(ic, gamma1=0.0), modes, times))
+    apart = (grid_quadratic(one_bath(gamma2=0.0), modes, times)
+             + grid_quadratic(one_bath(gamma1=0.0), modes, times))
+    for one in (one_bath(gamma2=0.0), one_bath(gamma1=0.0)):
+        assert len(bath_spectra(one, modes)) == 1
     for g, ref in zip(shared, apart):
         assert block_rel(g, ref) <= 1e-13
 

@@ -34,7 +34,7 @@ def make_ic(lam_tilde=0.3, gamma=0.01, m2=5.0, w02=3.0, **kw):
     lam = lam_tilde * math.sqrt(m2) * w02
     base = dict(
         m1=1.0, m2=m2, w01=1.0, w02=w02, gamma1=gamma, gamma2=gamma,
-        lam=lam, lam_tilde=lam_tilde, T1=1.0, T2=1.0,
+        lam=lam, T1=1.0, T2=1.0,
         numax1=50.0, numax2=50.0,
         sigma01_sq=0.5, sigma02_sq=0.5 / (m2 * w02),
         force1=ZERO, force2=ZERO, t_end=30.0, n_points=16, units=None,
@@ -103,24 +103,24 @@ def test_weak_coupling_continuity():
 
 
 def test_unequal_damping_rejected():
-    with pytest.raises(ConfigError):
-        solve_determinant(make_ic(gamma2=0.02))
+    with pytest.raises(ConfigError, match="damping"):
+        make_ic(gamma2=0.02)
 
 
 def test_undamped_mode_beside_a_damped_bath_rejected():
     """gamma1 = 0 beside gamma2 = 1e-16 would give bath 2 a spectrum with
-    modes of delta = 0; the check has validate_config's tolerance."""
-    with pytest.raises(ConfigError):
-        solve_determinant(make_ic(gamma=0.0, gamma2=1e-16))
+    modes of delta = 0; equal damping is checked to rel_tol 1e-12."""
+    with pytest.raises(ConfigError, match="damping"):
+        make_ic(gamma=0.0, gamma2=1e-16)
 
 
 @pytest.mark.parametrize("kw", [dict(gamma=1.5),
                                 dict(lam_tilde=0.0, w02=1.0)])
 def test_overdamped_or_coinciding_modes_rejected(kw):
     """A mode with w_k <= gamma has no Omega_k, and two equal Omega_k leave
-    the modes undetermined."""
+    the modes undetermined: the config is refused when it is built."""
     with pytest.raises(DegenerateModes):
-        solve_determinant(make_ic(**kw))
+        make_ic(**kw)
 
 
 def test_caustic_detection(modes_fig3):
