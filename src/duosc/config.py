@@ -37,6 +37,13 @@ MAX_CUTOFF_MULTIPLE = 1e5
 #: the float range.  Every cutoff up to the cap runs clean at this limit,
 #: where the state has long been stationary.
 MAX_GAMMA_T = 300.0
+#: largest eigenfrequency or damping rate (rad/s as given, omega01 inside):
+#: the unit scales and the mode solve multiply two squares of them
+MAX_FREQUENCY = 1e75
+#: smallest nonzero damping rate, in float spacings of the larger mode
+#: frequency: the bath layout bisects panels there to widths of about
+#: gamma, and below one spacing a bisection never ends
+MIN_GAMMA_SPACINGS = 16
 
 
 def _finite_real(value) -> bool:
@@ -79,9 +86,10 @@ class OscillatorParams:
                         optional=("initial_variance",))
         if not (self.mass > 0):
             raise ConfigError(f"mass must be positive, got {self.mass}")
-        if not (self.eigenfrequency > 0):
+        if not (0 < self.eigenfrequency <= MAX_FREQUENCY):
             raise ConfigError(
-                f"eigenfrequency must be positive, got {self.eigenfrequency}")
+                f"eigenfrequency must be positive and at most "
+                f"{MAX_FREQUENCY:g} rad/s, got {self.eigenfrequency}")
 
     @property
     def sigma0_sq(self) -> float:
@@ -304,6 +312,10 @@ class InternalConfig:
         for k in non_negative:
             if v[k] < 0:
                 raise ConfigError(f"{k} must be non-negative, got {v[k]}")
+        for k in ("w01", "w02", "gamma1", "gamma2"):
+            if v[k] > MAX_FREQUENCY:
+                raise ConfigError(f"{k} is {v[k]:.6g} omega01; at most "
+                                  f"{MAX_FREQUENCY:g} is supported")
         for k in (1, 2):
             if v[f"numax{k}"] > MAX_CUTOFF_MULTIPLE:
                 raise ConfigError(
@@ -331,7 +343,12 @@ class InternalConfig:
                     f"{name} gives gamma t = {self.gamma1 * t:.6g}; at most "
                     f"gamma t = {MAX_GAMMA_T:g} is supported")
         from .modes import solve_determinant    # modes imports this module
-        solve_determinant(self)
+        modes = solve_determinant(self)
+        floor = MIN_GAMMA_SPACINGS * math.ulp(max(modes.Omega1, modes.Omega2))
+        if 0.0 < self.gamma1 < floor:
+            raise ConfigError(f"gamma1 = {self.gamma1:.6g} is below "
+                              f"{floor:.6g}, {MIN_GAMMA_SPACINGS} float "
+                              "spacings of Omega")
 
     @property
     def hbar(self) -> float:

@@ -143,12 +143,12 @@ def simulate(cfg: InternalConfig, times: Optional[Sequence[float]] = None,
                           f"shape {times.shape}")
     if not np.all(np.isfinite(times)):
         raise ConfigError("simulate needs finite times")
-    gamma_t = max(cfg.gamma1, cfg.gamma2) * np.max(times, initial=0.0)
+    modes = solve_determinant(cfg)
+    gamma_t = modes.delta * np.max(times, initial=0.0)
     if gamma_t > MAX_GAMMA_T:
         raise ConfigError(
             f"simulate got gamma t = {gamma_t:.6g}; at most "
             f"{MAX_GAMMA_T:g} is supported")
-    modes = solve_determinant(cfg)
     spectra = bath_spectra(cfg, modes)
     c0 = initial_variances(cfg)
     K0 = initial_amplitude_map(modes)

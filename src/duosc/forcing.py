@@ -2,10 +2,10 @@
 
 The driven sector of the dynamics only ever sees the forces through eight
 weighted integrals of the form  int_0^t f(tau) {sin,cos}(Omega_k tau)
-exp(delta_k tau) dtau.  Both force kinds have elementary antiderivatives, evaluated here in
-closed form: an exponential step directly, a sampled force (linear between
-its knots, zero outside them) per knot interval, summed over the intervals
-below t.
+exp(delta tau) dtau.  Both force kinds have elementary antiderivatives,
+evaluated here in closed form: an exponential step directly, a sampled
+force (linear between its knots, zero outside them) per knot interval,
+summed over the intervals below t.
 
 `drive_amplitudes` turns the moments of the mode-projected force into the
 drive's amplitudes on the phase-space flow (`modes.response_matrices`),
@@ -43,8 +43,9 @@ def oscillatory_moments(f, Omega, delta, times: np.ndarray
     """(M, N) = int_0^t f(tau) (sin, cos)(Omega tau) exp(delta tau) dtau at
     each of `times`, in closed form for both force kinds.
 
-    Omega and delta may be arrays of one shape S (one entry per mode); M
-    and N then have shape S + (times.size,).
+    Omega may be an array of shape S (one entry per mode), and delta a
+    number or an array of that shape; M and N then have shape S +
+    (times.size,).
     """
     times = np.ascontiguousarray(times, dtype=float)
     alpha = (np.asarray(delta, dtype=float)
@@ -135,12 +136,11 @@ def drive_amplitudes(modes: NormalModes, f1, f2,
     of u_k . F, M in the sin columns and N in the cos columns."""
     times = np.ascontiguousarray(times, dtype=float)
     Omega = np.array([modes.Omega1, modes.Omega2])
-    delta = np.array([modes.delta1, modes.delta2])
     out = np.zeros((times.size, 4))
     for f, u in zip((f1, f2), component_weights(modes)):
         if f.is_zero:           # its moments are 0: the sum gains only +-0
             continue
-        M, N = oscillatory_moments(f, Omega, delta, times)
+        M, N = oscillatory_moments(f, Omega, modes.delta, times)
         out[:, 0::2] += u[0::2] * M.T
         out[:, 1::2] += u[1::2] * N.T
     return out

@@ -142,7 +142,7 @@ def _panel_nodes(mids: np.ndarray, halfs: np.ndarray, rule) -> tuple:
 # temperature share one weight g0(w) = w coth(w / 2T): R(t) = Re M(t) . W,
 # W = sum_b (2 m_b gamma_b / pi) c_b c_b^T over the baths' component
 # weights, M = T Sigma T^H with T the map from the mode exponentials
-# E_a(w) = i (exp(-i (w - p_a) t) - 1) / (w - p_a), p = +-Omega_k - i delta_k,
+# E_a(w) = i (exp(-i (w - p_a) t) - 1) / (w - p_a), p = +-Omega_k - i delta,
 # to the transforms [sin1, cos1, sin2, cos2].
 # Partial fractions put the t-dependence of Sigma_ab = int g0 E_a conj(E_b)
 # into C_r = int g0 / (w - r) and D_r(t) = int g0 exp(-i w t) / (w - r), r in
@@ -332,9 +332,8 @@ def _jn_upward(z: np.ndarray) -> np.ndarray:
 
 def _mode_poles(modes: NormalModes) -> np.ndarray:
     """p_a in the order [Omega1, -Omega1, Omega2, -Omega2] (minus i delta)."""
-    return np.array([s * O - 1j * d
-                     for O, d in ((modes.Omega1, modes.delta1),
-                                  (modes.Omega2, modes.delta2))
+    return np.array([s * O - 1j * modes.delta
+                     for O in (modes.Omega1, modes.Omega2)
                      for s in (1.0, -1.0)])
 
 
@@ -351,7 +350,7 @@ def _elementary_transforms(modes: NormalModes, times,
     for n times and N frequencies: the small-t branch of `grid_noise`.
 
     F = `_E_TO_TRIG` E with E_a = (exp(alpha_a t) - 1) / alpha_a, alpha_a =
-    -i (w - p_a) over the mode poles; Re alpha_a = delta_k > 0, so no
+    -i (w - p_a) over the mode poles; Re alpha_a = delta > 0, so no
     alpha_a vanishes.  The basis changes here, before `grid_noise` squares
     F: a sine row is an O(t^2) difference of two O(t) terms, so squared in
     the pole basis and changed after, the sine entries of R lose a relative
@@ -466,10 +465,10 @@ def bath_spectra(cfg: InternalConfig, modes: NormalModes) -> tuple:
     distinct cutoff, carrying every distinct temperature on that cutoff.
 
     Filon panels: FILON_BASE_PANELS uniform ones on [0, numax], bisected
-    until the poles +-Omega_k -+ i delta_k of g0 / (w - r) and the Matsubara
+    until the poles +-Omega_k -+ i delta of g0 / (w - r) and the Matsubara
     pole 2 pi i T of each temperature lie outside each panel's Bernstein
-    ellipse BERNSTEIN_RHO; of the mode poles only Omega_k - i delta_k is
-    tested, since its mirror -Omega_k - i delta_k is farther from both ends
+    ellipse BERNSTEIN_RHO; of the mode poles only Omega_k - i delta is
+    tested, since its mirror -Omega_k - i delta is farther from both ends
     of every panel on [0, numax].  The small-t layout is built on first read
     (`BathSpectrum.small_layout`), so a grid with no time below FILON_MIN_T
     never grades it.  Logs each layout's temperatures and sizes at DEBUG

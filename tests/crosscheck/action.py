@@ -90,7 +90,7 @@ def classical_action_form(cfg: InternalConfig, modes: NormalModes,
         raise ConfigError(f"classical_action_form needs t > 0, got {t}")
     check_caustic(modes, t)
     max_freq = max(modes.Omega1 + modes.Omega2,
-                   modes.delta1 + modes.delta2, 1.0)
+                   2.0 * modes.delta, 1.0)
 
     m1, m2 = cfg.m1, cfg.m2
     g1, g2 = cfg.gamma1, cfg.gamma2

@@ -151,8 +151,8 @@ def pairwise_elementary_transforms(modes: NormalModes, times,
     expm1 call per exponent."""
     t = np.asarray(times, dtype=float).reshape(-1, 1)
     out = np.empty((t.shape[0], 4, omega.size), dtype=complex)
-    for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
-                                (modes.Omega2, modes.delta2))):
+    d = modes.delta
+    for k, O in enumerate((modes.Omega1, modes.Omega2)):
         ap = d + 1j * (O - omega)
         am = d - 1j * (O + omega)
 

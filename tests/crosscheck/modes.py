@@ -71,9 +71,9 @@ def mode_functions(modes: NormalModes, tau: np.ndarray, sign: float
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     out = np.empty((4, tau.size))
     dout = np.empty((4, tau.size))
-    for k, (O, d) in enumerate(((modes.Omega1, modes.delta1),
-                                (modes.Omega2, modes.delta2))):
-        env = np.exp(sign * d * tau)
+    d = modes.delta
+    env = np.exp(sign * d * tau)
+    for k, O in enumerate((modes.Omega1, modes.Omega2)):
         s, c = np.sin(O * tau), np.cos(O * tau)
         out[2 * k] = s * env
         out[2 * k + 1] = c * env
@@ -98,8 +98,7 @@ def coefficient_matrices(modes: NormalModes, times: np.ndarray,
     W = np.zeros((times.size, 4, 4))
     S1, C1 = np.sin(modes.Omega1 * times), np.cos(modes.Omega1 * times)
     S2, C2 = np.sin(modes.Omega2 * times), np.cos(modes.Omega2 * times)
-    E1 = np.exp(-sign * modes.delta1 * times)
-    E2 = np.exp(-sign * modes.delta2 * times)
+    E1 = E2 = np.exp(-sign * modes.delta * times)
     # coefficient of sin(Omega1 tau): from finals and the cot correction
     W[:, 0, 0] = E1 / (q * S1)
     W[:, 0, 1] = -r2 * E1 / (q * S1)

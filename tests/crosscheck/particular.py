@@ -23,10 +23,10 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from duosc.config import InternalForce
+from duosc.config import InternalConfig, InternalForce
 from duosc.errors import ConfigError, DuoscError
 from duosc.forcing import force_value
-from duosc.modes import NormalModes, check_caustic
+from duosc.modes import NormalModes, check_caustic, solve_determinant
 
 from .modes import homogeneous_xi_paths
 
@@ -126,13 +126,14 @@ def particular_solution(modes: NormalModes, f1: InternalForce,
                         f2: InternalForce, t: float,
                         n_grid: int = DEFAULT_GRID_POINTS
                         ) -> ParticularSolution:
-    """Build the endpoint-vanishing particular solution on [0, t]."""
+    """Build the endpoint-vanishing particular solution on [0, t]; gamma
+    is the modes' damping rate delta."""
     from scipy.interpolate import CubicSpline
 
     if t <= 0.0:
         raise ConfigError(f"particular_solution needs t > 0, got {t}")
     check_caustic(modes, t)
-    gamma = modes.gamma1
+    gamma = modes.delta
     r1, r2 = modes.r1, modes.r2
     q = modes.one_minus_r1r2
     O = (modes.Omega1, modes.Omega2)
@@ -217,7 +218,7 @@ def _force_transform(f: InternalForce, omega: np.ndarray) -> np.ndarray:
     return out
 
 
-def fourier_route(modes: NormalModes, f1: InternalForce, f2: InternalForce,
+def fourier_route(cfg: InternalConfig, f1: InternalForce, f2: InternalForce,
                   t: float, tau: np.ndarray,
                   omega_max: float = None, nodes_per_unit: float = None
                   ) -> Tuple[np.ndarray, np.ndarray]:
@@ -226,13 +227,16 @@ def fourier_route(modes: NormalModes, f1: InternalForce, f2: InternalForce,
     Evaluates the free-space spectral integral with composite quadrature
     over a truncated window, then removes the endpoint values with a
     homogeneous solution, which is exactly the role of the spectral
-    construction's correction terms.  Cross-check only; much slower than
-    particular_solution.
+    construction's correction terms.  The spectra read the config's
+    frequencies, damping rates, coupling and masses; only the window's width
+    and the endpoint fix read its modes.  Cross-check only; much slower
+    than particular_solution.
     """
-    if modes.gamma1 <= 0.0:
+    if cfg.gamma1 <= 0.0:
         raise ConfigError("fourier route needs gamma > 0 (poles off the axis)")
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     decay_scales = [f.decay for f in (f1, f2) if f.kind == "exponential_step"]
+    modes = solve_determinant(cfg)
     if omega_max is None:
         omega_max = 40.0 * max([modes.Omega2] + decay_scales + [1.0])
     if nodes_per_unit is None:
@@ -247,11 +251,11 @@ def fourier_route(modes: NormalModes, f1: InternalForce, f2: InternalForce,
     w_nodes = (mids[:, None] + halfs[:, None] * _GL_NODES).ravel()
     w_wts = (halfs[:, None] * _GL_WEIGHTS).ravel()
 
-    m1, m2, lam = modes.m1, modes.m2, modes.lam
+    m1, m2, lam = cfg.m1, cfg.m2, cfg.lam
     F1 = (2.0 / m1) * _force_transform(f1, w_nodes)
     F2 = (2.0 / m2) * _force_transform(f2, w_nodes)
-    D1 = modes.w01 ** 2 - w_nodes ** 2 - 2j * modes.gamma1 * w_nodes
-    D2 = modes.w02 ** 2 - w_nodes ** 2 - 2j * modes.gamma2 * w_nodes
+    D1 = cfg.w01 ** 2 - w_nodes ** 2 - 2j * cfg.gamma1 * w_nodes
+    D2 = cfg.w02 ** 2 - w_nodes ** 2 - 2j * cfg.gamma2 * w_nodes
     D = D1 * D2 - lam ** 2 / (m1 * m2)
     C1 = ((lam / m1) * F2 + D2 * F1) / D
     C2 = ((lam / m2) * F1 + D1 * F2) / D
@@ -270,16 +274,16 @@ def fourier_route(modes: NormalModes, f1: InternalForce, f2: InternalForce,
     return h1 + c1, h2 + c2
 
 
-def verify_fourier_route(ps: ParticularSolution, modes: NormalModes,
+def verify_fourier_route(ps: ParticularSolution, cfg: InternalConfig,
                          f1: InternalForce, f2: InternalForce,
                          n_check: int = 9, tol: float = 1e-6) -> float:
-    """Compare the spectral route against the variation-of-parameters result
-    at interior points; raise QuadratureNonConvergence on disagreement.
-    Returns the scaled maximum deviation."""
+    """Compare the spectral route of `cfg` against the variation-of-
+    parameters result at interior points; raise QuadratureNonConvergence on
+    disagreement.  Returns the scaled maximum deviation."""
     t = ps.t
     tau = np.linspace(0.1 * t, 0.9 * t, n_check)
     a1, a2 = ps.values(tau)
-    b1, b2 = fourier_route(modes, f1, f2, t, tau)
+    b1, b2 = fourier_route(cfg, f1, f2, t, tau)
     scale = max(np.max(np.abs(a1)), np.max(np.abs(a2)), 1e-300)
     dev = max(np.max(np.abs(a1 - b1)), np.max(np.abs(a2 - b2))) / scale
     if dev > tol:

@@ -237,7 +237,7 @@ def test_criterion_08_particular_solution(ic_fig3, modes_fig3):
                       max(abs(b) for b in ps.boundary_residuals) / scale)
         worst_ode = max(worst_ode, fd_residual(ic_fig3, modes_fig3, ps, t))
         worst_fourier = max(worst_fourier, verify_fourier_route(
-            ps, modes_fig3, ic_fig3.force1, ic_fig3.force2))
+            ps, ic_fig3, ic_fig3.force1, ic_fig3.force2))
     ok = worst_b <= 1e-8 and worst_ode <= 1e-6 and worst_fourier <= 1e-6
     _report(8, "driven two-point solution: boundary, ODE, spectral route",
             ok, f"boundary {worst_b:.2e} <= 1e-8, ODE residual "
@@ -252,14 +252,13 @@ def test_criterion_09_mode_roots_and_weak_coupling_limit(ic_fig3, modes_fig3):
     lts = (1e-2, 1e-3, 1e-4)
     ms = [solve_determinant(make_ic(lam_tilde=lt)) for lt in lts]
     gaps = [abs(m.Omega1 - O1) + abs(m.Omega2 - O2)
-            + abs(m.delta1 - d1) + abs(m.delta2 - d2)
+            + abs(m.delta - d1) + abs(m.delta - d2)
             + abs(m.r1) + abs(m.r2) for m in ms]
     monotone = gaps[0] > gaps[1] > gaps[2]
     worst_lim = 0.0
-    for attr, power in (("r1", 1), ("r2", 1), ("Omega1", 2), ("Omega2", 2),
-                        ("delta1", 2), ("delta2", 2)):
-        ref = {"Omega1": O1, "Omega2": O2,
-               "delta1": d1, "delta2": d2}.get(attr, 0.0)
+    for attr, power, ref in (("r1", 1, 0.0), ("r2", 1, 0.0),
+                             ("Omega1", 2, O1), ("Omega2", 2, O2),
+                             ("delta", 2, d1), ("delta", 2, d2)):
         k = (lts[1] / lts[2]) ** power
         extrap = (k * getattr(ms[2], attr) - getattr(ms[1], attr)) / (k - 1.0)
         worst_lim = max(worst_lim, abs(extrap - ref))

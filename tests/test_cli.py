@@ -372,6 +372,37 @@ def test_empty_sampled_force_file_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("changes, field", [
+    # 1e-3 rad/s is 1e-16 omega01, below a float spacing of Omega2
+    (dict(gamma1=1e-3, gamma2=1e-3), "gamma1"),
+    # omega01^2 overflows the float range in the internal units
+    (dict(omega01=1e200), "eigenfrequency")])
+def test_tiny_damping_or_huge_frequency_exit_code(tmp_path, changes, field):
+    """A nonzero damping rate too small for the bath layout to resolve
+    (whose bisection never ended) and a frequency whose square overflows
+    are configuration errors naming the field: exit 2 with one error line,
+    and nothing written."""
+    cfgd = {
+        "m1": 1e-23, "m2": 5e-23, "omega01": 1e13, "omega02": 3e13,
+        "gamma1": 1e11, "gamma2": 1e11, "lambda_tilde": 0.3,
+        "T1": 300.0, "T2": 300.0, "t_end": 5e-12, "n_points": 6,
+        **changes,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfgd))
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "o"
+    run = subprocess.run([sys.executable, "-m", "duosc", "run", "custom",
+                          str(out), "--config", str(p)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"error: {field} ")
+    assert run.stderr.count("error:") == 1 and run.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("decay, onset", [(1e15, 1e-9), (0.0, 1e-13)])
 def test_amplitude_heuristic_exit_code(tmp_path, capsys, decay, onset):
     """A heuristic step amplitude that overflows (decay*onset = 1e6) or has

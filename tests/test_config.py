@@ -85,6 +85,14 @@ def test_validation_rejects_nonpositive_mass():
         OscillatorParams(mass=0.0, eigenfrequency=1e13, damping_rate=0.0)
 
 
+def test_validation_rejects_an_eigenfrequency_whose_square_overflows():
+    """omega01 = 1e200 rad/s squared leaves the float range when the
+    internal units are formed: a ConfigError naming the field, not a bare
+    OverflowError."""
+    with pytest.raises(ConfigError, match="^eigenfrequency must be"):
+        OscillatorParams(mass=1e-23, eigenfrequency=1e200, damping_rate=0.0)
+
+
 def test_validation_rejects_negative_temperature():
     cfg = make_cfg(bath1=BathParams(temperature=-1.0))
     with pytest.raises(ConfigError, match="T1 must be non-negative"):
@@ -363,6 +371,13 @@ _BAD_INTERNAL = [
       id="gamma=-0.01"),
     P(dict(gamma2=0.02), ConfigError, "gamma2", id="gamma2=0.02"),
     P(dict(gamma1=2.0, gamma2=2.0), DegenerateModes, "gamma1", id="gamma=2"),
+    # below a float spacing of Omega2 = 3.0166 the bath layout's
+    # bisection never ended
+    P(dict(gamma1=1e-16, gamma2=1e-16), ConfigError, "gamma1",
+      id="gamma=1e-16"),
+    P(dict(gamma1=3e-16, gamma2=3e-16), ConfigError, "gamma1",
+      id="gamma=3e-16"),
+    P(dict(w02=1e200), ConfigError, "w02", id="w02=1e200"),
     P(dict(lam=100.0), CouplingTooStrong, "lam", id="lam=100"),
     P(dict(t_end=1e5), ConfigError, "t_end", id="t_end=1e5"),
     P(dict(force1=InternalForce(kind="exponential_step", f0=1.0, t0=-1.0)),

@@ -315,6 +315,18 @@ def test_stationary_state_at_the_longest_supported_time(ic_fig3):
         simulate(ic_fig3, times=[1.0, t * (1.0 + 1e-9)])
 
 
+def test_small_damping_runs_clean(ic_fig3):
+    """gamma = 1e-13, above the smallest damping the config accepts
+    (`MIN_GAMMA_SPACINGS`), runs at short, middle and long times with no
+    float warning."""
+    ic = replace(ic_fig3, gamma1=1e-13, gamma2=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate(ic, times=[0.5, 3.0, 20.0])
+    assert np.all(np.isfinite(res.cov))
+    assert np.all(res.column("var_x1") > 0.0)
+
+
 def test_simulate_builds_no_table(monkeypatch, ic_fig3):
     """The result is the moments: `simulate` builds neither table, the
     first read of each builds it in one call over the grid, and later

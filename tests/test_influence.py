@@ -202,7 +202,8 @@ def _path_transforms(modes, t, omega):
     """int_0^t {sin, cos}(O s) exp(d s - i w s) ds, rows [s1, c1, s2, c2],
     with expm1 so that nothing cancels at small |(d + i(O - w)) t|."""
     rows = []
-    for O, d in ((modes.Omega1, modes.delta1), (modes.Omega2, modes.delta2)):
+    d = modes.delta
+    for O in (modes.Omega1, modes.Omega2):
         up, dn = d + 1j * (O - omega), d - 1j * (O + omega)
         e_up, e_dn = np.expm1(up * t) / up, np.expm1(dn * t) / dn
         rows += [(e_up - e_dn) / 2j, (e_up + e_dn) / 2.0]

@@ -53,8 +53,7 @@ def test_frozen_mode_values(modes_fig3):
     # frozen from an independent evaluation of the companion-matrix roots
     assert math.isclose(modes_fig3.Omega1, 0.9486305919587454, rel_tol=1e-12)
     assert math.isclose(modes_fig3.Omega2, 3.0166040509155327, rel_tol=1e-12)
-    assert math.isclose(modes_fig3.delta1, 0.01, rel_tol=1e-9)
-    assert math.isclose(modes_fig3.delta2, 0.01, rel_tol=1e-9)
+    assert math.isclose(modes_fig3.delta, 0.01, rel_tol=1e-9)
     assert math.isclose(modes_fig3.r1, 0.04969039949999543, rel_tol=1e-10)
     assert math.isclose(modes_fig3.r2, -0.24845199749998018, rel_tol=1e-10)
 
@@ -87,15 +86,13 @@ def test_weak_coupling_continuity():
     lts = (1e-2, 1e-3, 1e-4)
     ms = [solve_determinant(make_ic(lam_tilde=lt)) for lt in lts]
     gaps = [abs(m.Omega1 - O1) + abs(m.Omega2 - O2)
-            + abs(m.delta1 - d1) + abs(m.delta2 - d2)
+            + abs(m.delta - d1) + abs(m.delta - d2)
             + abs(m.r1) + abs(m.r2) for m in ms]
     assert gaps[0] > gaps[1] > gaps[2]
     # Richardson in lam_tilde (ratios) and lam_tilde^2 (frequencies)
-    for attr, power in (("r1", 1), ("r2", 1),
-                        ("Omega1", 2), ("Omega2", 2),
-                        ("delta1", 2), ("delta2", 2)):
-        ref = {"Omega1": O1, "Omega2": O2,
-               "delta1": d1, "delta2": d2}.get(attr, 0.0)
+    for attr, power, ref in (("r1", 1, 0.0), ("r2", 1, 0.0),
+                             ("Omega1", 2, O1), ("Omega2", 2, O2),
+                             ("delta", 2, d1), ("delta", 2, d2)):
         v_mid, v_small = getattr(ms[1], attr), getattr(ms[2], attr)
         k = (lts[1] / lts[2]) ** power
         extrap = (k * v_small - v_mid) / (k - 1.0)

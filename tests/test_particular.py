@@ -125,8 +125,7 @@ def test_superposition_in_forces(ic_fig3, modes_fig3):
 def test_fourier_route_agreement(ic_fig3, modes_fig3):
     t = 12.3
     ps = particular_solution(modes_fig3, ic_fig3.force1, ic_fig3.force2, t)
-    dev = verify_fourier_route(ps, modes_fig3, ic_fig3.force1,
-                               ic_fig3.force2)
+    dev = verify_fourier_route(ps, ic_fig3, ic_fig3.force1, ic_fig3.force2)
     assert dev < 1e-6
 
 
@@ -135,12 +134,12 @@ def test_fourier_route_disagreement_raises(ic_fig3, modes_fig3):
     t = 12.3
     ps = particular_solution(modes_fig3, ic_fig3.force1, ic_fig3.force2, t)
     tau = np.linspace(0.1 * t, 0.9 * t, 9)
-    b1, _ = fourier_route(modes_fig3, ic_fig3.force1, ic_fig3.force2, t, tau,
+    b1, _ = fourier_route(ic_fig3, ic_fig3.force1, ic_fig3.force2, t, tau,
                           omega_max=1.5)
     a1, _ = ps.values(tau)
     assert np.max(np.abs(a1 - b1)) > 1e-4  # the crude window is visibly off
     with pytest.raises(QuadratureNonConvergence):
-        verify_fourier_route(ps, modes_fig3, ic_fig3.force1, ic_fig3.force2,
+        verify_fourier_route(ps, ic_fig3, ic_fig3.force1, ic_fig3.force2,
                              tol=1e-14)
 
 
